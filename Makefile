@@ -4,10 +4,10 @@
 GO ?= go
 
 .PHONY: check fmt vet doccheck build test race race-runner check-store \
-	check-service check-runtime check-conform smoke bench bench-snapshot \
-	bench-baseline bench-metrics bench-hw check-invariants fuzz-smoke
+	check-runtime check-conform check-bench check-flaky smoke bench \
+	check-invariants fuzz-smoke
 
-check: fmt vet doccheck build test race-runner check-store check-service check-invariants check-runtime check-conform fuzz-smoke smoke
+check: fmt vet doccheck build test check-bench race-runner check-store check-invariants check-runtime check-conform fuzz-smoke smoke
 
 fmt:
 	@out=$$(gofmt -l .); \
@@ -21,14 +21,26 @@ vet:
 # Documentation lint (tools/doccheck): package docs everywhere, doc
 # comments on every exported identifier in internal packages.
 doccheck:
-	$(GO) run ./tools/doccheck ./api ./runtime/... ./internal/... ./cmd/... ./examples/... .
-	$(GO) run ./tools/doccheck -exported ./api ./runtime/... ./internal/...
+	$(GO) run ./tools/doccheck ./runtime/... ./internal/... ./cmd/... ./examples/... .
+	$(GO) run ./tools/doccheck -exported ./runtime/... ./internal/...
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# The benchmark harness is its own module (bench/go.mod), so the root
+# `go test ./...` never builds it; this target compiles, vets and
+# short-tests it against the current public API.
+check-bench:
+	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+
+# Flakiness gate: the whole suite ten times over, shuffled, at three
+# GOMAXPROCS settings, under the race detector. Slow; CI runs it
+# nightly rather than per push.
+check-flaky:
+	$(GO) test -race -count=10 -cpu 1,2,4 -shuffle=on ./...
 
 # Each simulation is still a single deterministic cycle loop; the only
 # goroutines live in the experiment runner's worker pool. The race
@@ -44,40 +56,24 @@ race-runner:
 	$(GO) test -race -count=1 ./internal/experiments/runner/
 
 # The persistence layer under the race detector: the content-addressed
-# store's crash-safety/GC suite, the runner's read-through/write-behind
-# tier contract, the warm-vs-cold byte-equivalence tests and the
-# asymsimd submit->poll->result end-to-end test. Every test runs in its
-# own t.TempDir, so no state leaks between runs.
+# store's crash-safety and write-fault suite, the runner's read-through
+# tier contract and the warm-vs-cold byte-equivalence tests. Every test
+# runs in its own t.TempDir, so no state leaks between runs.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
+	$(GO) test -race -count=1 -run 'WriteFaults' ./internal/faults/
 	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
-	$(GO) test -race -count=1 -run 'TestStore' .
-	$(GO) test -race -count=1 -run 'TestSubmit' ./cmd/asymsim/
-
-# The hardened job service under the race detector: the service chaos
-# harness (daemon killed and restarted mid-batch over fault-injected
-# store/journal writes, reached through a fault-injecting HTTP
-# transport, with byte-identical recovery asserted), the deadline/hang/
-# panic containment and drain/crash-recovery suites, and the journal
-# and service fault-injector unit suites (see ROBUSTNESS.md "Service
-# hardening").
-check-service:
-	$(GO) test -race -count=1 -run 'TestServiceChaos|TestDeadline|TestPerJob|TestOverload|TestDrain' ./cmd/asymsim/
-	$(GO) test -race -count=1 ./internal/journal/
-	$(GO) test -race -count=1 -run 'WriteFaults|RoundTripper' ./internal/faults/
-	$(GO) test -race -count=1 -run 'TestPanicContainment' ./internal/experiments/runner/
+	$(GO) test -race -count=1 -run 'TestStore|TestRunBatchStore' .
 
 # The real-hardware fence runtime under the race detector: the
 # asymruntime mode/registration suite, the exactly-once deque stress
-# and the torn-read TLRW stress (each in every available fence mode),
-# and the hwbench driver's snapshot-shape tests — run twice, once
-# resolving membarrier naturally and once with the seq-cst fallback
-# forced through the environment, so the portable path cannot rot on
-# membarrier-capable CI machines (see HARDWARE.md).
+# and the torn-read TLRW stress (each in every available fence mode) —
+# run twice, once resolving membarrier naturally and once with the
+# seq-cst fallback forced through the environment, so the portable path
+# cannot rot on membarrier-capable CI machines (see HARDWARE.md).
 check-runtime:
 	$(GO) test -race -count=1 ./runtime/...
 	ASYMFENCE_MODE=fallback $(GO) test -race -count=1 ./runtime/...
-	$(GO) test -race -count=1 -run 'TestHWBench' ./cmd/asymsim/
 
 # Cross-domain litmus conformance (ROBUSTNESS.md §8): the TSO
 # reference enumerator, the real-goroutine litmus runner and the
@@ -94,20 +90,10 @@ check-conform:
 	$(GO) run ./cmd/asymsim conform -quick -q
 
 # Quick end-to-end sanity: the headline experiment at reduced scale on
-# a parallel worker pool, the real-hardware bench driver with the
-# simulator cross-validation table at smoke scale, plus the quick
-# cross-domain conformance sweep.
+# a parallel worker pool, plus the quick cross-domain conformance sweep.
 smoke:
 	$(GO) run ./cmd/asymsim -scale 0.1 -horizon 20000 -j 4 headline
-	$(GO) run ./cmd/asymsim hwbench -quick
 	$(GO) run ./cmd/asymsim conform -quick -q
-
-# Checked-in real-hardware baseline (BENCH_PR9_HW.json): the goroutine
-# ports of the Cilk-THE deque and the TLRW STM read-lock, asymmetric
-# membarrier fences vs symmetric baselines across thread counts, with
-# the simulator's Fig. 8/9 predictions alongside (HARDWARE.md).
-bench-hw:
-	$(GO) run ./cmd/asymsim hwbench -out BENCH_PR9_HW.json
 
 # The runtime invariant oracle under the race detector: the litmus
 # suite with all checkers on for every design, the broken-fence
@@ -129,23 +115,3 @@ fuzz-smoke:
 bench:
 	$(GO) test -run XX -bench . -benchtime 200ms \
 		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/
-
-# Perf snapshot of every (workload, design) pair -> BENCH_<date>.json.
-bench-snapshot:
-	$(GO) run ./cmd/asymsim bench
-
-# Checked-in cycle-kernel baseline (BENCH_PR4.json): cycles/sec, ns/op
-# and allocs per fence design at 8 and 64 cores, plus the sequential
-# `-q -seq all` wall clock. Set BEFORE=<old.json> to record a speedup
-# comparison against a previous snapshot.
-bench-baseline:
-	$(GO) run ./cmd/asymsim benchkernel -out BENCH_PR4.json \
-		$(if $(BEFORE),-before $(BEFORE))
-
-# Checked-in metrics-overhead baseline (BENCH_PR6.json): the cycle
-# kernel with metrics collection off (before) vs on (after), measured
-# back to back in one process and best-of-3 per row, so the "metrics
-# are within noise" claim of OBSERVABILITY.md stays measured.
-bench-metrics:
-	$(GO) run ./cmd/asymsim benchkernel -skip-all -repeat 3 \
-		-compare-metrics -out BENCH_PR6.json

@@ -2,7 +2,6 @@ package asymfence
 
 import (
 	"context"
-	"fmt"
 
 	"asymfence/internal/experiments"
 	"asymfence/internal/experiments/runner"
@@ -32,25 +31,15 @@ type BatchOptions struct {
 	RunConfig
 }
 
-// SimPanicError is the typed failure a panicking simulation is
-// converted into: the worker recovers the panic and fails only that
-// job, so one bad simulation cannot take down the host process.
-// Surface it with errors.As on any RunBatch or experiment error.
-type SimPanicError = runner.PanicError
-
 // RunBatch executes a flat batch of simulation jobs on a bounded worker
 // pool against the process-wide measurement cache, backed by the
-// persistent store when RunConfig.Store/StoreDir is set. Results return
+// persistent store when RunConfig.Store is set. Results return
 // positionally — results[i] belongs to jobs[i], whatever the
 // scheduling — so callers merge deterministically. Cancel ctx to abort;
 // the error then wraps context.Canceled.
 func RunBatch(ctx context.Context, jobs []SimJob, opts BatchOptions) ([]*WorkloadMeasurement, error) {
-	st, opened, err := opts.resolveStore()
-	if err != nil {
-		return nil, fmt.Errorf("asymfence: batch: %w", err)
-	}
 	eng := experiments.NewEngine(experiments.EngineOptions{
-		Workers: opts.Jobs, Progress: opts.Progress, Metrics: opts.Metrics, Store: st,
+		Workers: opts.Jobs, Progress: opts.Progress, Metrics: opts.Metrics, Store: opts.Store,
 	})
 	specs := make([]runner.Spec, len(jobs))
 	for i, j := range jobs {
@@ -63,11 +52,6 @@ func RunBatch(ctx context.Context, jobs []SimJob, opts BatchOptions) ([]*Workloa
 	if opts.Stats != nil {
 		es := eng.Stats()
 		*opts.Stats = RunStats{Jobs: es.Jobs, CacheHits: es.Hits, StoreHits: es.StoreHits, Simulated: es.Simulated}
-	}
-	if opened {
-		if cerr := st.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
 	}
 	return ms, err
 }

@@ -32,6 +32,58 @@ type conformFile struct {
 	Report  *asymfence.ConformReport `json:"report"`
 }
 
+// hwHost is the hardware/kernel provenance of a report.
+type hwHost struct {
+	GOOS     string `json:"goos"`
+	GOARCH   string `json:"goarch"`
+	NCPU     int    `json:"ncpu"`
+	Go       string `json:"go"`
+	Kernel   string `json:"kernel,omitempty"`
+	CPU      string `json:"cpu,omitempty"`
+	Version  string `json:"version,omitempty"`
+	Revision string `json:"revision,omitempty"`
+}
+
+// procLine reads a one-line pseudo-file, returning "" off-Linux or on
+// error — host provenance is best-effort.
+func procLine(path string) string {
+	b, err := os.ReadFile(path)
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(b))
+}
+
+// cpuModel extracts the first "model name" line of /proc/cpuinfo.
+func cpuModel() string {
+	b, err := os.ReadFile("/proc/cpuinfo")
+	if err != nil {
+		return ""
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if k, v, ok := strings.Cut(line, ":"); ok && strings.TrimSpace(k) == "model name" {
+			return strings.TrimSpace(v)
+		}
+	}
+	return ""
+}
+
+// modeFromString maps a -modes entry to an asymruntime.Mode; ok is
+// false for unrecognized values so a typo fails loudly instead of
+// silently running in auto mode.
+func modeFromString(s string) (asymruntime.Mode, bool) {
+	switch s {
+	case "auto", "":
+		return asymruntime.ModeAuto, true
+	case "membarrier":
+		return asymruntime.ModeMembarrier, true
+	case "fallback":
+		return asymruntime.ModeFallback, true
+	default:
+		return asymruntime.ModeAuto, false
+	}
+}
+
 // conformConfig records the resolved campaign shape.
 type conformConfig struct {
 	Seeds      int      `json:"seeds"`

@@ -8,13 +8,9 @@
 //	asymsim -version                       print build provenance
 //	asymsim [flags] run <group>:<app>      one workload under every design
 //	asymsim trace <group>:<app> [flags]    traced run (Perfetto/JSONL export)
-//	asymsim bench [flags]                  machine-readable perf snapshot
 //	asymsim serve [flags] <experiment>     run with a live observability server
-//	asymsim serve [flags]                  asymsimd: /v1 job-service daemon
-//	asymsim submit [flags] <group>:<app>   submit jobs to asymsimd and wait
 //	asymsim fuzz [flags]                   litmus-fuzz under invariant checkers
 //	asymsim conform [flags]                cross-domain litmus conformance sweep
-//	asymsim hwbench [flags]                asymmetric fences on real silicon
 //
 // where <experiment> is one of fig8, fig9, fig10, fig11, fig12, table4,
 // headline, or all. Each prints the same rows/series the paper reports
@@ -43,19 +39,6 @@
 //	asymsim trace cilk:fib -trace-out /tmp/t.json
 //	asymsim trace ustm:List -design Wee -format jsonl -interval 500
 //
-// The bench subcommand runs every workload under every design at a
-// fixed quick scale and writes cycles/throughput per (workload, design)
-// to BENCH_<date>.json, giving later changes a perf trajectory to
-// compare against.
-//
-// The hwbench subcommand leaves the simulator entirely: it runs the
-// real-goroutine ports of the Cilk-THE deque and the TLRW STM read-lock
-// (asymfence/runtime, membarrier-backed asymmetric fences vs their
-// symmetric baselines) across thread counts on this machine, records
-// hardware/kernel provenance, and prints measured speedups side by side
-// with the simulator's Fig. 8/9 predictions (checked in as
-// BENCH_PR9_HW.json; see HARDWARE.md).
-//
 // The conform subcommand cross-checks all three execution domains on
 // generated litmus programs: the reference TSO machine enumerates each
 // program's allowed final states, then the cycle simulator (every
@@ -79,13 +62,10 @@
 // The experiment and serve paths accept -store dir, the persistent
 // content-addressed measurement store: warm configurations load from
 // disk instead of re-simulating, across process restarts, with
-// byte-identical tables. Without an experiment argument, serve runs as
-// asymsimd — a long-lived daemon mounting the versioned /v1 job
-// service (wire schema in package api) — and the submit subcommand is
-// its client:
+// byte-identical tables.
 //
-//	asymsim serve -store /var/cache/asymsim &
-//	asymsim submit cilk:fib ustm:List
+// Performance is measured by the separate benchmark module in bench/
+// (bash bench/run.sh; see bench/README.md).
 package main
 
 import (
@@ -112,20 +92,12 @@ func main() {
 		switch os.Args[1] {
 		case "trace":
 			os.Exit(traceCmd(ctx, os.Args[2:]))
-		case "bench":
-			os.Exit(benchCmd(ctx, os.Args[2:]))
-		case "benchkernel":
-			os.Exit(benchKernelCmd(ctx, os.Args[2:]))
-		case "hwbench":
-			os.Exit(hwbenchCmd(ctx, os.Args[2:]))
 		case "fuzz":
 			os.Exit(fuzzCmd(ctx, os.Args[2:]))
 		case "conform":
 			os.Exit(conformCmd(ctx, os.Args[2:]))
 		case "serve":
 			os.Exit(serveCmd(ctx, os.Args[2:]))
-		case "submit":
-			os.Exit(submitCmd(ctx, os.Args[2:]))
 		}
 	}
 
@@ -144,10 +116,9 @@ func main() {
 		fmt.Fprintf(os.Stderr, "usage: asymsim [flags] <experiment>\n"+
 			"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
 			"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
-			"       asymsim bench [flags]                 (asymsim bench -h for flags)\n"+
 			"       asymsim fuzz [flags]                  (asymsim fuzz -h for flags)\n"+
-			"       asymsim conform [flags]               (asymsim conform -h for flags)\n"+
-			"       asymsim hwbench [flags]               (asymsim hwbench -h for flags)\n\n"+
+			"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
+			"       asymsim conform [flags]               (asymsim conform -h for flags)\n\n"+
 			"experiments: %v\n\nflags:\n",
 			asymfence.ExperimentIDs)
 		flag.PrintDefaults()
@@ -198,12 +169,19 @@ func main() {
 	if !*quiet {
 		progress = os.Stderr
 	}
+	var st *asymfence.MeasurementStore
+	if *storeDir != "" {
+		var err error
+		if st, err = asymfence.OpenStore(*storeDir, asymfence.StoreOptions{Metrics: reg}); err != nil {
+			fmt.Fprintln(os.Stderr, "asymsim:", err)
+			os.Exit(1)
+		}
+	}
 	var stats asymfence.RunStats
 	start := time.Now()
 	tables, err := exp.Run(ctx, asymfence.Options{
 		RunConfig: asymfence.RunConfig{
-			Jobs: workers, Progress: progress, Stats: &stats, Metrics: reg,
-			StoreDir: *storeDir,
+			Jobs: workers, Progress: progress, Stats: &stats, Metrics: reg, Store: st,
 		},
 		Cores: *cores, Scale: *scale, Horizon: *horizon,
 	})

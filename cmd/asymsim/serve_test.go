@@ -40,8 +40,7 @@ func TestServeMuxEndpoints(t *testing.T) {
 	ring := newProgressRing(8)
 	io.WriteString(ring, "job 1/2 done\n")
 
-	hs := newHealth()
-	srv := httptest.NewServer(serveMux(reg, ring, nil, hs))
+	srv := httptest.NewServer(serveMux(reg, ring))
 	defer srv.Close()
 
 	get := func(path string) (int, string, string) {
@@ -93,24 +92,5 @@ func TestServeMuxEndpoints(t *testing.T) {
 	code, _, _ = get("/no-such-page")
 	if code != 404 {
 		t.Fatalf("unknown path: code %d, want 404", code)
-	}
-
-	// Probes: always live; ready until draining flips readiness off.
-	code, _, body = get("/healthz")
-	if code != 200 || !strings.Contains(body, "ok") {
-		t.Fatalf("/healthz: code %d, body %q", code, body)
-	}
-	code, _, body = get("/readyz")
-	if code != 200 || !strings.Contains(body, "ready") {
-		t.Fatalf("/readyz: code %d, body %q", code, body)
-	}
-	hs.ready.Store(false)
-	code, _, body = get("/readyz")
-	if code != 503 || !strings.Contains(body, "draining") {
-		t.Fatalf("/readyz while draining: code %d, body %q, want 503 draining", code, body)
-	}
-	code, _, _ = get("/healthz")
-	if code != 200 {
-		t.Fatalf("/healthz while draining: code %d, want 200 (still live)", code)
 	}
 }

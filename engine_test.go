@@ -5,7 +5,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"asymfence"
 )
@@ -99,8 +98,8 @@ func TestCacheHitAccounting(t *testing.T) {
 	}
 }
 
-// TestRunCancellation: canceling the context aborts the run promptly
-// and the error wraps context.Canceled.
+// TestRunCancellation: canceling the context aborts the run, the error
+// wraps context.Canceled, and the jobs not yet started never simulate.
 func TestRunCancellation(t *testing.T) {
 	asymfence.FlushSimCache()
 	e, ok := asymfence.LookupExperiment("headline")
@@ -111,31 +110,39 @@ func TestRunCancellation(t *testing.T) {
 	// Pre-canceled: nothing may run.
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	start := time.Now()
-	_, err := e.Run(ctx, quickOpts())
+	var stats asymfence.RunStats
+	opts := quickOpts()
+	opts.Stats = &stats
+	_, err := e.Run(ctx, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("pre-canceled Run error = %v, want wrapped context.Canceled", err)
 	}
-	if el := time.Since(start); el > 5*time.Second {
-		t.Fatalf("pre-canceled Run took %v, want prompt return", el)
+	if stats.Simulated != 0 {
+		t.Fatalf("pre-canceled Run stats = %+v, want no simulations", stats)
 	}
 
-	// Mid-run: cancel shortly after the batch starts; the cooperative
-	// cycle-loop poll must stop in-flight simulations quickly.
+	// Mid-run: the progress line of the first completed job cancels the
+	// run; the pool must stop scheduling and interrupt the jobs in flight.
 	ctx, cancel = context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	start = time.Now()
-	_, err = e.Run(ctx, asymfence.Options{
-		RunConfig: asymfence.RunConfig{Jobs: 2},
-		Cores:     8, Scale: 1, Horizon: 60_000,
-	})
+	defer cancel()
+	opts = quickOpts()
+	opts.Jobs = 2
+	opts.Progress = cancelOnWrite(cancel)
+	opts.Stats = &stats
+	_, err = e.Run(ctx, opts)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("mid-run cancel error = %v, want wrapped context.Canceled", err)
 	}
-	if el := time.Since(start); el > 10*time.Second {
-		t.Fatalf("mid-run cancel took %v, want prompt return", el)
+	if stats.Simulated >= stats.Jobs {
+		t.Fatalf("mid-run cancel stats = %+v, want fewer simulations than jobs", stats)
 	}
+}
+
+// cancelOnWrite is a progress writer that calls cancel on its first
+// write, i.e. when the first job of a run completes.
+type cancelOnWrite context.CancelFunc
+
+func (c cancelOnWrite) Write(p []byte) (int, error) {
+	c()
+	return len(p), nil
 }

@@ -70,7 +70,7 @@ type Experiment struct {
 // Run regenerates the artifact and returns its table(s). Simulation
 // jobs execute on a bounded worker pool (RunConfig.Jobs) against the
 // process-wide measurement cache, backed by the persistent store when
-// RunConfig.Store/StoreDir is set; results merge deterministically, so
+// RunConfig.Store is set; results merge deterministically, so
 // output is byte-identical at any parallelism and whether a job
 // simulated or loaded from either tier. Cancel ctx to abort: the error
 // then wraps context.Canceled.
@@ -79,22 +79,13 @@ func (e Experiment) Run(ctx context.Context, opts Options) ([]*ExperimentTable, 
 		return nil, fmt.Errorf("asymfence: zero Experiment value (obtain entries from Experiments or LookupExperiment)")
 	}
 	o := opts.withDefaults()
-	st, opened, err := o.resolveStore()
-	if err != nil {
-		return nil, fmt.Errorf("asymfence: %s: %w", e.ID, err)
-	}
 	eng := experiments.NewEngine(experiments.EngineOptions{
-		Workers: o.Jobs, Progress: o.Progress, Metrics: o.Metrics, Store: st,
+		Workers: o.Jobs, Progress: o.Progress, Metrics: o.Metrics, Store: o.Store,
 	})
 	tables, err := e.run(ctx, eng, o)
 	if opts.Stats != nil {
 		es := eng.Stats()
 		*opts.Stats = RunStats{Jobs: es.Jobs, CacheHits: es.Hits, StoreHits: es.StoreHits, Simulated: es.Simulated}
-	}
-	if opened {
-		if cerr := st.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
 	}
 	if err != nil {
 		return nil, fmt.Errorf("asymfence: %s: %w", e.ID, err)

@@ -41,7 +41,7 @@ type EngineOptions struct {
 	Progress io.Writer
 	// Store, when non-nil, is the persistent measurement tier behind
 	// the in-memory cache: memory misses read through to it, and fresh
-	// simulations are written behind into it, so warm configurations
+	// simulations are written to it, so warm configurations
 	// survive process restarts and are shared across concurrent runs.
 	Store *MeasurementStore
 	// Metrics, when non-nil, receives the engine's session counters

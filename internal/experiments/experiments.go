@@ -143,15 +143,6 @@ func RunUSTM(p stm.Profile, d fence.Design, ncores int, horizon int64) (*Measure
 	return meas, err
 }
 
-// RunUSTMObserved is RunUSTM with an optional metrics registry attached
-// to the run (nil behaves exactly like RunUSTM). The benchkernel CLI
-// uses it to measure the overhead of metrics collection on an otherwise
-// identical simulation.
-func RunUSTMObserved(p stm.Profile, d fence.Design, ncores int, horizon int64, reg *metrics.Registry) (*Measurement, error) {
-	meas, _, err := runUSTM(context.Background(), p, d, ncores, horizon, runObs{metrics: reg})
-	return meas, err
-}
-
 func runUSTM(ctx context.Context, p stm.Profile, d fence.Design, ncores int, horizon int64, obs runObs) (*Measurement, *sim.Result, error) {
 	p.Iterations = 0 // run forever; the horizon stops us
 	al := mem.NewAllocator(0x1000)

@@ -14,19 +14,10 @@ const MeasurementKind = "measurement/v1"
 
 // MeasurementStoreOptions configure OpenMeasurementStore.
 type MeasurementStoreOptions struct {
-	// MaxBytes bounds the store's on-disk size; least-recently-used
-	// records are evicted beyond it (<=0: 512 MiB).
-	MaxBytes int64
 	// Metrics, when non-nil, receives the store's counters under the
-	// "store" scope (hits, misses, writes, evictions, corrupt,
-	// records, bytes). Nil disables them; Stats is always available.
+	// "store" scope (hits, misses, writes, bytes, write_errors,
+	// corrupt). Nil disables them; Stats is always available.
 	Metrics *metrics.Registry
-	// WriteFile, when non-nil, replaces the store's atomic write
-	// primitive (store.WriteFileAtomic) — the fault-injection seam the
-	// service chaos harness wraps with deterministic write errors, torn
-	// files and ENOSPC (internal/faults.WriteFaults). Production opens
-	// leave it nil.
-	WriteFile func(path string, data []byte) error
 }
 
 // MeasurementStore is the persistent measurement tier: a content-
@@ -44,15 +35,9 @@ type MeasurementStore struct {
 }
 
 // OpenMeasurementStore opens (creating if necessary) the measurement
-// store rooted at dir. Callers own the handle and must Close it to
-// flush write-behind records and persist the LRU index.
+// store rooted at dir.
 func OpenMeasurementStore(dir string, o MeasurementStoreOptions) (*MeasurementStore, error) {
-	s, err := store.Open(dir, store.Options{
-		Kind:      MeasurementKind,
-		MaxBytes:  o.MaxBytes,
-		Metrics:   o.Metrics.Scope("store"),
-		WriteFile: o.WriteFile,
-	})
+	s, err := store.Open(dir, store.Options{Kind: MeasurementKind, Metrics: o.Metrics.Scope("store")})
 	if err != nil {
 		return nil, err
 	}
@@ -60,8 +45,8 @@ func OpenMeasurementStore(dir string, o MeasurementStoreOptions) (*MeasurementSt
 }
 
 // Load returns the measurement stored under the canonical spec key, or
-// ok=false on a miss (absent, evicted, corrupt or from an incompatible
-// payload version). It implements runner.Tier.
+// ok=false on a miss (absent, corrupt or from an incompatible payload
+// version). It implements runner.Tier.
 func (ms *MeasurementStore) Load(key string) (*Measurement, bool) {
 	if ms == nil {
 		return nil, false
@@ -77,8 +62,8 @@ func (ms *MeasurementStore) Load(key string) (*Measurement, bool) {
 	return &m, true
 }
 
-// Store persists a measurement under its canonical spec key
-// (write-behind: it never blocks on disk I/O). It implements
+// Store persists a measurement under its canonical spec key, returning
+// once the record is on disk or the write has failed. It implements
 // runner.Tier.
 func (ms *MeasurementStore) Store(key string, m *Measurement) {
 	if ms == nil || m == nil {
@@ -91,7 +76,7 @@ func (ms *MeasurementStore) Store(key string, m *Measurement) {
 	ms.s.Put(key, payload)
 }
 
-// Stats returns the underlying store's occupancy and traffic snapshot.
+// Stats returns the underlying store's traffic snapshot.
 func (ms *MeasurementStore) Stats() store.Stats {
 	if ms == nil {
 		return store.Stats{}
@@ -99,25 +84,6 @@ func (ms *MeasurementStore) Stats() store.Stats {
 	return ms.s.Stats()
 }
 
-// Dir returns the store's root directory ("" on a nil store).
-func (ms *MeasurementStore) Dir() string {
-	if ms == nil {
-		return ""
-	}
-	return ms.s.Dir()
-}
-
-// Flush blocks until every record written so far is durably on disk.
-func (ms *MeasurementStore) Flush() {
-	if ms != nil {
-		ms.s.Flush()
-	}
-}
-
-// Close flushes pending writes and releases the store.
-func (ms *MeasurementStore) Close() error {
-	if ms == nil {
-		return nil
-	}
-	return ms.s.Close()
-}
+// Close releases the store. Every record is on disk once Store
+// returns, so there is nothing to flush and Close always succeeds.
+func (ms *MeasurementStore) Close() error { return nil }

@@ -25,7 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
-	"runtime/debug"
 	"runtime/pprof"
 	"strconv"
 	"sync"
@@ -134,8 +133,7 @@ type Stats struct {
 // Tier is an optional persistent second tier behind the in-memory
 // Cache: a Session consults it read-through on every memory miss and
 // stores fresh results back into it. Implementations must be safe for
-// concurrent use; Store is expected to be write-behind (it must not
-// block on durable I/O). internal/experiments.MeasurementStore adapts
+// concurrent use. internal/experiments.MeasurementStore adapts
 // the on-disk content-addressed store (internal/store) to this
 // interface.
 type Tier[V any] interface {
@@ -152,7 +150,7 @@ type Options[V any] struct {
 	// Narrator receives per-job progress lines (nil: silent).
 	Narrator *trace.Narrator
 	// Tier, when non-nil, is the persistent second tier consulted on
-	// memory-cache misses and filled write-behind with fresh results.
+	// memory-cache misses and filled with fresh results.
 	Tier Tier[V]
 	// Metrics, when non-nil, receives the session's counters (jobs,
 	// cache hits/misses, store hits/misses) and — under its timing
@@ -221,56 +219,14 @@ type Session[V any] struct {
 	jobs, hits, storeHits, sims atomic.Int64
 }
 
-// PanicError is a panicking simulation converted into an ordinary
-// per-job failure: the worker that would have died recovers the panic
-// and fails only that job, so one bad simulation cannot take down the
-// whole process (in particular, a long-lived asymsimd). The recovered
-// value and a stack excerpt travel with the error.
-type PanicError struct {
-	// Spec is the job that panicked.
-	Spec Spec
-	// Value is the recovered panic value.
-	Value any
-	// Stack is the panicking goroutine's stack (truncated).
-	Stack string
-}
-
-// panicStackMax bounds the stack excerpt a PanicError retains.
-const panicStackMax = 4 << 10
-
-// Error renders the panic with its stack excerpt.
-func (e *PanicError) Error() string {
-	return fmt.Sprintf("runner: job %s panicked: %v\n%s", e.Spec, e.Value, e.Stack)
-}
-
-// recoverExec wraps exec so a panic returns a *PanicError instead of
-// unwinding. Recovering here — inside the cache-leader call — matters
-// doubly: an unwinding leader would also never close its cache entry,
-// wedging every joiner of the same key forever.
-func recoverExec[V any](exec func(context.Context, Spec) (V, error)) func(context.Context, Spec) (V, error) {
-	return func(ctx context.Context, sp Spec) (v V, err error) {
-		defer func() {
-			if r := recover(); r != nil {
-				stack := debug.Stack()
-				if len(stack) > panicStackMax {
-					stack = stack[:panicStackMax]
-				}
-				var zero V
-				v, err = zero, &PanicError{Spec: sp, Value: r, Stack: string(stack)}
-			}
-		}()
-		return exec(ctx, sp)
-	}
-}
-
 // NewSession builds a session executing jobs with exec and memoizing
-// results in cache. Panics in exec are contained per job (PanicError).
+// results in cache.
 func NewSession[V any](cache *Cache[V], exec func(context.Context, Spec) (V, error), opts Options[V]) *Session[V] {
 	w := opts.Workers
 	if w <= 0 {
 		w = runtime.GOMAXPROCS(0)
 	}
-	return &Session[V]{cache: cache, exec: recoverExec(exec), workers: w, nar: opts.Narrator,
+	return &Session[V]{cache: cache, exec: exec, workers: w, nar: opts.Narrator,
 		tier: opts.Tier, mx: newSessionMetrics(opts.Metrics, opts.Tier != nil)}
 }
 
@@ -443,7 +399,6 @@ func (s *Session[V]) one(ctx context.Context, sp Spec) (v V, src source, err err
 				s.cache.mu.Unlock()
 			}
 			if e.err == nil && s.tier != nil {
-				// Write-behind: Store must not block on durable I/O.
 				s.tier.Store(key, e.val)
 			}
 			close(e.done)

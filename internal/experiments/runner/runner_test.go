@@ -181,50 +181,3 @@ func TestSpecKeyCanonical(t *testing.T) {
 		t.Errorf("different scales share key %q", d.Key())
 	}
 }
-
-// TestPanicContainment asserts a panicking exec fails only its own job
-// as a typed *PanicError — and, critically, that joiners of the same
-// in-flight key resolve instead of wedging on a leader that never
-// closed its cache entry.
-func TestPanicContainment(t *testing.T) {
-	exec := func(_ context.Context, sp Spec) (string, error) {
-		if sp.App == "app1" {
-			panic("boom: " + sp.Key())
-		}
-		return sp.Key(), nil
-	}
-	cache := NewCache[string]()
-	s := NewSession(cache, exec, Options[string]{Workers: 4})
-
-	// Duplicate the panicking spec so one worker leads and another
-	// joins the same in-flight entry.
-	specs := []Spec{spec(1), spec(1), spec(1), spec(2)}
-	done := make(chan error, 1)
-	go func() {
-		_, err := s.Run(context.Background(), specs)
-		done <- err
-	}()
-	var err error
-	select {
-	case err = <-done:
-	case <-time.After(30 * time.Second):
-		t.Fatal("Run wedged: panicking leader never released its joiners")
-	}
-	if err == nil {
-		t.Fatal("Run returned nil error for a panicking job")
-	}
-	var pe *PanicError
-	if !errors.As(err, &pe) {
-		t.Fatalf("error %v is not a *PanicError", err)
-	}
-	if pe.Spec.App != "app1" || pe.Value != "boom: "+spec(1).Key() || pe.Stack == "" {
-		t.Fatalf("PanicError = {Spec: %v, Value: %v, Stack %d bytes}, want the panicking job's details",
-			pe.Spec, pe.Value, len(pe.Stack))
-	}
-
-	// The session survives: a fresh batch on the same cache still runs.
-	res, err := s.Run(context.Background(), []Spec{spec(3)})
-	if err != nil || res[0] != spec(3).Key() {
-		t.Fatalf("session unusable after contained panic: res=%v err=%v", res, err)
-	}
-}

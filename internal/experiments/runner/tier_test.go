@@ -10,8 +10,8 @@ import (
 	"asymfence/internal/metrics"
 )
 
-// mapTier is an in-memory Tier for testing the read-through/write-
-// behind contract without disk.
+// mapTier is an in-memory Tier for testing the read-through and
+// fill-on-simulate contract without disk.
 type mapTier struct {
 	mu    sync.Mutex
 	m     map[string]string

@@ -1,7 +1,7 @@
 // Package metrics is the machine-wide metrics registry: a
 // dependency-free, deterministic collection of named counters, gauges
 // and fixed-bucket histograms shared by the simulator, the experiment
-// engine and the asymsim service surface.
+// engine and the asymsim CLI (its -metrics snapshots and `serve`).
 //
 // The design follows the same two contracts as internal/trace:
 //

@@ -30,7 +30,8 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
 // BenchmarkCycleKernel measures Machine.Step under each fence design on
 // a busy 4-core machine: ns/op is nanoseconds per simulated cycle, so
 // cycles/sec = 1e9 / (ns/op). This is the per-subsystem view of the
-// end-to-end numbers in BENCH_PR4.json (see PERFORMANCE.md); steady
+// kernel-busy/kernel-quiescent benchmark workloads in bench/ (see
+// PERFORMANCE.md); steady
 // state should be near allocation-free.
 func BenchmarkCycleKernel(b *testing.B) {
 	for _, d := range fence.AllDesigns {

@@ -1,7 +1,7 @@
 // Package store is a crash-safe, on-disk content-addressed record
 // store: the persistent tier behind the experiment engine's in-memory
-// measurement cache, and the state every `asymsimd` instance shares
-// across processes.
+// measurement cache, shared by every process that opens the same
+// directory.
 //
 // Records are addressed by an opaque content key (the canonical
 // simulation-spec key, for the engine) and stored one per file as a
@@ -10,36 +10,31 @@
 // The layout under the store directory is
 //
 //	objects/<aa>/<sha256(key)>.json   one envelope per record
-//	index.json                        best-effort index snapshot
 //
-// where <aa> is the first byte of the key hash, git-style.
+// where <aa> is the first byte of the key hash, git-style. The files
+// are the whole store: there is no index, no size bound and no
+// background work. Get reads the key's file; Put writes it before
+// returning.
 //
-// The design holds three contracts:
+// The design holds two contracts:
 //
 //   - Crash safety. Record files appear atomically (written to a
 //     temporary file in the same directory, then renamed), so a reader
-//     — in this process or another — never observes a torn record.
-//     Truncated or corrupt files (a crash mid-rename on a non-atomic
-//     filesystem, bit rot, a schema from a future version) are treated
+//     — in this process or another — never observes a torn record, and
+//     a record is on disk once Put returns. Truncated or corrupt files
+//     (a crash mid-rename on a non-atomic filesystem, bit rot, a schema
+//     from a future version, a foreign key or payload kind) are treated
 //     as misses and removed; they can always be regenerated by
-//     re-simulating. The index file is advisory only and rebuilt from
-//     the object files on every Open, so it can never poison the store.
+//     re-simulating. Open removes leftover temporary files without
+//     reading any record.
 //
-//   - Write-behind. Put enqueues; a background writer persists records
-//     and applies the size bound, so simulation workers never block on
-//     the disk. Get consults the pending queue first, which keeps the
-//     store read-your-writes consistent within a process. Flush (or
-//     Close) drains the queue.
+//   - Cache semantics. A failed write is counted and costs only a later
+//     miss. Concurrent opens of one directory are safe: writes are
+//     atomic and idempotent (equal keys produce equal payloads for
+//     deterministic simulations).
 //
-//   - Bounded size. When the configured byte budget is exceeded the
-//     writer evicts least-recently-used records (use = Get hit or
-//     initial write) until the store fits again.
-//
-// Concurrent opens of one directory are safe: writes are atomic and
-// idempotent (equal keys produce equal payloads for deterministic
-// simulations), and a record evicted by one process while another reads
-// it degrades to a cache miss there. See OBSERVABILITY.md for the store
-// metrics and DESIGN.md for where the tier sits in the engine stack.
+// See OBSERVABILITY.md for the store metrics and DESIGN.md for where
+// the tier sits in the engine stack.
 package store
 
 import (
@@ -49,8 +44,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
-	"sync"
+	"sync/atomic"
 
 	"asymfence/internal/buildinfo"
 	"asymfence/internal/metrics"
@@ -67,7 +61,7 @@ type Envelope struct {
 	// Schema is the envelope format tag (Schema).
 	Schema string `json:"schema"`
 	// Key is the record's full content key (the filename holds only its
-	// hash; the index rebuild reads the key from here).
+	// hash; Get checks the key against this field).
 	Key string `json:"key"`
 	// Kind is the caller-declared payload format tag; Get filters on it
 	// so payload formats can version independently of the envelope.
@@ -83,26 +77,22 @@ type Options struct {
 	// Kind is the payload format tag written into every envelope and
 	// required of every record read back (empty: "raw/v1").
 	Kind string
-	// MaxBytes bounds the summed size of record files; the writer
-	// evicts least-recently-used records beyond it (<=0: 512 MiB).
-	MaxBytes int64
 	// Metrics, when non-nil, receives the store's counters (hits,
-	// misses, writes, evictions, corrupt records) under the given
-	// scope. Nil disables them at zero cost; Stats is always counted.
+	// misses, writes, bytes written, write errors, corrupt records)
+	// under the given scope. Nil disables them at zero cost; Stats is
+	// always counted.
 	Metrics *metrics.Scope
 	// WriteFile, when non-nil, replaces WriteFileAtomic as the record
-	// persistence primitive. It exists as the fault-injection seam for
-	// the service chaos harness (internal/faults wraps it with
-	// deterministic write errors, torn files and ENOSPC); production
-	// opens leave it nil.
+	// persistence primitive. It is the seam tests use to inject disk
+	// failures (internal/faults wraps it with deterministic write
+	// errors, torn files and ENOSPC); production opens leave it nil.
 	WriteFile func(path string, data []byte) error
 }
 
 // WriteFileAtomic writes data to path with the store's crash-safety
 // discipline: a temporary file in the same directory, then a rename, so
 // a reader never observes a torn file and a crash leaves at worst a
-// "tmp-*" leftover that the next Open sweeps. It is the primitive both
-// the record writer and the job journal (internal/journal) commit with.
+// "tmp-*" leftover that the next Open sweeps.
 func WriteFileAtomic(path string, data []byte) error {
 	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
 	if err != nil {
@@ -120,52 +110,32 @@ func WriteFileAtomic(path string, data []byte) error {
 	return os.Rename(tmp.Name(), path)
 }
 
-// Stats is a point-in-time occupancy and traffic snapshot.
+// Stats is a point-in-time traffic snapshot of one handle.
 type Stats struct {
-	// Records and Bytes describe current occupancy (including records
-	// still queued behind the write-behind writer).
-	Records int   `json:"records"`
-	Bytes   int64 `json:"bytes"`
 	// Hits/Misses count Get outcomes; Writes counts records persisted;
-	// Evictions counts records removed by the size bound; Corrupt
-	// counts unreadable records dropped on Get or Open.
-	Hits      int64 `json:"hits"`
-	Misses    int64 `json:"misses"`
-	Writes    int64 `json:"writes"`
-	Evictions int64 `json:"evictions"`
-	Corrupt   int64 `json:"corrupt"`
+	// WriteErrors counts Puts whose write failed; Corrupt counts
+	// unreadable records dropped on Get.
+	Hits        int64 `json:"hits"`
+	Misses      int64 `json:"misses"`
+	Writes      int64 `json:"writes"`
+	WriteErrors int64 `json:"write_errors"`
+	Corrupt     int64 `json:"corrupt"`
 }
 
 // storeMetrics are the optional registry handles; all nil-safe.
 type storeMetrics struct {
-	hits, misses, writes, evictions, corrupt *metrics.Counter
-	records, bytes                           *metrics.Gauge
+	hits, misses, writes, bytes, writeErrors, corrupt *metrics.Counter
 }
 
 func newStoreMetrics(s *metrics.Scope) storeMetrics {
 	return storeMetrics{
-		hits:      s.Counter("hits"),
-		misses:    s.Counter("misses"),
-		writes:    s.Counter("writes"),
-		evictions: s.Counter("evictions"),
-		corrupt:   s.Counter("corrupt"),
-		records:   s.Gauge("records"),
-		bytes:     s.Gauge("bytes"),
+		hits:        s.Counter("hits"),
+		misses:      s.Counter("misses"),
+		writes:      s.Counter("writes"),
+		bytes:       s.Counter("bytes"),
+		writeErrors: s.Counter("write_errors"),
+		corrupt:     s.Counter("corrupt"),
 	}
-}
-
-// entry is one indexed record.
-type entry struct {
-	key  string
-	hash string
-	size int64
-	// seq is the LRU clock: higher = more recently used.
-	seq uint64
-	// pending holds the marshaled envelope until the writer persists it
-	// (nil once on disk); payload is the corresponding record body, kept
-	// so Get can serve queued records without re-parsing.
-	pending []byte
-	payload json.RawMessage
 }
 
 // Store is an open store directory. All methods are safe for concurrent
@@ -174,149 +144,46 @@ type entry struct {
 type Store struct {
 	dir       string
 	kind      string
-	maxBytes  int64
 	writeFile func(path string, data []byte) error
 	mx        storeMetrics
 
-	mu      sync.Mutex
-	index   map[string]*entry // by key
-	bytes   int64
-	seq     uint64
-	stats   Stats
-	queue   []*entry
-	closed  bool
-	wake    chan struct{}
-	writerD chan struct{} // closed when the writer goroutine exits
+	hits, misses, writes, writeErrors, corrupt atomic.Int64
 }
 
 // Open opens (creating if necessary) the store rooted at dir and
-// rebuilds the index by scanning the object files. Unreadable records
-// and leftover temporary files are removed. The returned store owns a
-// background writer goroutine; Close releases it.
+// removes temporary files a crashed writer left behind. It reads no
+// record.
 func Open(dir string, o Options) (*Store, error) {
 	if o.Kind == "" {
 		o.Kind = "raw/v1"
 	}
-	if o.MaxBytes <= 0 {
-		o.MaxBytes = 512 << 20
-	}
 	if o.WriteFile == nil {
 		o.WriteFile = WriteFileAtomic
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "objects"), 0o777); err != nil {
+	objects := filepath.Join(dir, "objects")
+	if err := os.MkdirAll(objects, 0o777); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	s := &Store{
-		dir:       dir,
-		kind:      o.Kind,
-		maxBytes:  o.MaxBytes,
-		writeFile: o.WriteFile,
-		mx:        newStoreMetrics(o.Metrics),
-		index:     map[string]*entry{},
-		wake:      make(chan struct{}, 1),
-		writerD:   make(chan struct{}),
-	}
-	if err := s.rebuildIndex(); err != nil {
-		return nil, err
-	}
-	go s.writer()
-	return s, nil
-}
-
-// rebuildIndex scans objects/ and reconstructs the in-memory index,
-// deleting temporary files and records that do not parse. The on-disk
-// index.json is consulted only to recover the LRU order (falling back
-// to file order); every record's existence and key come from the object
-// files themselves.
-func (s *Store) rebuildIndex() error {
-	type indexFile struct {
-		Schema string            `json:"schema"`
-		Order  map[string]uint64 `json:"order"` // key hash -> LRU seq
-	}
-	var saved indexFile
-	if b, err := os.ReadFile(filepath.Join(s.dir, "index.json")); err == nil {
-		// Corrupt index: ignore; it is advisory.
-		_ = json.Unmarshal(b, &saved)
-		if saved.Schema != Schema {
-			saved.Order = nil
-		}
-	}
-	fans, err := os.ReadDir(filepath.Join(s.dir, "objects"))
+	fans, err := os.ReadDir(objects)
 	if err != nil {
-		return fmt.Errorf("store: scanning %s: %w", s.dir, err)
+		return nil, fmt.Errorf("store: scanning %s: %w", dir, err)
 	}
-	type loaded struct {
-		e   *entry
-		seq uint64
-	}
-	var all []loaded
 	for _, fan := range fans {
 		if !fan.IsDir() {
 			continue
 		}
-		fanDir := filepath.Join(s.dir, "objects", fan.Name())
+		fanDir := filepath.Join(objects, fan.Name())
 		files, err := os.ReadDir(fanDir)
 		if err != nil {
-			return fmt.Errorf("store: scanning %s: %w", fanDir, err)
+			return nil, fmt.Errorf("store: scanning %s: %w", fanDir, err)
 		}
 		for _, f := range files {
-			path := filepath.Join(fanDir, f.Name())
 			if filepath.Ext(f.Name()) != ".json" {
-				// Leftover temporary from a crashed writer.
-				os.Remove(path)
-				continue
+				os.Remove(filepath.Join(fanDir, f.Name()))
 			}
-			env, size, ok := s.readEnvelope(path)
-			if !ok || env.Kind != s.kind {
-				s.dropCorrupt(path)
-				continue
-			}
-			hash := f.Name()[:len(f.Name())-len(".json")]
-			all = append(all, loaded{
-				e:   &entry{key: env.Key, hash: hash, size: size},
-				seq: saved.Order[hash],
-			})
 		}
 	}
-	// Restore the LRU order: records the saved index knew keep their
-	// relative order; unknown ones sort first (oldest). Sort by (seq,
-	// hash) so the rebuilt order is deterministic.
-	sort.Slice(all, func(i, j int) bool {
-		if all[i].seq != all[j].seq {
-			return all[i].seq < all[j].seq
-		}
-		return all[i].e.hash < all[j].e.hash
-	})
-	for _, l := range all {
-		s.seq++
-		l.e.seq = s.seq
-		s.index[l.e.key] = l.e
-		s.bytes += l.e.size
-	}
-	s.syncOccupancy()
-	return nil
-}
-
-// readEnvelope reads and validates one record file.
-func (s *Store) readEnvelope(path string) (*Envelope, int64, bool) {
-	b, err := os.ReadFile(path)
-	if err != nil {
-		return nil, 0, false
-	}
-	var env Envelope
-	if err := json.Unmarshal(b, &env); err != nil || env.Schema != Schema || env.Key == "" {
-		return nil, 0, false
-	}
-	return &env, int64(len(b)), true
-}
-
-// dropCorrupt removes an unreadable record file and counts it.
-func (s *Store) dropCorrupt(path string) {
-	os.Remove(path)
-	s.mu.Lock()
-	s.stats.Corrupt++
-	s.mu.Unlock()
-	s.mx.corrupt.Inc()
+	return &Store{dir: dir, kind: o.Kind, writeFile: o.WriteFile, mx: newStoreMetrics(o.Metrics)}, nil
 }
 
 // keyHash returns the content address of a key.
@@ -325,284 +192,81 @@ func keyHash(key string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// objectPath returns the record file path for a key hash.
-func (s *Store) objectPath(hash string) string {
+// objectPath returns the record file path for a key.
+func (s *Store) objectPath(key string) string {
+	hash := keyHash(key)
 	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
 }
 
 // Get returns the payload stored under key, or ok=false on a miss. A
-// record that fails to read or parse — truncated, corrupt, wrong kind —
-// counts as a miss and is removed so a later Put regenerates it.
+// record that fails to read or parse — truncated, corrupt, wrong kind,
+// wrong key — counts as a miss and is removed so a later Put
+// regenerates it.
 func (s *Store) Get(key string) (json.RawMessage, bool) {
 	if s == nil {
 		return nil, false
 	}
-	s.mu.Lock()
-	e, ok := s.index[key]
-	if !ok {
-		s.stats.Misses++
-		s.mu.Unlock()
+	path := s.objectPath(key)
+	b, err := os.ReadFile(path)
+	if err != nil {
+		s.misses.Add(1)
 		s.mx.misses.Inc()
 		return nil, false
 	}
-	s.seq++
-	e.seq = s.seq
-	if e.pending != nil {
-		// Still queued behind the writer: serve the in-memory copy so
-		// the store is read-your-writes consistent.
-		p := append(json.RawMessage(nil), e.payload...)
-		s.stats.Hits++
-		s.mu.Unlock()
-		s.mx.hits.Inc()
-		return p, true
-	}
-	path := s.objectPath(e.hash)
-	s.mu.Unlock()
-
-	env, _, ok := s.readEnvelope(path)
-	if !ok || env.Kind != s.kind || env.Key != key {
-		s.dropCorrupt(path)
-		s.forget(key, e)
-		s.mu.Lock()
-		s.stats.Misses++
-		s.mu.Unlock()
+	var env Envelope
+	if err := json.Unmarshal(b, &env); err != nil || env.Schema != Schema || env.Kind != s.kind || env.Key != key {
+		os.Remove(path)
+		s.corrupt.Add(1)
+		s.mx.corrupt.Inc()
+		s.misses.Add(1)
 		s.mx.misses.Inc()
 		return nil, false
 	}
-	s.mu.Lock()
-	s.stats.Hits++
-	s.mu.Unlock()
+	s.hits.Add(1)
 	s.mx.hits.Inc()
 	return env.Payload, true
 }
 
-// forget removes e from the index if it is still the entry for key.
-func (s *Store) forget(key string, e *entry) {
-	s.mu.Lock()
-	if cur, ok := s.index[key]; ok && cur == e {
-		delete(s.index, key)
-		s.bytes -= e.size
-		s.syncOccupancy()
-	}
-	s.mu.Unlock()
-}
-
-// Put stores payload under key. The write is enqueued (write-behind)
-// and persisted by the background writer; Get serves the pending copy
-// in the meantime. Re-putting an existing key refreshes its recency but
-// does not rewrite the record (payloads are deterministic per key).
+// Put stores payload under key and returns once the record is on disk
+// or the write has failed. A failed write is counted in WriteErrors and
+// leaves the key a miss; the store is a cache, so nothing else is lost.
 func (s *Store) Put(key string, payload json.RawMessage) {
 	if s == nil {
 		return
 	}
-	env := Envelope{
+	b, err := json.Marshal(&Envelope{
 		Schema:  Schema,
 		Key:     key,
 		Kind:    s.kind,
 		Build:   buildinfo.Get(),
 		Payload: payload,
+	})
+	if err == nil {
+		path := s.objectPath(key)
+		if err = os.MkdirAll(filepath.Dir(path), 0o777); err == nil {
+			err = s.writeFile(path, b)
+		}
 	}
-	b, err := json.Marshal(&env)
 	if err != nil {
-		// A payload the caller produced via json.Marshal cannot fail to
-		// re-marshal; anything else is dropped (the store is a cache).
+		s.writeErrors.Add(1)
+		s.mx.writeErrors.Inc()
 		return
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return
-	}
-	if old, ok := s.index[key]; ok {
-		s.seq++
-		old.seq = s.seq
-		return
-	}
-	s.seq++
-	e := &entry{key: key, hash: keyHash(key), size: int64(len(b)), seq: s.seq,
-		pending: b, payload: append(json.RawMessage(nil), payload...)}
-	s.index[key] = e
-	s.bytes += e.size
-	s.queue = append(s.queue, e)
-	s.syncOccupancy()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
+	s.writes.Add(1)
+	s.mx.writes.Inc()
+	s.mx.bytes.Add(int64(len(b)))
 }
 
-// Stats returns the current occupancy and traffic counters.
+// Stats returns the handle's traffic counters.
 func (s *Store) Stats() Stats {
 	if s == nil {
 		return Stats{}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.stats
-	st.Records = len(s.index)
-	st.Bytes = s.bytes
-	return st
-}
-
-// Dir returns the store's root directory ("" on a nil store).
-func (s *Store) Dir() string {
-	if s == nil {
-		return ""
+	return Stats{
+		Hits:        s.hits.Load(),
+		Misses:      s.misses.Load(),
+		Writes:      s.writes.Load(),
+		WriteErrors: s.writeErrors.Load(),
+		Corrupt:     s.corrupt.Load(),
 	}
-	return s.dir
-}
-
-// syncOccupancy mirrors occupancy into the metric gauges (callers hold
-// s.mu). Gauges are high-water marks, so they track peaks.
-func (s *Store) syncOccupancy() {
-	s.mx.records.SetMax(int64(len(s.index)))
-	s.mx.bytes.SetMax(s.bytes)
-}
-
-// writer is the write-behind goroutine: it persists queued records and
-// enforces the size bound.
-func (s *Store) writer() {
-	defer close(s.writerD)
-	for {
-		s.mu.Lock()
-		for len(s.queue) == 0 {
-			if s.closed {
-				s.mu.Unlock()
-				return
-			}
-			s.mu.Unlock()
-			<-s.wake
-			s.mu.Lock()
-		}
-		e := s.queue[0]
-		s.queue = s.queue[1:]
-		payload := e.pending
-		s.mu.Unlock()
-
-		err := s.writeObject(e.hash, payload)
-		s.mu.Lock()
-		if err != nil || s.index[e.key] != e {
-			// Write failed or the record was forgotten meanwhile: undo.
-			if s.index[e.key] == e {
-				delete(s.index, e.key)
-				s.bytes -= e.size
-			}
-			if err == nil {
-				os.Remove(s.objectPath(e.hash))
-			}
-		} else {
-			e.pending, e.payload = nil, nil
-			s.stats.Writes++
-			s.mx.writes.Inc()
-		}
-		victims := s.evictLocked()
-		s.mu.Unlock()
-		for _, v := range victims {
-			os.Remove(s.objectPath(v))
-		}
-	}
-}
-
-// writeObject atomically creates one record file: temp file in the same
-// directory, then rename (or whatever Options.WriteFile substitutes).
-func (s *Store) writeObject(hash string, b []byte) error {
-	path := s.objectPath(hash)
-	if err := os.MkdirAll(filepath.Dir(path), 0o777); err != nil {
-		return err
-	}
-	return s.writeFile(path, b)
-}
-
-// evictLocked applies the size bound: while over budget, drop the
-// least-recently-used persisted record. Pending records are never
-// evicted (they have not been written yet). Returns the hashes whose
-// files the caller must remove outside the lock.
-func (s *Store) evictLocked() []string {
-	if s.bytes <= s.maxBytes {
-		return nil
-	}
-	type cand struct {
-		key string
-		e   *entry
-	}
-	var cands []cand
-	for k, e := range s.index {
-		if e.pending == nil {
-			cands = append(cands, cand{k, e})
-		}
-	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].e.seq < cands[j].e.seq })
-	var victims []string
-	for _, c := range cands {
-		if s.bytes <= s.maxBytes {
-			break
-		}
-		delete(s.index, c.key)
-		s.bytes -= c.e.size
-		s.stats.Evictions++
-		s.mx.evictions.Inc()
-		victims = append(victims, c.e.hash)
-	}
-	s.syncOccupancy()
-	return victims
-}
-
-// Flush blocks until every record queued before the call is on disk.
-func (s *Store) Flush() {
-	if s == nil {
-		return
-	}
-	for {
-		s.mu.Lock()
-		drained := len(s.queue) == 0
-		closed := s.closed
-		s.mu.Unlock()
-		if drained || closed {
-			return
-		}
-		// The queue drains quickly (records are small); poll via the
-		// writer's wake channel rather than adding completion plumbing.
-		select {
-		case s.wake <- struct{}{}:
-		case <-s.writerD:
-			return
-		}
-	}
-}
-
-// Close flushes pending writes, persists the advisory index snapshot
-// and releases the writer. The store must not be used afterwards.
-func (s *Store) Close() error {
-	if s == nil {
-		return nil
-	}
-	s.Flush()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		<-s.writerD
-		return nil
-	}
-	s.closed = true
-	order := make(map[string]uint64, len(s.index))
-	for _, e := range s.index {
-		order[e.hash] = e.seq
-	}
-	s.mu.Unlock()
-	select {
-	case s.wake <- struct{}{}:
-	default:
-	}
-	<-s.writerD
-
-	// Best-effort LRU snapshot: Open falls back to hash order without it.
-	b, err := json.Marshal(struct {
-		Schema string            `json:"schema"`
-		Order  map[string]uint64 `json:"order"`
-	}{Schema, order})
-	if err != nil {
-		return nil
-	}
-	WriteFileAtomic(filepath.Join(s.dir, "index.json"), b)
-	return nil
 }

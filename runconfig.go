@@ -38,17 +38,11 @@ type RunConfig struct {
 	// snapshots are identical at any Jobs setting.
 	Metrics *MetricsRegistry
 	// Store, when non-nil, is an open persistent measurement store
-	// (see OpenStore) layered read-through/write-behind under the
-	// process-wide in-memory cache: warm configurations load in
-	// milliseconds instead of re-simulating, in any process. The
-	// caller owns the handle and must Close it to flush write-behind
-	// records.
+	// (see OpenStore) layered under the process-wide in-memory cache:
+	// memory misses read through to it, and every fresh simulation is
+	// written to disk before its job completes. Warm configurations
+	// load in milliseconds instead of re-simulating, in any process.
 	Store *MeasurementStore
-	// StoreDir, when non-empty and Store is nil, opens (creating if
-	// necessary) the measurement store rooted there for the duration
-	// of the run and closes it — flushing pending writes — before
-	// returning. Use Store instead to share one handle across runs.
-	StoreDir string
 }
 
 // RunStats summarizes the engine's job accounting for one run.
@@ -59,25 +53,8 @@ type RunStats struct {
 	// cache (or joined an identical in-flight job) without simulating.
 	CacheHits int
 	// StoreHits were served from the persistent measurement store
-	// (RunConfig.Store/StoreDir) without simulating.
+	// (RunConfig.Store) without simulating.
 	StoreHits int
 	// Simulated jobs actually executed.
 	Simulated int
-}
-
-// resolveStore returns the run's persistent tier: the caller-owned
-// Store if set, else a freshly opened one rooted at StoreDir (opened
-// reports that the run must close it), else nil.
-func (c RunConfig) resolveStore() (st *MeasurementStore, opened bool, err error) {
-	if c.Store != nil {
-		return c.Store, false, nil
-	}
-	if c.StoreDir == "" {
-		return nil, false, nil
-	}
-	st, err = OpenStore(c.StoreDir, StoreOptions{Metrics: c.Metrics})
-	if err != nil {
-		return nil, false, err
-	}
-	return st, true, nil
 }

@@ -56,7 +56,8 @@ func spin(seed int64, grain int) {
 // Bench runs the THE push/take owner loop against o.Stealers stealing
 // goroutines for o.Duration and reports completed work. The owner's
 // take path is the measured hot path (paper §4.1: steals are rare), so
-// OwnerOps/Elapsed is the figure hwbench compares across variants.
+// OwnerOps/Elapsed is the figure compared across variants (the
+// silicon-deque benchmark workload in bench/ reports it).
 func Bench(v Variant, o BenchOptions) BenchResult {
 	if o.Batch <= 0 {
 		o.Batch = 64

@@ -73,35 +73,37 @@ func TestStoreWarmColdEquivalence(t *testing.T) {
 	}
 }
 
-// TestStoreDirConvenience checks the RunConfig.StoreDir form: each run
-// opens and closes the store itself, and persistence still spans runs.
-func TestStoreDirConvenience(t *testing.T) {
+// TestRunBatchStoreSpansOpens checks that RunBatch persists through
+// RunConfig.Store with no Close: a second handle opened on the same
+// directory, after the first run returns, serves every job from disk.
+func TestRunBatchStoreSpansOpens(t *testing.T) {
 	dir := t.TempDir()
 	jobs := []asymfence.SimJob{
 		{Group: "ustm", App: "Counter", Design: asymfence.SPlus, Cores: 4, Horizon: 3000},
 		{Group: "ustm", App: "Counter", Design: asymfence.Wee, Cores: 4, Horizon: 3000},
 	}
-
-	asymfence.FlushSimCache()
-	var cold asymfence.RunStats
-	first, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-		RunConfig: asymfence.RunConfig{StoreDir: dir, Stats: &cold},
-	})
-	if err != nil {
-		t.Fatalf("cold RunBatch: %v", err)
+	run := func(stats *asymfence.RunStats) []*asymfence.WorkloadMeasurement {
+		t.Helper()
+		asymfence.FlushSimCache()
+		st, err := asymfence.OpenStore(dir, asymfence.StoreOptions{})
+		if err != nil {
+			t.Fatalf("OpenStore: %v", err)
+		}
+		ms, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
+			RunConfig: asymfence.RunConfig{Store: st, Stats: stats},
+		})
+		if err != nil {
+			t.Fatalf("RunBatch: %v", err)
+		}
+		return ms
 	}
+
+	var cold, warm asymfence.RunStats
+	first := run(&cold)
 	if cold.Simulated != len(jobs) {
 		t.Fatalf("cold stats = %+v, want %d simulations", cold, len(jobs))
 	}
-
-	asymfence.FlushSimCache()
-	var warm asymfence.RunStats
-	second, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-		RunConfig: asymfence.RunConfig{StoreDir: dir, Stats: &warm},
-	})
-	if err != nil {
-		t.Fatalf("warm RunBatch: %v", err)
-	}
+	second := run(&warm)
 	if warm.Simulated != 0 || warm.StoreHits != len(jobs) {
 		t.Fatalf("warm stats = %+v, want %d store hits and no simulations", warm, len(jobs))
 	}
