@@ -57,13 +57,15 @@ race-runner:
 
 # The persistence layer under the race detector: the content-addressed
 # store's crash-safety and write-fault suite, the runner's read-through
-# tier contract and the warm-vs-cold byte-equivalence tests. Every test
-# runs in its own t.TempDir, so no state leaks between runs.
+# tier contract, the warm-vs-cold byte-equivalence tests, and the CLI
+# end to end through the store (`asymsim -store D run`, serve, trace).
+# Every test runs in its own t.TempDir, so no state leaks between runs.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
 	$(GO) test -race -count=1 -run 'WriteFaults' ./internal/faults/
 	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
 	$(GO) test -race -count=1 -run 'TestStore|TestRunBatchStore' .
+	$(GO) test -race -count=1 -run 'TestCLI' ./cmd/asymsim/
 
 # The real-hardware fence runtime under the race detector: the
 # asymruntime mode/registration suite, the exactly-once deque stress

@@ -2,6 +2,7 @@ package asymfence_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -38,41 +39,77 @@ func TestPublicAPIQuickstart(t *testing.T) {
 }
 
 func TestWorkloadRegistries(t *testing.T) {
-	if got := asymfence.CilkApps(); len(got) != 10 {
-		t.Errorf("CilkApps: %d entries, want 10 (paper Table 3)", len(got))
+	want := map[string]int{"cilk": 10, "ustm": 10, "stamp": 6} // paper Table 3
+	if len(asymfence.WorkloadGroups) != len(want) {
+		t.Fatalf("WorkloadGroups = %v", asymfence.WorkloadGroups)
 	}
-	if got := asymfence.USTMBenchmarks(); len(got) != 10 {
-		t.Errorf("ustm: %d entries, want 10 (paper Table 3)", len(got))
+	for _, g := range asymfence.WorkloadGroups {
+		if got := asymfence.WorkloadApps(g); len(got) != want[g] {
+			t.Errorf("%s: %d apps, want %d (paper Table 3)", g, len(got), want[g])
+		}
 	}
-	if got := asymfence.STAMPApps(); len(got) != 6 {
-		t.Errorf("STAMP: %d entries, want 6 (paper Table 3)", len(got))
+	if asymfence.WorkloadApps("nope") != nil {
+		t.Error("unknown group has apps")
 	}
 }
 
 func TestRunWorkloadByName(t *testing.T) {
-	m, err := asymfence.RunCilkApp("matmul", asymfence.WSPlus, 4, 0.1)
+	ctx := context.Background()
+	ms, err := asymfence.RunBatch(ctx, []asymfence.SimJob{
+		{Group: "cilk", App: "matmul", Design: asymfence.WSPlus, Cores: 4, Scale: 0.1},
+		{Group: "ustm", App: "Hash", Design: asymfence.WPlus, Cores: 4, Horizon: 10_000},
+		{Group: "stamp", App: "ssca2", Design: asymfence.SPlus, Cores: 4, Scale: 0.2},
+	}, asymfence.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Cycles == 0 || m.App != "matmul" {
+	if m := ms[0]; m.Cycles == 0 || m.App != "matmul" {
 		t.Fatalf("bad measurement: %+v", m)
 	}
-	if _, err := asymfence.RunCilkApp("nope", asymfence.WSPlus, 4, 0.1); err == nil {
-		t.Fatal("unknown app accepted")
-	}
-	um, err := asymfence.RunUSTMBenchmark("Hash", asymfence.WPlus, 4, 10_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if um.Commits == 0 {
+	if ms[1].Commits == 0 {
 		t.Fatal("no transactions committed")
 	}
-	sm, err := asymfence.RunSTAMPApp("ssca2", asymfence.SPlus, 4, 0.2)
+	if ms[2].Commits == 0 {
+		t.Fatal("no STAMP transactions committed")
+	}
+	for _, bad := range []asymfence.SimJob{
+		{Group: "cilk", App: "nope", Design: asymfence.WSPlus, Cores: 4, Scale: 0.1},
+		{Group: "nope", App: "fib", Design: asymfence.WSPlus, Cores: 4, Scale: 0.1},
+		{Group: "ustm", App: "Hash", Design: asymfence.WSPlus, Cores: 3, Horizon: 1000},
+	} {
+		if _, err := asymfence.RunBatch(ctx, []asymfence.SimJob{bad}, asymfence.RunConfig{}); err == nil {
+			t.Errorf("%v accepted", bad)
+		}
+	}
+}
+
+// TestTraceMatchesBatch holds the one-job-path contract: a traced run
+// measures exactly what the batch path measures for the same job.
+func TestTraceMatchesBatch(t *testing.T) {
+	ctx := context.Background()
+	jobs := []asymfence.SimJob{
+		{Group: "cilk", App: "fib", Design: asymfence.WSPlus, Cores: 4, Scale: 0.05},
+		{Group: "ustm", App: "List", Design: asymfence.WSPlus, Cores: 4, Horizon: 5000},
+		{Group: "stamp", App: "ssca2", Design: asymfence.WSPlus, Cores: 4, Scale: 0.05},
+	}
+	ms, err := asymfence.RunBatch(ctx, jobs, asymfence.RunConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sm.Commits == 0 {
-		t.Fatal("no STAMP transactions committed")
+	for i, j := range jobs {
+		tr, err := asymfence.TraceWorkload(ctx, j.Group, j.App, j.Design, asymfence.TraceOptions{
+			Cores: j.Cores, Scale: j.Scale, Horizon: j.Horizon,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(tr.Events) == 0 {
+			t.Errorf("%s:%s: traced run recorded no events", j.Group, j.App)
+		}
+		if !reflect.DeepEqual(tr.Meas, ms[i]) {
+			t.Errorf("%s:%s: traced measurement differs from the batch's:\ntrace: %+v\nbatch: %+v",
+				j.Group, j.App, tr.Meas, ms[i])
+		}
 	}
 }
 

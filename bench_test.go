@@ -10,17 +10,25 @@
 package asymfence_test
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
 	"asymfence/internal/cpu"
 	"asymfence/internal/experiments"
+	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/mem"
 	"asymfence/internal/sim"
 	"asymfence/internal/stats"
-	"asymfence/internal/workloads/cilk"
 	"asymfence/internal/workloads/stm"
+)
+
+// eng runs the artifacts on a default engine: GOMAXPROCS workers and
+// the shared measurement cache.
+var (
+	eng = experiments.NewEngine(experiments.EngineOptions{})
+	ctx = context.Background()
 )
 
 // benchScale keeps each regeneration to a few seconds; asymsim runs the
@@ -32,7 +40,7 @@ const (
 
 func BenchmarkFig8CilkApps(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, _, err := experiments.Fig8(8, benchScale)
+		g, _, err := eng.Fig8(ctx, 8, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -45,7 +53,7 @@ func BenchmarkFig8CilkApps(b *testing.B) {
 
 func BenchmarkFig9USTM(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, _, err := experiments.Fig9(8, benchHorizon)
+		g, _, err := eng.Fig9(ctx, 8, benchHorizon)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -57,7 +65,7 @@ func BenchmarkFig9USTM(b *testing.B) {
 
 func BenchmarkFig10USTMBreakdown(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, _, err := experiments.Fig10(8, benchHorizon)
+		g, _, err := eng.Fig10(ctx, 8, benchHorizon)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -69,7 +77,7 @@ func BenchmarkFig10USTMBreakdown(b *testing.B) {
 
 func BenchmarkFig11STAMP(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		g, _, err := experiments.Fig11(8, benchScale)
+		g, _, err := eng.Fig11(ctx, 8, benchScale)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -81,7 +89,7 @@ func BenchmarkFig11STAMP(b *testing.B) {
 
 func BenchmarkFig12Scalability(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows, _, err := experiments.Fig12(benchScale, benchHorizon, []int{4, 8, 16})
+		rows, _, err := eng.Fig12(ctx, benchScale, benchHorizon, []int{4, 8, 16})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -109,7 +117,7 @@ func BenchmarkFig12Scalability(b *testing.B) {
 
 func BenchmarkTable4Characterization(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.Table4(8, benchScale, benchHorizon); err != nil {
+		if _, err := eng.Table4(ctx, 8, benchScale, benchHorizon); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -117,7 +125,7 @@ func BenchmarkTable4Characterization(b *testing.B) {
 
 func BenchmarkHeadlineAverages(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		speedups, _, err := experiments.Headline(8, benchScale, benchHorizon)
+		speedups, _, err := eng.Headline(ctx, 8, benchScale, benchHorizon)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -203,12 +211,12 @@ func BenchmarkBaselineCFence(b *testing.B) {
 	for _, d := range []fence.Design{fence.SPlus, fence.CFence, fence.WSPlus} {
 		b.Run(d.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				p, _ := cilk.AppByName("fib")
-				p.TasksPerWorker = 60
-				m, err := experiments.RunCilk(p, d, 8, 1)
+				// Scale 0.275 leaves fib 60 tasks per worker.
+				ms, err := eng.RunSpecs(ctx, []runner.Spec{{Group: "cilk", App: "fib", Design: d, Cores: 8, Scale: 0.275}})
 				if err != nil {
 					b.Fatal(err)
 				}
+				m := ms[0]
 				b.ReportMetric(float64(m.Cycles), "cycles")
 				b.ReportMetric(m.FenceStall, "fence_stall_frac")
 			}

@@ -1,0 +1,112 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for asymsim: with
+// ASYMSIM_CLI_MAIN=1 in its environment it runs main on its arguments
+// instead of the tests, so the CLI tests drive the real command line,
+// exit codes included, in a subprocess.
+func TestMain(m *testing.M) {
+	if os.Getenv("ASYMSIM_CLI_MAIN") == "1" {
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+// asymsim runs one command line in a subprocess and returns its stdout,
+// stderr and exit code.
+func asymsim(t *testing.T, args ...string) (stdout, stderr string, code int) {
+	t.Helper()
+	cmd := exec.Command(os.Args[0], args...)
+	cmd.Env = append(os.Environ(), "ASYMSIM_CLI_MAIN=1")
+	var out, errOut bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &out, &errOut
+	err := cmd.Run()
+	var exit *exec.ExitError
+	switch {
+	case errors.As(err, &exit):
+		code = exit.ExitCode()
+	case err != nil:
+		t.Fatalf("asymsim %v: %v", args, err)
+	}
+	return out.String(), errOut.String(), code
+}
+
+// TestCLIRunStore holds `asymsim -store D run <group>:<app>` to the
+// store: the cold run writes one record per design, and the warm rerun
+// simulates nothing and prints the same output.
+func TestCLIRunStore(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "store")
+	args := []string{"-q", "-store", dir, "-cores", "4", "-scale", "0.05", "run", "cilk:fib"}
+	cold, coldErr, code := asymsim(t, args...)
+	if code != 0 {
+		t.Fatalf("cold run exited %d:\n%s", code, coldErr)
+	}
+	records, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(records) != len(runDesigns) {
+		t.Fatalf("store holds %d records after one run, want %d (one per design)", len(records), len(runDesigns))
+	}
+	warm, warmErr, code := asymsim(t, args...)
+	if code != 0 {
+		t.Fatalf("warm run exited %d:\n%s", code, warmErr)
+	}
+	if !strings.Contains(warmErr, "(0 simulated, 0 cache hits, 6 store hits)") {
+		t.Errorf("warm run simulated: %s", warmErr)
+	}
+	if cold != warm {
+		t.Errorf("warm stdout differs from cold:\n--- cold\n%s\n--- warm\n%s", cold, warm)
+	}
+}
+
+// TestCLISubcommands drives trace, serve and the experiment path end
+// to end at a tiny scale.
+func TestCLISubcommands(t *testing.T) {
+	t.Run("trace is reproducible", func(t *testing.T) {
+		args := []string{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05", "-format", "jsonl"}
+		a, stderr, code := asymsim(t, args...)
+		if code != 0 || a == "" {
+			t.Fatalf("trace exited %d with %d bytes:\n%s", code, len(a), stderr)
+		}
+		if b, _, _ := asymsim(t, args...); a != b {
+			t.Fatal("two identical trace runs produced different output")
+		}
+	})
+	t.Run("serve prints the experiment's tables", func(t *testing.T) {
+		shape := []string{"-q", "-cores", "4", "-horizon", "5000", "fig9"}
+		want, stderr, code := asymsim(t, shape...)
+		if code != 0 || !strings.Contains(want, "Fig. 9") {
+			t.Fatalf("fig9 exited %d:\n%s%s", code, want, stderr)
+		}
+		got, stderr, code := asymsim(t, append([]string{"serve", "-listen", "127.0.0.1:0"}, shape...)...)
+		if code != 0 {
+			t.Fatalf("serve exited %d:\n%s", code, stderr)
+		}
+		if got != want {
+			t.Errorf("serve stdout differs from fig9:\n--- fig9\n%s\n--- serve\n%s", want, got)
+		}
+	})
+	t.Run("bad core count is a usage error", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"-cores", "3", "fig9"},
+			{"-cores", "3", "run", "cilk:fib"},
+			{"serve", "-listen", "127.0.0.1:0", "-cores", "3", "fig9"},
+			{"trace", "cilk:fib", "-cores", "3"},
+		} {
+			if stdout, _, code := asymsim(t, args...); code != 2 || stdout != "" {
+				t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
+			}
+		}
+	})
+}

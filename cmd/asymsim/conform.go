@@ -150,7 +150,7 @@ func conformCmd(ctx context.Context, args []string) int {
 
 	reg := newCLIMetrics(*metricsOut)
 	opts := asymfence.ConformOptions{
-		RunConfig:  asymfence.RunConfig{Metrics: reg},
+		Metrics:    reg,
 		Seeds:      *seeds,
 		StartSeed:  *start,
 		Cores:      *cores,

@@ -41,7 +41,7 @@ func fuzzCmd(ctx context.Context, args []string) int {
 
 	reg := newCLIMetrics(*metricsOut)
 	opts := asymfence.FuzzOptions{
-		RunConfig:   asymfence.RunConfig{Metrics: reg},
+		Metrics:     reg,
 		Seeds:       *seeds,
 		StartSeed:   *start,
 		Cores:       *cores,

@@ -59,10 +59,12 @@
 //	asymsim serve -listen :6060 all
 //	curl localhost:6060/metrics?format=json
 //
-// The experiment and serve paths accept -store dir, the persistent
-// content-addressed measurement store: warm configurations load from
+// Experiments, run and serve share one command line and one job path:
+// every simulation goes through the same asymfence.RunConfig, so -j,
+// -q, -metrics and -store dir (the persistent content-addressed
+// measurement store) apply to all three. Warm configurations load from
 // disk instead of re-simulating, across process restarts, with
-// byte-identical tables.
+// byte-identical output; serve adds only -listen and -hold.
 //
 // Performance is measured by the separate benchmark module in bench/
 // (bash bench/run.sh; see bench/README.md).
@@ -100,109 +102,172 @@ func main() {
 			os.Exit(serveCmd(ctx, os.Args[2:]))
 		}
 	}
-
-	cores := flag.Int("cores", 8, "core count (power of two; Table 2 default is 8)")
-	scale := flag.Float64("scale", 1.0, "execution-time run scale (1.0 = full)")
-	horizon := flag.Int64("horizon", 0, "throughput-run length in cycles (0 = default)")
-	jobs := flag.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	seq := flag.Bool("seq", false, "run simulations sequentially (same as -j 1)")
-	quiet := flag.Bool("q", false, "suppress per-job progress lines on stderr")
-	md := flag.Bool("md", false, "emit markdown tables")
-	list := flag.Bool("list", false, "list experiment ids with descriptions and exit")
-	metricsOut := flag.String("metrics", "", "write the run's metrics snapshot to this file as JSON (\"-\" = stdout)")
-	storeDir := flag.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)")
-	version := flag.Bool("version", false, "print build provenance and exit")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: asymsim [flags] <experiment>\n"+
-			"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
-			"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
-			"       asymsim fuzz [flags]                  (asymsim fuzz -h for flags)\n"+
-			"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
-			"       asymsim conform [flags]               (asymsim conform -h for flags)\n\n"+
-			"experiments: %v\n\nflags:\n",
-			asymfence.ExperimentIDs)
-		flag.PrintDefaults()
+	c := newExperimentCmd("asymsim", "usage: asymsim [flags] <experiment>\n"+
+		"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
+		"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
+		"       asymsim fuzz [flags]                  (asymsim fuzz -h for flags)\n"+
+		"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
+		"       asymsim conform [flags]               (asymsim conform -h for flags)\n")
+	if code, done := c.parse(os.Args[1:]); done {
+		os.Exit(code)
 	}
-	flag.Parse()
-	if *version {
+	os.Exit(c.run(ctx, newCLIMetrics(*c.metricsOut), nil))
+}
+
+// experimentCmd is the experiment path, `asymsim [flags] <experiment>`
+// or `asymsim [flags] run <group>:<app>`: its flags, and the one
+// run/print/summary sequence the bare command and serve both use.
+type experimentCmd struct {
+	name string // message prefix
+	fs   *flag.FlagSet
+
+	cores                *int
+	scale                *float64
+	horizon              *int64
+	jobs                 *int
+	seq, quiet, md       *bool
+	list, version        *bool
+	metricsOut, storeDir *string
+
+	// Set by parse: the target's label for the summary line, and the
+	// function that runs it and prints its output to stdout.
+	id     string
+	target func(ctx context.Context, cfg asymfence.RunConfig) error
+}
+
+// newExperimentCmd registers the experiment flags on a new flag set
+// whose usage message starts with usage.
+func newExperimentCmd(name, usage string) *experimentCmd {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	c := &experimentCmd{
+		name:       name,
+		fs:         fs,
+		cores:      fs.Int("cores", 8, "core count (power of two; Table 2 default is 8)"),
+		scale:      fs.Float64("scale", 1.0, "execution-time run scale (1.0 = full)"),
+		horizon:    fs.Int64("horizon", 0, "throughput-run length in cycles (0 = default)"),
+		jobs:       fs.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS)"),
+		seq:        fs.Bool("seq", false, "run simulations sequentially (same as -j 1)"),
+		quiet:      fs.Bool("q", false, "suppress per-job progress lines on stderr"),
+		md:         fs.Bool("md", false, "emit markdown tables"),
+		list:       fs.Bool("list", false, "list experiment ids with descriptions and exit"),
+		version:    fs.Bool("version", false, "print build provenance and exit"),
+		metricsOut: fs.String("metrics", "", "write the run's metrics snapshot to this file as JSON (\"-\" = stdout)"),
+		storeDir:   fs.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)"),
+	}
+	fs.Usage = func() {
+		fmt.Fprintf(os.Stderr, "%s\nexperiments: %v\n\nflags:\n", usage, asymfence.ExperimentIDs)
+		fs.PrintDefaults()
+	}
+	return c
+}
+
+// parse parses args and resolves the positional target before anything
+// runs, so a typo fails before any table has been printed. done reports
+// that the command already finished (-list, -version, or an invalid
+// command line) with exit code code.
+func (c *experimentCmd) parse(args []string) (code int, done bool) {
+	c.fs.Parse(args)
+	if *c.version {
 		fmt.Println("asymsim", buildinfo.Get())
-		return
+		return 0, true
 	}
 	// Reject a nonsensical machine shape before any experiment starts
 	// (same typed validation the simulator applies on Run).
-	if err := (sim.Config{NCores: *cores}).Validate(); err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		os.Exit(2)
+	if err := (sim.Config{NCores: *c.cores}).Validate(); err != nil {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+		return 2, true
 	}
-	if *list {
+	if *c.list {
 		for _, e := range asymfence.Experiments() {
 			fmt.Printf("  %-9s %s\n", e.ID, e.Description)
 		}
-		return
+		return 0, true
 	}
-	workers := *jobs
-	if *seq {
-		workers = 1
-	}
-	reg := newCLIMetrics(*metricsOut)
-	if maybeRun(ctx, flag.Args(), *cores, *scale, *horizon, workers, *quiet, reg) {
-		if err := writeMetrics(reg, *metricsOut); err != nil {
-			fmt.Fprintln(os.Stderr, "asymsim:", err)
-			os.Exit(1)
+	switch {
+	case c.fs.NArg() == 2 && c.fs.Arg(0) == "run":
+		c.id = "run " + c.fs.Arg(1)
+		jobs, err := runJobs(c.fs.Arg(1), *c.cores, *c.scale, *c.horizon)
+		if err != nil {
+			fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+			return 2, true
 		}
-		return
-	}
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
-	}
-	id := flag.Arg(0)
-	// Resolve the id up front so a typo fails before any table of a
-	// multi-experiment run has been printed.
-	exp, ok := asymfence.LookupExperiment(id)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "asymsim: unknown experiment %q (valid: %v; see -list)\n",
-			id, asymfence.ExperimentIDs)
-		os.Exit(2)
-	}
-	var progress io.Writer
-	if !*quiet {
-		progress = os.Stderr
-	}
-	var st *asymfence.MeasurementStore
-	if *storeDir != "" {
-		var err error
-		if st, err = asymfence.OpenStore(*storeDir, asymfence.StoreOptions{Metrics: reg}); err != nil {
-			fmt.Fprintln(os.Stderr, "asymsim:", err)
-			os.Exit(1)
+		c.target = func(ctx context.Context, cfg asymfence.RunConfig) error {
+			ms, err := asymfence.RunBatch(ctx, jobs, cfg)
+			if err == nil {
+				printRun(c.fs.Arg(1), *c.cores, ms)
+			}
+			return err
 		}
+	case c.fs.NArg() == 1:
+		c.id = c.fs.Arg(0)
+		exp, ok := asymfence.LookupExperiment(c.id)
+		if !ok {
+			fmt.Fprintf(os.Stderr, "%s: unknown experiment %q (valid: %v; see -list)\n",
+				c.name, c.id, asymfence.ExperimentIDs)
+			return 2, true
+		}
+		c.target = func(ctx context.Context, cfg asymfence.RunConfig) error {
+			tables, err := exp.Run(ctx, asymfence.Options{
+				RunConfig: cfg, Cores: *c.cores, Scale: *c.scale, Horizon: *c.horizon,
+			})
+			for _, t := range tables {
+				if *c.md {
+					fmt.Println(t.Markdown())
+				} else {
+					fmt.Println(t.String())
+				}
+			}
+			return err
+		}
+	default:
+		c.fs.Usage()
+		return 2, true
+	}
+	return 0, false
+}
+
+// run executes the parsed target: it opens the store, runs every job
+// through one RunConfig (progress to stderr unless -q, and to tee when
+// non-nil; counters into reg when non-nil), then writes the -metrics
+// snapshot and a job summary line to stderr. It returns the exit code.
+func (c *experimentCmd) run(ctx context.Context, reg *asymfence.MetricsRegistry, tee io.Writer) int {
+	fail := func(err error) int {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+		if errors.Is(err, context.Canceled) {
+			return 130
+		}
+		return 1
 	}
 	var stats asymfence.RunStats
+	cfg := asymfence.RunConfig{Jobs: *c.jobs, Stats: &stats, Metrics: reg}
+	if *c.seq {
+		cfg.Jobs = 1
+	}
+	var progress []io.Writer
+	if !*c.quiet {
+		progress = append(progress, os.Stderr)
+	}
+	if tee != nil {
+		progress = append(progress, tee)
+	}
+	if len(progress) > 0 {
+		cfg.Progress = io.MultiWriter(progress...)
+	}
+	if *c.storeDir != "" {
+		st, err := asymfence.OpenStore(*c.storeDir, asymfence.StoreOptions{Metrics: reg})
+		if err != nil {
+			return fail(err)
+		}
+		cfg.Store = st
+	}
 	start := time.Now()
-	tables, err := exp.Run(ctx, asymfence.Options{
-		RunConfig: asymfence.RunConfig{
-			Jobs: workers, Progress: progress, Stats: &stats, Metrics: reg, Store: st,
-		},
-		Cores: *cores, Scale: *scale, Horizon: *horizon,
-	})
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		if errors.Is(err, context.Canceled) {
-			os.Exit(130)
-		}
-		os.Exit(1)
+	if err := c.target(ctx, cfg); err != nil {
+		return fail(err)
 	}
-	for _, t := range tables {
-		if *md {
-			fmt.Println(t.Markdown())
-		} else {
-			fmt.Println(t.String())
-		}
+	if err := writeMetrics(reg, *c.metricsOut); err != nil {
+		return fail(err)
 	}
-	if err := writeMetrics(reg, *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		os.Exit(1)
-	}
-	fmt.Fprintf(os.Stderr, "asymsim: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
-		id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "%s: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
+		c.name, c.id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits, time.Since(start).Round(time.Millisecond))
+	return 0
 }

@@ -1,47 +1,39 @@
 package main
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"os"
 	"strings"
 
 	"asymfence"
 )
 
-// runOne handles `asymsim run <group>:<app>`: a single (workload, design)
-// sweep with the cycle breakdown and the fence-site stall profile. The
-// per-design simulations execute as one parallel batch; the printout
-// order is fixed by the batch's submission order.
-func runOne(ctx context.Context, spec string, cores int, scale float64, horizon int64, workers int, quiet bool, reg *asymfence.MetricsRegistry) error {
+// runDesigns are the designs `asymsim run` compares, in print order.
+var runDesigns = append(asymfence.AllDesigns, asymfence.CFenceDesign)
+
+// runJobs builds the jobs of `asymsim run <group>:<app>`: one per
+// design, executed as one parallel batch whose submission order fixes
+// the printout order.
+func runJobs(spec string, cores int, scale float64, horizon int64) ([]asymfence.SimJob, error) {
 	group, app, ok := strings.Cut(spec, ":")
 	if !ok {
-		return fmt.Errorf("workload spec must be <group>:<app>, e.g. cilk:fib (groups: cilk, ustm, stamp)")
+		return nil, fmt.Errorf("workload spec must be <group>:<app>, e.g. cilk:fib (groups: %s)",
+			strings.Join(asymfence.WorkloadGroups, ", "))
 	}
-	if horizon == 0 {
-		horizon = 60_000
-	}
-	designs := append(asymfence.AllDesigns, asymfence.CFenceDesign)
-	jobs := make([]asymfence.SimJob, len(designs))
-	for i, d := range designs {
+	jobs := make([]asymfence.SimJob, len(runDesigns))
+	for i, d := range runDesigns {
 		jobs[i] = asymfence.SimJob{
 			Group: group, App: app, Design: d,
 			Cores: cores, Scale: scale, Horizon: horizon,
 		}
 	}
-	var progress io.Writer
-	if !quiet {
-		progress = os.Stderr
-	}
-	ms, err := asymfence.RunBatch(ctx, jobs, asymfence.BatchOptions{
-		RunConfig: asymfence.RunConfig{Jobs: workers, Progress: progress, Metrics: reg},
-	})
-	if err != nil {
-		return err
-	}
+	return jobs, nil
+}
+
+// printRun prints the measurements of runJobs' batch: the cycle
+// breakdown and the fence-site stall profile of each design.
+func printRun(spec string, cores int, ms []*asymfence.WorkloadMeasurement) {
 	fmt.Printf("%s under each design (%d cores):\n\n", spec, cores)
-	for i, d := range designs {
+	for i, d := range runDesigns {
 		m := ms[i]
 		fmt.Printf("%-8s cycles=%-8d txn/Mcyc=%-8.0f busy=%5.1f%%  other=%5.1f%%  fence=%5.1f%%  sf=%d wf=%d recov=%d\n",
 			d, m.Cycles, m.Throughput(), 100*m.Busy, 100*m.OtherStall, 100*m.FenceStall,
@@ -56,16 +48,4 @@ func runOne(ctx context.Context, spec string, cores int, scale float64, horizon 
 	}
 	fmt.Println("\n(pc values index the workload's disassembly; the fence-site profile")
 	fmt.Println(" shows which fence — take/steal, read/write/commit barrier — pays the stall)")
-	return nil
-}
-
-func maybeRun(ctx context.Context, args []string, cores int, scale float64, horizon int64, workers int, quiet bool, reg *asymfence.MetricsRegistry) bool {
-	if len(args) != 2 || args[0] != "run" {
-		return false
-	}
-	if err := runOne(ctx, args[1], cores, scale, horizon, workers, quiet, reg); err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim:", err)
-		os.Exit(1)
-	}
-	return true
 }

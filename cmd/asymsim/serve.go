@@ -3,17 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
-	"errors"
-	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"asymfence"
 	"asymfence/internal/buildinfo"
@@ -110,59 +106,23 @@ func serveMux(reg *asymfence.MetricsRegistry, ring *progressRing) *http.ServeMux
 	return mux
 }
 
-// serveCmd handles `asymsim serve <experiment>`: it starts the
-// observability HTTP server, then runs that experiment with the shared
-// metrics registry attached, so /metrics and /debug/pprof can be
-// scraped while the batch executes. The server shuts down when the run
-// completes unless -hold keeps it up until interrupt. -store attaches
-// the persistent measurement store, so warm configurations are served
-// from disk.
+// serveCmd handles `asymsim serve [flags] <experiment>`: the experiment
+// path with its flags, plus an observability HTTP server (-listen)
+// running alongside it. The shared metrics registry is always attached,
+// so /metrics and /debug/pprof can be scraped while the batch executes,
+// and /progress tails the per-job lines. The server shuts down when the
+// run completes unless -hold keeps it up until interrupt.
 func serveCmd(ctx context.Context, args []string) int {
-	fs := flag.NewFlagSet("asymsim serve", flag.ExitOnError)
-	listen := fs.String("listen", ":6060", "HTTP listen address")
-	cores := fs.Int("cores", 8, "core count (power of two)")
-	scale := fs.Float64("scale", 1.0, "execution-time run scale (1.0 = full)")
-	horizon := fs.Int64("horizon", 0, "throughput-run length in cycles (0 = default)")
-	jobs := fs.Int("j", 0, "simulation worker pool size (0 = GOMAXPROCS)")
-	quiet := fs.Bool("q", false, "suppress per-job progress lines on stderr (/progress still updates)")
-	hold := fs.Bool("hold", false, "keep serving after the run completes, until interrupted")
-	storeDir := fs.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)")
-	metricsOut := fs.String("metrics", "", "also write the final metrics snapshot to this file as JSON (\"-\" = stdout)")
-	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: asymsim serve [flags] <experiment>\n"+
-			"       e.g. asymsim serve -listen :6060 all\n\nflags:\n")
-		fs.PrintDefaults()
-	}
-	fs.Parse(args)
-	if fs.NArg() != 1 {
-		fs.Usage()
-		return 2
-	}
-	id := fs.Arg(0)
-	exp, ok := asymfence.LookupExperiment(id)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "asymsim serve: unknown experiment %q (valid: %v)\n",
-			id, asymfence.ExperimentIDs)
-		return 2
+	c := newExperimentCmd("asymsim serve", "usage: asymsim serve [flags] <experiment>\n"+
+		"       e.g. asymsim serve -listen :6060 all\n")
+	listen := c.fs.String("listen", ":6060", "HTTP listen address")
+	hold := c.fs.Bool("hold", false, "keep serving after the run completes, until interrupted")
+	if code, done := c.parse(args); done {
+		return code
 	}
 
-	reg := asymfence.NewMetricsRegistry()
-	bi := buildinfo.Get()
-	reg.SetMeta("version", bi.Version)
-	reg.SetMeta("revision", bi.Revision)
-	reg.SetMeta("go", bi.GoVersion)
+	reg := newRegistry()
 	ring := newProgressRing(256)
-
-	var st *asymfence.MeasurementStore
-	if *storeDir != "" {
-		var err error
-		st, err = asymfence.OpenStore(*storeDir, asymfence.StoreOptions{Metrics: reg})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asymsim serve:", err)
-			return 1
-		}
-	}
-
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim serve:", err)
@@ -174,47 +134,14 @@ func serveCmd(ctx context.Context, args []string) int {
 	fmt.Fprintf(os.Stderr, "asymsim serve: listening on http://%s (metrics, progress, debug/pprof)\n",
 		hostport(ln.Addr().String()))
 
-	progress := io.Writer(ring)
-	if !*quiet {
-		progress = io.MultiWriter(os.Stderr, ring)
-	}
-	exitCode := 0
-	var stats asymfence.RunStats
-	start := time.Now()
-	tables, runErr := exp.Run(ctx, asymfence.Options{
-		RunConfig: asymfence.RunConfig{
-			Jobs: *jobs, Progress: progress, Stats: &stats, Metrics: reg, Store: st,
-		},
-		Cores: *cores, Scale: *scale, Horizon: *horizon,
-	})
-	if runErr != nil {
-		fmt.Fprintln(os.Stderr, "asymsim serve:", runErr)
-		exitCode = 1
-		if errors.Is(runErr, context.Canceled) {
-			exitCode = 130
-		}
-	} else {
-		for _, t := range tables {
-			fmt.Println(t.String())
-		}
-		fmt.Fprintf(os.Stderr, "asymsim serve: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
-			id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits,
-			time.Since(start).Round(time.Millisecond))
-	}
-
-	if *hold && exitCode == 0 {
+	code := c.run(ctx, reg, ring)
+	if *hold && code == 0 {
 		fmt.Fprintln(os.Stderr, "asymsim serve: run complete; still serving (interrupt to exit)")
 		<-ctx.Done()
 	}
 	srv.Close()
 	<-serveErr
-	if err := writeMetrics(reg, *metricsOut); err != nil {
-		fmt.Fprintln(os.Stderr, "asymsim serve:", err)
-		if exitCode == 0 {
-			exitCode = 1
-		}
-	}
-	return exitCode
+	return code
 }
 
 // hostport rewrites a wildcard listen address ("[::]:6060") into one a

@@ -9,6 +9,7 @@ import (
 	"strings"
 
 	"asymfence"
+	"asymfence/internal/sim"
 )
 
 // traceCmd handles `asymsim trace <group>:<app>`: one traced run,
@@ -60,6 +61,10 @@ func traceCmd(ctx context.Context, args []string) int {
 		fmt.Fprintf(os.Stderr, "asymsim trace: bad -events %q (comma list of fence,wb,cpu,dir,noc, or all)\n", *events)
 		return 2
 	}
+	if err := (sim.Config{NCores: *cores}).Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "asymsim trace:", err)
+		return 2
+	}
 	if *format != "chrome" && *format != "jsonl" {
 		fmt.Fprintf(os.Stderr, "asymsim trace: bad -format %q (chrome or jsonl)\n", *format)
 		return 2
@@ -67,9 +72,8 @@ func traceCmd(ctx context.Context, args []string) int {
 
 	reg := newCLIMetrics(*metricsOut)
 	res, err := asymfence.TraceWorkload(ctx, group, app, d, asymfence.TraceOptions{
-		RunConfig: asymfence.RunConfig{Metrics: reg},
-		Cores:     *cores, Scale: *scale, Horizon: *horizon,
-		Mask: mask, MaxEvents: *maxEvents, SampleInterval: *interval,
+		Cores: *cores, Scale: *scale, Horizon: *horizon,
+		Mask: mask, MaxEvents: *maxEvents, SampleInterval: *interval, Metrics: reg,
 	})
 	if err != nil {
 		// A DeadlockError's message already carries the full per-core
@@ -110,6 +114,6 @@ func traceCmd(ctx context.Context, args []string) int {
 		dropped = fmt.Sprintf(" (%d oldest dropped by -max-events)", res.Dropped)
 	}
 	fmt.Fprintf(os.Stderr, "asymsim trace: %s under %v: %d cycles, %d events%s, %d interval rows\n",
-		spec, d, res.Cycles, len(res.Events), dropped, len(res.Samples))
+		spec, d, res.Meas.Cycles, len(res.Events), dropped, len(res.Samples))
 	return 0
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 
 	"asymfence/internal/check"
 	"asymfence/internal/faults"
@@ -38,7 +39,11 @@ import (
 // ConformOptions configures RunConform. Zero fields take defaults; the
 // zero value is a usable quick configuration.
 type ConformOptions struct {
-	RunConfig
+	// Progress, when non-nil, receives one line per clean seed.
+	Progress io.Writer
+	// Metrics, when non-nil, receives the simulator runs' machine
+	// counters and the campaign counters (under "conform").
+	Metrics *MetricsRegistry
 
 	// Seeds is how many generator seeds to check (default 25).
 	Seeds int

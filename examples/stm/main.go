@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"asymfence"
@@ -23,28 +24,33 @@ import (
 func main() {
 	fmt.Println("TLRW software transactional memory (paper §4.2), 8 cores")
 	fmt.Println()
-	for _, name := range []string{"List", "ReadNWrite1", "ReadWriteN"} {
-		var base float64
-		fmt.Printf("%s:\n", name)
-		for _, d := range []asymfence.Design{asymfence.SPlus, asymfence.WSPlus, asymfence.WPlus, asymfence.Wee} {
-			m, err := asymfence.RunUSTMBenchmark(name, d, 8, 60_000)
-			if err != nil {
-				panic(err)
-			}
-			if d == asymfence.SPlus {
-				base = m.Throughput()
-			}
-			fmt.Printf("  %-4v  throughput=%.2fx  commits=%-5d  fence stall=%4.1f%%  aborts=%d  W+ recoveries=%d\n",
-				d, m.Throughput()/base, m.Commits, 100*m.FenceStall,
-				m.Agg.Events[stats.EvAbort], m.Agg.Recoveries)
+	apps := []string{"List", "ReadNWrite1", "ReadWriteN"}
+	designs := []asymfence.Design{asymfence.SPlus, asymfence.WSPlus, asymfence.WPlus, asymfence.Wee}
+	var jobs []asymfence.SimJob
+	for _, app := range apps {
+		for _, d := range designs {
+			jobs = append(jobs, asymfence.SimJob{Group: "ustm", App: app, Design: d, Cores: 8, Horizon: 60_000})
 		}
+	}
+	ms, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{})
+	if err != nil {
+		panic(err)
+	}
+	for i, m := range ms {
+		if i%len(designs) == 0 {
+			fmt.Printf("%s:\n", m.App)
+		}
+		base := ms[i-i%len(designs)].Throughput() // S+ leads each app's block
+		fmt.Printf("  %-4v  throughput=%.2fx  commits=%-5d  fence stall=%4.1f%%  aborts=%d  W+ recoveries=%d\n",
+			m.Design, m.Throughput()/base, m.Commits, 100*m.FenceStall,
+			m.Agg.Events[stats.EvAbort], m.Agg.Recoveries)
 	}
 
 	// Show what the fences are for: without them the reader/writer flag
-	// handshake loses updates.
+	// handshake loses updates. The workload is one hot counter (the
+	// shape of ustm's Counter) built with the barrier fences left out.
 	fmt.Println("\nWithout the barrier fences (TSO store→load reordering exposed):")
-	p, _ := stm.USTMByName("Counter")
-	p.Iterations = 300
+	p := stm.Profile{Name: "Counter", Locations: 8, ReadsPerTxn: 1, WritesPerTxn: 1, TxnWork: 20, BetweenWork: 600, Iterations: 300}
 	al := mem.NewAllocator(0x1000)
 	store := mem.NewStore()
 	wl := stm.Build(p, 4, stm.Assignment{NoFences: true}, 7, al, store, nil)

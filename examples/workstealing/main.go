@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"asymfence"
@@ -20,19 +21,20 @@ import (
 func main() {
 	fmt.Println("Cilk THE work stealing (paper §4.1), app=fib, 8 cores")
 	fmt.Println()
-	var base int64
-	for _, d := range asymfence.AllDesigns {
-		m, err := asymfence.RunCilkApp("fib", d, 8, 0.5)
-		if err != nil {
-			panic(err)
-		}
-		if d == asymfence.SPlus {
-			base = m.Cycles
-		}
+	jobs := make([]asymfence.SimJob, len(asymfence.AllDesigns))
+	for i, d := range asymfence.AllDesigns {
+		jobs[i] = asymfence.SimJob{Group: "cilk", App: "fib", Design: d, Cores: 8, Scale: 0.5}
+	}
+	ms, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{})
+	if err != nil {
+		panic(err)
+	}
+	base := ms[0].Cycles // S+ leads AllDesigns
+	for _, m := range ms {
 		tasks := m.Agg.Events[stats.EvTask]
 		steals := m.Agg.Events[stats.EvSteal]
 		fmt.Printf("%-4v  time=%.2fx  busy=%4.1f%%  fence stall=%4.1f%%  tasks=%d  stolen=%.2f%%  wf=%d sf=%d\n",
-			d, float64(m.Cycles)/float64(base), 100*m.Busy, 100*m.FenceStall,
+			m.Design, float64(m.Cycles)/float64(base), 100*m.Busy, 100*m.FenceStall,
 			tasks, 100*float64(steals)/float64(tasks), m.Agg.WFences, m.Agg.SFences)
 	}
 	fmt.Println()

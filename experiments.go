@@ -11,14 +11,11 @@ import (
 type ExperimentTable = experiments.Table
 
 // Options tune the experiment harness. The embedded RunConfig carries
-// the execution environment shared by every entry point (worker pool,
+// the execution environment shared with RunBatch (worker pool,
 // progress, accounting, metrics, persistent store); the fields here
 // size the experiments themselves. Every field uses "unset means
-// default" semantics with an explicit sentinel: numeric fields are
-// overridden only when positive (<=0 selects the default, so a caller
-// can spell "use the default" as the zero value without it colliding
-// with a real configuration), and slice/pointer fields default when
-// nil or empty.
+// default" semantics: numeric fields <=0 and an empty CoreCounts
+// select the default, resolved where each job is canonicalized.
 type Options struct {
 	RunConfig
 
@@ -31,23 +28,6 @@ type Options struct {
 	Horizon int64
 	// CoreCounts is the scalability study's sweep (empty: 4, 8, 16, 32).
 	CoreCounts []int
-}
-
-// withDefaults resolves the sentinel fields; see Options.
-func (o Options) withDefaults() Options {
-	if o.Cores <= 0 {
-		o.Cores = experiments.DefaultCores
-	}
-	if o.Scale <= 0 {
-		o.Scale = 1
-	}
-	if o.Horizon <= 0 {
-		o.Horizon = experiments.USTMHorizon
-	}
-	if len(o.CoreCounts) == 0 {
-		o.CoreCounts = experiments.DefaultCoreCounts
-	}
-	return o
 }
 
 // Experiment is one regenerable artifact of the paper's evaluation: a
@@ -78,15 +58,9 @@ func (e Experiment) Run(ctx context.Context, opts Options) ([]*ExperimentTable, 
 	if e.run == nil {
 		return nil, fmt.Errorf("asymfence: zero Experiment value (obtain entries from Experiments or LookupExperiment)")
 	}
-	o := opts.withDefaults()
-	eng := experiments.NewEngine(experiments.EngineOptions{
-		Workers: o.Jobs, Progress: o.Progress, Metrics: o.Metrics, Store: o.Store,
-	})
-	tables, err := e.run(ctx, eng, o)
-	if opts.Stats != nil {
-		es := eng.Stats()
-		*opts.Stats = RunStats{Jobs: es.Jobs, CacheHits: es.Hits, StoreHits: es.StoreHits, Simulated: es.Simulated}
-	}
+	eng := opts.engine()
+	tables, err := e.run(ctx, eng, opts)
+	opts.report(eng)
 	if err != nil {
 		return nil, fmt.Errorf("asymfence: %s: %w", e.ID, err)
 	}

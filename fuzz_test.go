@@ -31,7 +31,7 @@ func TestFuzzSmoke(t *testing.T) {
 func TestFuzzReproducible(t *testing.T) {
 	run := func() []byte {
 		var buf bytes.Buffer
-		rep, err := RunFuzz(context.Background(), FuzzOptions{Seeds: 10, RunConfig: RunConfig{Progress: &buf}})
+		rep, err := RunFuzz(context.Background(), FuzzOptions{Seeds: 10, Progress: &buf})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -100,10 +100,10 @@ func TestFuzzFindsBrokenFence(t *testing.T) {
 // cover different seeds without error.
 func TestFuzzShardsCompose(t *testing.T) {
 	var b1, b2 bytes.Buffer
-	if _, err := RunFuzz(context.Background(), FuzzOptions{Seeds: 3, StartSeed: 1, RunConfig: RunConfig{Progress: &b1}}); err != nil {
+	if _, err := RunFuzz(context.Background(), FuzzOptions{Seeds: 3, StartSeed: 1, Progress: &b1}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := RunFuzz(context.Background(), FuzzOptions{Seeds: 3, StartSeed: 4, RunConfig: RunConfig{Progress: &b2}}); err != nil {
+	if _, err := RunFuzz(context.Background(), FuzzOptions{Seeds: 3, StartSeed: 4, Progress: &b2}); err != nil {
 		t.Fatal(err)
 	}
 	if bytes.Equal(b1.Bytes(), b2.Bytes()) {

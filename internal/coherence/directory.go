@@ -716,9 +716,6 @@ func (d *Directory) SharersOf(l mem.Line) (sharers uint64, owner int) {
 	return dl.sharers, dl.owner
 }
 
-// GRTEntry returns the registered pending set for a core (test hook).
-func (d *Directory) GRTEntry(core int) []mem.Line { return d.grt.Entry(core) }
-
 // PendingCounts summarizes the module's in-flight work for deadlock
 // reports: lines with an open transaction, total queued requests, and
 // armed timers.

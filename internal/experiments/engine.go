@@ -2,16 +2,11 @@ package experiments
 
 import (
 	"context"
-	"fmt"
 	"io"
 
 	"asymfence/internal/experiments/runner"
-	"asymfence/internal/fence"
 	"asymfence/internal/metrics"
 	"asymfence/internal/trace"
-	"asymfence/internal/workloads/cilk"
-	"asymfence/internal/workloads/stamp"
-	"asymfence/internal/workloads/stm"
 )
 
 // sharedCache memoizes measurements across every Engine in the process,
@@ -24,9 +19,6 @@ var sharedCache = runner.NewCache[*Measurement]()
 // FlushCache drops every memoized measurement. Tests use it to force
 // fresh simulations; long-lived hosts can use it to reclaim memory.
 func FlushCache() { sharedCache.Flush() }
-
-// CachedMeasurements returns the number of memoized measurements.
-func CachedMeasurements() int { return sharedCache.Len() }
 
 // DefaultCoreCounts is the scalability study's core-count sweep
 // (Fig. 12; paper §6). This is the single place the default lives.
@@ -61,8 +53,11 @@ type Engine struct {
 
 // NewEngine builds an engine over the shared measurement cache.
 func NewEngine(o EngineOptions) *Engine {
+	// Sharing one registry across concurrent jobs is safe and
+	// scheduling-independent because counter updates commute.
 	exec := func(ctx context.Context, s runner.Spec) (*Measurement, error) {
-		return execSpec(ctx, s, o.Metrics)
+		m, _, err := run(ctx, s, runObs{metrics: o.Metrics})
+		return m, err
 	}
 	opts := runner.Options[*Measurement]{
 		Workers:  o.Workers,
@@ -82,9 +77,10 @@ func NewEngine(o EngineOptions) *Engine {
 func (e *Engine) Stats() runner.Stats { return e.sess.Stats() }
 
 // RunSpecs executes a batch of simulation jobs and returns the
-// measurements positionally. Specs are canonicalized first so
-// equivalent jobs share cache entries regardless of how callers filled
-// the unused sizing field.
+// measurements positionally. Specs are canonicalized first (see
+// canonSpec), so unset fields take their defaults and equivalent jobs
+// share cache entries regardless of how callers filled the unused
+// sizing field.
 func (e *Engine) RunSpecs(ctx context.Context, specs []runner.Spec) ([]*Measurement, error) {
 	canon := make([]runner.Spec, len(specs))
 	for i, s := range specs {
@@ -93,81 +89,37 @@ func (e *Engine) RunSpecs(ctx context.Context, specs []runner.Spec) ([]*Measurem
 	return e.sess.Run(ctx, canon)
 }
 
-// canonSpec zeroes the sizing field the group ignores (ustm runs are
-// sized by Horizon, cilk/stamp by Scale), so equal jobs get equal keys.
+// canonSpec resolves a spec's unset fields (<=0) to their defaults —
+// DefaultCores cores, and scale 1 or a USTMHorizon-cycle run, whichever
+// sizes the group — and zeroes the sizing field the group ignores, so
+// equal jobs get equal keys.
 func canonSpec(s runner.Spec) runner.Spec {
-	if s.Group == "ustm" {
+	if s.Cores <= 0 {
+		s.Cores = DefaultCores
+	}
+	if g, err := lookupGroup(s.Group); err == nil && g.throughput {
 		s.Scale = 0
+		if s.Horizon <= 0 {
+			s.Horizon = USTMHorizon
+		}
 	} else {
 		s.Horizon = 0
+		if s.Scale <= 0 {
+			s.Scale = 1
+		}
 	}
 	return s
 }
 
-// execSpec dispatches one simulation job to its workload group. The
-// registry (which may be nil) receives the run's machine counters;
-// sharing one registry across concurrent jobs is safe and
-// scheduling-independent because counter updates commute.
-func execSpec(ctx context.Context, s runner.Spec, reg *metrics.Registry) (*Measurement, error) {
-	switch s.Group {
-	case "cilk":
-		p, ok := cilk.AppByName(s.App)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown CilkApps application %q", s.App)
-		}
-		m, _, err := runCilk(ctx, p, s.Design, s.Cores, Scale(s.Scale), runObs{metrics: reg})
-		return m, err
-	case "ustm":
-		p, ok := stm.USTMByName(s.App)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown ustm benchmark %q", s.App)
-		}
-		m, _, err := runUSTM(ctx, p, s.Design, s.Cores, s.Horizon, runObs{metrics: reg})
-		return m, err
-	case "stamp":
-		p, ok := stamp.ByName(s.App)
-		if !ok {
-			return nil, fmt.Errorf("experiments: unknown STAMP application %q", s.App)
-		}
-		m, _, err := runSTAMP(ctx, p, s.Design, s.Cores, Scale(s.Scale), runObs{metrics: reg})
-		return m, err
-	}
-	return nil, fmt.Errorf("experiments: unknown workload group %q (valid: cilk, ustm, stamp)", s.Group)
-}
-
-// Spec builders: the app×design job block of one workload group, apps
-// outer and designs inner — the order every figure's rows follow.
-
-func cilkSpecs(ncores int, scale Scale, designs []fence.Design) []runner.Spec {
-	specs := make([]runner.Spec, 0, len(cilk.Apps)*len(designs))
-	for _, p := range cilk.Apps {
-		for _, d := range designs {
+// groupSpecs is the app×design job block of one workload group at one
+// machine size, apps outer and designs inner — the order every figure's
+// rows follow.
+func groupSpecs(g *group, ncores int, scale Scale, horizon int64) []runner.Spec {
+	specs := make([]runner.Spec, 0, len(g.apps)*len(Designs))
+	for _, app := range g.apps {
+		for _, d := range Designs {
 			specs = append(specs, runner.Spec{
-				Group: "cilk", App: p.Name, Design: d, Cores: ncores, Scale: float64(scale),
-			})
-		}
-	}
-	return specs
-}
-
-func ustmSpecs(ncores int, horizon int64, designs []fence.Design) []runner.Spec {
-	specs := make([]runner.Spec, 0, len(stm.USTM)*len(designs))
-	for _, p := range stm.USTM {
-		for _, d := range designs {
-			specs = append(specs, runner.Spec{
-				Group: "ustm", App: p.Name, Design: d, Cores: ncores, Horizon: horizon,
-			})
-		}
-	}
-	return specs
-}
-
-func stampSpecs(ncores int, scale Scale, designs []fence.Design) []runner.Spec {
-	specs := make([]runner.Spec, 0, len(stamp.Apps)*len(designs))
-	for _, p := range stamp.Apps {
-		for _, d := range designs {
-			specs = append(specs, runner.Spec{
-				Group: "stamp", App: p.Name, Design: d, Cores: ncores, Scale: float64(scale),
+				Group: g.name, App: app, Design: d, Cores: ncores, Scale: float64(scale), Horizon: horizon,
 			})
 		}
 	}
@@ -176,37 +128,50 @@ func stampSpecs(ncores int, scale Scale, designs []fence.Design) []runner.Spec {
 
 // groupFrom assembles a GroupRun from measurements returned in spec
 // order (apps outer, designs inner).
-func groupFrom(group string, ms []*Measurement) *GroupRun {
-	g := newGroupRun(group)
+func groupFrom(label string, ms []*Measurement) *GroupRun {
+	g := newGroupRun(label)
 	for _, m := range ms {
 		g.add(m)
 	}
 	return g
 }
 
-// RunCilkGroup measures every CilkApps application under every design.
-func (e *Engine) RunCilkGroup(ctx context.Context, ncores int, scale Scale) (*GroupRun, error) {
-	ms, err := e.RunSpecs(ctx, cilkSpecs(ncores, scale, Designs))
+// RunGroup measures every application of one workload group ("cilk",
+// "ustm" or "stamp") under every design. Throughput groups are sized by
+// horizon, the others by scale.
+func (e *Engine) RunGroup(ctx context.Context, group string, ncores int, scale Scale, horizon int64) (*GroupRun, error) {
+	g, err := lookupGroup(group)
 	if err != nil {
 		return nil, err
 	}
-	return groupFrom("CilkApps", ms), nil
+	ms, err := e.RunSpecs(ctx, groupSpecs(g, ncores, scale, horizon))
+	if err != nil {
+		return nil, err
+	}
+	return groupFrom(g.label, ms), nil
 }
 
-// RunUSTMGroup measures every ustm microbenchmark under every design.
-func (e *Engine) RunUSTMGroup(ctx context.Context, ncores int, horizon int64) (*GroupRun, error) {
-	ms, err := e.RunSpecs(ctx, ustmSpecs(ncores, horizon, Designs))
+// runGroups measures every workload group at each core count as one
+// flat batch (groups outer, core counts inner) and returns runs[i][j],
+// groups[i] at coreCounts[j].
+func (e *Engine) runGroups(ctx context.Context, coreCounts []int, scale Scale, horizon int64) ([][]*GroupRun, error) {
+	var specs []runner.Spec
+	for i := range groups {
+		for _, n := range coreCounts {
+			specs = append(specs, groupSpecs(&groups[i], n, scale, horizon)...)
+		}
+	}
+	ms, err := e.RunSpecs(ctx, specs)
 	if err != nil {
 		return nil, err
 	}
-	return groupFrom("ustm", ms), nil
-}
-
-// RunSTAMPGroup measures every STAMP application under every design.
-func (e *Engine) RunSTAMPGroup(ctx context.Context, ncores int, scale Scale) (*GroupRun, error) {
-	ms, err := e.RunSpecs(ctx, stampSpecs(ncores, scale, Designs))
-	if err != nil {
-		return nil, err
+	runs := make([][]*GroupRun, len(groups))
+	for i := range groups {
+		n := len(groups[i].apps) * len(Designs)
+		for range coreCounts {
+			runs[i] = append(runs[i], groupFrom(groups[i].label, ms[:n]))
+			ms = ms[n:]
+		}
 	}
-	return groupFrom("STAMP", ms), nil
+	return runs, nil
 }

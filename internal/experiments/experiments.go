@@ -8,9 +8,13 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"sort"
+	"strings"
 
 	"asymfence/internal/coherence"
+	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
+	"asymfence/internal/isa"
 	"asymfence/internal/mem"
 	"asymfence/internal/metrics"
 	"asymfence/internal/noc"
@@ -18,6 +22,7 @@ import (
 	"asymfence/internal/stats"
 	"asymfence/internal/trace"
 	"asymfence/internal/workloads/cilk"
+	"asymfence/internal/workloads/stamp"
 	"asymfence/internal/workloads/stm"
 )
 
@@ -107,90 +112,148 @@ type runObs struct {
 	metrics  *metrics.Registry
 }
 
-// RunCilk executes one CilkApps application to completion.
-func RunCilk(p cilk.Profile, d fence.Design, ncores int, scale Scale) (*Measurement, error) {
-	meas, _, err := runCilk(context.Background(), p, d, ncores, scale, runObs{})
-	return meas, err
+// group is one workload group of the paper's evaluation: its spec name,
+// the label its figures print, its applications, and how one of them
+// becomes a simulated machine.
+type group struct {
+	// name is the runner.Spec.Group value: "cilk", "ustm" or "stamp".
+	name string
+	// label is Measurement.Group and the group's row label in figures.
+	label string
+	apps  []string
+	// throughput marks a group whose runs last Spec.Horizon cycles
+	// (sized by Horizon) and report committed transactions — the
+	// paper's ustm methodology; the others run to completion (sized by
+	// Scale).
+	throughput bool
+	// build resolves s.App and builds its workload for s; ok is false
+	// for an unknown app.
+	build func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) (progs []*isa.Program, warm []mem.Region, ok bool)
 }
 
-func runCilk(ctx context.Context, p cilk.Profile, d fence.Design, ncores int, scale Scale, obs runObs) (*Measurement, *sim.Result, error) {
-	p.TasksPerWorker = scale.apply(p.TasksPerWorker)
-	al := mem.NewAllocator(0x1000)
-	store := mem.NewStore()
-	privacy := mem.NewPrivacy()
-	wl := cilk.Build(p, ncores, cilk.AssignmentFor(d), defaultSeed, al, store, privacy)
-	m, err := sim.New(sim.Config{
-		NCores: ncores, Design: d, Privacy: privacy,
-		WarmRegions: wl.WarmRegions, MaxCycles: 200_000_000,
-		Trace: obs.tr, SampleInterval: obs.interval, Metrics: obs.metrics,
-	}, wl.Progs, store)
+// groups is the one group→apps table: spec resolution, Apps, the figure
+// spec builder and every "unknown app" error read it. Its order is the
+// figures' group order.
+var groups = []group{
+	{
+		name: "cilk", label: "CilkApps", apps: names(cilk.Apps, func(p cilk.Profile) string { return p.Name }),
+		build: func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
+			p, ok := cilk.AppByName(s.App)
+			if !ok {
+				return nil, nil, false
+			}
+			p.TasksPerWorker = Scale(s.Scale).apply(p.TasksPerWorker)
+			wl := cilk.Build(p, s.Cores, cilk.AssignmentFor(s.Design), defaultSeed, al, st, pv)
+			return wl.Progs, wl.WarmRegions, true
+		},
+	},
+	{
+		name: "ustm", label: "ustm", apps: names(stm.USTM, func(p stm.Profile) string { return p.Name }),
+		throughput: true,
+		build: func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
+			p, ok := stm.USTMByName(s.App)
+			if !ok {
+				return nil, nil, false
+			}
+			p.Iterations = 0 // run forever; the horizon stops us
+			wl := stm.Build(p, s.Cores, stm.AssignmentFor(s.Design), defaultSeed, al, st, pv)
+			return wl.Progs, wl.WarmRegions, true
+		},
+	},
+	{
+		name: "stamp", label: "STAMP", apps: names(stamp.Apps, func(p stm.Profile) string { return p.Name }),
+		build: func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
+			p, ok := stamp.ByName(s.App)
+			if !ok {
+				return nil, nil, false
+			}
+			p.Iterations = Scale(s.Scale).apply(p.Iterations)
+			wl := stm.Build(p, s.Cores, stm.AssignmentFor(s.Design), defaultSeed, al, st, pv)
+			return wl.Progs, wl.WarmRegions, true
+		},
+	},
+}
+
+func names[P any](ps []P, name func(P) string) []string {
+	out := make([]string, len(ps))
+	for i, p := range ps {
+		out[i] = name(p)
+	}
+	return out
+}
+
+// lookupGroup returns the table entry for a spec group name.
+func lookupGroup(name string) (*group, error) {
+	for i := range groups {
+		if groups[i].name == name {
+			return &groups[i], nil
+		}
+	}
+	return nil, fmt.Errorf("experiments: unknown workload group %q (valid: %s)",
+		name, strings.Join(Groups, ", "))
+}
+
+// Groups lists the workload groups a spec may name, in display order.
+var Groups = names(groups, func(g group) string { return g.name })
+
+// Apps returns the application names of one workload group ("cilk",
+// "ustm" or "stamp") in the figures' row order, or nil for an unknown
+// group.
+func Apps(group string) []string {
+	g, err := lookupGroup(group)
+	if err != nil {
+		return nil
+	}
+	return append([]string(nil), g.apps...)
+}
+
+// run executes one simulation job, the only way a workload reaches the
+// simulator: it resolves the spec's app, builds its workload, runs the
+// machine with obs attached and reduces the result.
+func run(ctx context.Context, s runner.Spec, obs runObs) (*Measurement, *sim.Result, error) {
+	g, err := lookupGroup(s.Group)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := m.RunCtx(ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("cilk %s under %v: %w", p.Name, d, err)
-	}
-	return reduce("CilkApps", p.Name, d, res), res, nil
-}
-
-// RunUSTM executes one RSTM microbenchmark for a fixed horizon and
-// reports transactional throughput (the paper's ustm methodology: "we run
-// each microbenchmark for a certain fixed time and measure the number of
-// transactions committed").
-func RunUSTM(p stm.Profile, d fence.Design, ncores int, horizon int64) (*Measurement, error) {
-	meas, _, err := runUSTM(context.Background(), p, d, ncores, horizon, runObs{})
-	return meas, err
-}
-
-func runUSTM(ctx context.Context, p stm.Profile, d fence.Design, ncores int, horizon int64, obs runObs) (*Measurement, *sim.Result, error) {
-	p.Iterations = 0 // run forever; the horizon stops us
-	al := mem.NewAllocator(0x1000)
-	store := mem.NewStore()
-	privacy := mem.NewPrivacy()
-	wl := stm.Build(p, ncores, stm.AssignmentFor(d), defaultSeed, al, store, privacy)
-	m, err := sim.New(sim.Config{
-		NCores: ncores, Design: d, Privacy: privacy,
-		WarmRegions: wl.WarmRegions, MaxCycles: horizon + 1,
+	cfg := sim.Config{
+		NCores: s.Cores, Design: s.Design, MaxCycles: 200_000_000,
 		Trace: obs.tr, SampleInterval: obs.interval, Metrics: obs.metrics,
-	}, wl.Progs, store)
+	}
+	if g.throughput {
+		cfg.MaxCycles = s.Horizon + 1
+	}
+	// Reject a bad machine shape before the workload builders see it.
+	if err := cfg.Validate(); err != nil {
+		return nil, nil, err
+	}
+	al, st := mem.NewAllocator(0x1000), mem.NewStore()
+	cfg.Privacy = mem.NewPrivacy()
+	progs, warm, ok := g.build(s, al, st, cfg.Privacy)
+	if !ok {
+		apps := Apps(s.Group)
+		sort.Strings(apps)
+		return nil, nil, fmt.Errorf("experiments: unknown %s app %q (valid: %s)",
+			s.Group, s.App, strings.Join(apps, ", "))
+	}
+	cfg.WarmRegions = warm
+	m, err := sim.New(cfg, progs, st)
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := m.RunForCtx(ctx, horizon)
-	if err != nil {
-		return nil, nil, fmt.Errorf("ustm %s under %v: %w", p.Name, d, err)
+	var res *sim.Result
+	if g.throughput {
+		res, err = m.RunForCtx(ctx, s.Horizon)
+	} else {
+		res, err = m.RunCtx(ctx)
 	}
-	meas := reduce("ustm", p.Name, d, res)
-	meas.Horizon = horizon
+	if err != nil {
+		return nil, nil, fmt.Errorf("%s %s under %v: %w", s.Group, s.App, s.Design, err)
+	}
+	meas := reduce(g.label, s.App, s.Design, res)
+	if g.throughput {
+		meas.Horizon = s.Horizon
+	}
 	return meas, res, nil
-}
-
-// RunSTAMP executes one STAMP application to completion.
-func RunSTAMP(p stm.Profile, d fence.Design, ncores int, scale Scale) (*Measurement, error) {
-	meas, _, err := runSTAMP(context.Background(), p, d, ncores, scale, runObs{})
-	return meas, err
-}
-
-func runSTAMP(ctx context.Context, p stm.Profile, d fence.Design, ncores int, scale Scale, obs runObs) (*Measurement, *sim.Result, error) {
-	p.Iterations = scale.apply(p.Iterations)
-	al := mem.NewAllocator(0x1000)
-	store := mem.NewStore()
-	privacy := mem.NewPrivacy()
-	wl := stm.Build(p, ncores, stm.AssignmentFor(d), defaultSeed, al, store, privacy)
-	m, err := sim.New(sim.Config{
-		NCores: ncores, Design: d, Privacy: privacy,
-		WarmRegions: wl.WarmRegions, MaxCycles: 200_000_000,
-		Trace: obs.tr, SampleInterval: obs.interval, Metrics: obs.metrics,
-	}, wl.Progs, store)
-	if err != nil {
-		return nil, nil, err
-	}
-	res, err := m.RunCtx(ctx)
-	if err != nil {
-		return nil, nil, fmt.Errorf("stamp %s under %v: %w", p.Name, d, err)
-	}
-	return reduce("STAMP", p.Name, d, res), res, nil
 }
 
 // GroupRun holds every (app, design) measurement of one workload group.
@@ -211,24 +274,6 @@ func (g *GroupRun) add(m *Measurement) {
 		g.Apps = append(g.Apps, m.App)
 	}
 	g.ByApp[m.App][m.Design] = m
-}
-
-// RunCilkGroup measures every CilkApps application under every design
-// (parallel, via a default Engine and the shared measurement cache).
-func RunCilkGroup(ncores int, scale Scale) (*GroupRun, error) {
-	return NewEngine(EngineOptions{}).RunCilkGroup(context.Background(), ncores, scale)
-}
-
-// RunUSTMGroup measures every ustm microbenchmark under every design
-// (parallel, via a default Engine and the shared measurement cache).
-func RunUSTMGroup(ncores int, horizon int64) (*GroupRun, error) {
-	return NewEngine(EngineOptions{}).RunUSTMGroup(context.Background(), ncores, horizon)
-}
-
-// RunSTAMPGroup measures every STAMP application under every design
-// (parallel, via a default Engine and the shared measurement cache).
-func RunSTAMPGroup(ncores int, scale Scale) (*GroupRun, error) {
-	return NewEngine(EngineOptions{}).RunSTAMPGroup(context.Background(), ncores, scale)
 }
 
 // MeanExecRatio returns the geometric-mean execution-time ratio of design

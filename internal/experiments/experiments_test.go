@@ -1,6 +1,7 @@
 package experiments_test
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -8,11 +9,18 @@ import (
 	"asymfence/internal/fence"
 )
 
+// eng runs the artifacts on a default engine: GOMAXPROCS workers and
+// the shared measurement cache.
+var (
+	eng = experiments.NewEngine(experiments.EngineOptions{})
+	ctx = context.Background()
+)
+
 // These tests assert the *directions* the paper reports, at reduced scale
 // so the suite stays fast; asymsim runs the full sizes.
 
 func TestFig8Directions(t *testing.T) {
-	g, tab, err := experiments.Fig8(8, 0.2)
+	g, tab, err := eng.Fig8(ctx, 8, 0.2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,7 +48,7 @@ func TestFig8Directions(t *testing.T) {
 }
 
 func TestFig9Directions(t *testing.T) {
-	g, _, err := experiments.Fig9(8, 30_000)
+	g, _, err := eng.Fig9(ctx, 8, 30_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +64,7 @@ func TestFig9Directions(t *testing.T) {
 }
 
 func TestFig11Directions(t *testing.T) {
-	g, _, err := experiments.Fig11(8, 0.3)
+	g, _, err := eng.Fig11(ctx, 8, 0.3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,7 +79,7 @@ func TestFig11Directions(t *testing.T) {
 }
 
 func TestFig12StallRatiosStayFlat(t *testing.T) {
-	rows, _, err := experiments.Fig12(0.15, 20_000, []int{4, 16})
+	rows, _, err := eng.Fig12(ctx, 0.15, 20_000, []int{4, 16})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +103,7 @@ func TestFig12StallRatiosStayFlat(t *testing.T) {
 }
 
 func TestTable4Shape(t *testing.T) {
-	tab, err := experiments.Table4(8, 0.15, 20_000)
+	tab, err := eng.Table4(ctx, 8, 0.15, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +116,7 @@ func TestTable4Shape(t *testing.T) {
 }
 
 func TestHeadlineAggregates(t *testing.T) {
-	speedups, _, err := experiments.Headline(8, 0.15, 20_000)
+	speedups, _, err := eng.Headline(ctx, 8, 0.15, 20_000)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 )
 
@@ -16,53 +15,13 @@ const (
 	USTMHorizon = 60_000
 )
 
-// Package-level figure functions run each artifact on a default engine
-// (GOMAXPROCS workers, shared cache, no narration); the Engine methods
-// below are the primary API and let callers pin worker count, progress
-// narration and cancellation.
-
-// Fig8 reproduces Figure 8; see Engine.Fig8.
-func Fig8(ncores int, scale Scale) (*GroupRun, *Table, error) {
-	return NewEngine(EngineOptions{}).Fig8(context.Background(), ncores, scale)
-}
-
-// Fig9 reproduces Figure 9; see Engine.Fig9.
-func Fig9(ncores int, horizon int64) (*GroupRun, *Table, error) {
-	return NewEngine(EngineOptions{}).Fig9(context.Background(), ncores, horizon)
-}
-
-// Fig10 reproduces Figure 10; see Engine.Fig10.
-func Fig10(ncores int, horizon int64) (*GroupRun, *Table, error) {
-	return NewEngine(EngineOptions{}).Fig10(context.Background(), ncores, horizon)
-}
-
-// Fig11 reproduces Figure 11; see Engine.Fig11.
-func Fig11(ncores int, scale Scale) (*GroupRun, *Table, error) {
-	return NewEngine(EngineOptions{}).Fig11(context.Background(), ncores, scale)
-}
-
-// Fig12 reproduces Figure 12; see Engine.Fig12.
-func Fig12(scale Scale, horizon int64, coreCounts []int) ([]Fig12Row, *Table, error) {
-	return NewEngine(EngineOptions{}).Fig12(context.Background(), scale, horizon, coreCounts)
-}
-
-// Table4 reproduces Table 4; see Engine.Table4.
-func Table4(ncores int, scale Scale, horizon int64) (*Table, error) {
-	return NewEngine(EngineOptions{}).Table4(context.Background(), ncores, scale, horizon)
-}
-
-// Headline computes the paper's summary speedups; see Engine.Headline.
-func Headline(ncores int, scale Scale, horizon int64) (map[fence.Design]float64, *Table, error) {
-	return NewEngine(EngineOptions{}).Headline(context.Background(), ncores, scale, horizon)
-}
-
 // Fig8 reproduces Figure 8: execution time of CilkApps under S+, WS+, W+
 // and Wee, normalized to S+, with the busy / other-stall / fence-stall
 // breakdown. Paper reference: under S+ the group spends ≈13% of its time
 // on fence stall; WS+/W+/Wee cut the remaining stall to 2-4% and reduce
 // execution time by ≈9% on average.
 func (e *Engine) Fig8(ctx context.Context, ncores int, scale Scale) (*GroupRun, *Table, error) {
-	g, err := e.RunCilkGroup(ctx, ncores, scale)
+	g, err := e.RunGroup(ctx, "cilk", ncores, scale, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -74,7 +33,7 @@ func (e *Engine) Fig8(ctx context.Context, ncores int, scale Scale) (*GroupRun, 
 // microbenchmarks normalized to S+. Paper reference: WS+ +38%, W+ +58%,
 // Wee +14% over S+ on average.
 func (e *Engine) Fig9(ctx context.Context, ncores int, horizon int64) (*GroupRun, *Table, error) {
-	g, err := e.RunUSTMGroup(ctx, ncores, horizon)
+	g, err := e.RunGroup(ctx, "ustm", ncores, 0, horizon)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -105,7 +64,7 @@ func (e *Engine) Fig9(ctx context.Context, ncores int, horizon int64) (*GroupRun
 // taking 24% and 35% fewer cycles per transaction; Wee only 11% fewer.
 // Its runs are identical to Fig9's, so with a shared cache they are free.
 func (e *Engine) Fig10(ctx context.Context, ncores int, horizon int64) (*GroupRun, *Table, error) {
-	g, err := e.RunUSTMGroup(ctx, ncores, horizon)
+	g, err := e.RunGroup(ctx, "ustm", ncores, 0, horizon)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -129,7 +88,7 @@ func (e *Engine) Fig10(ctx context.Context, ncores int, horizon int64) (*GroupRu
 // and 11%; intruder (write-heavy) gains far more from W+ than from WS+;
 // labyrinth barely moves.
 func (e *Engine) Fig11(ctx context.Context, ncores int, scale Scale) (*GroupRun, *Table, error) {
-	g, err := e.RunSTAMPGroup(ctx, ncores, scale)
+	g, err := e.RunGroup(ctx, "stamp", ncores, scale, 0)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -167,22 +126,6 @@ type Fig12Row struct {
 	StallRatio float64
 }
 
-// groupSpecsFor builds one workload group's full app×design block at
-// one machine size.
-func groupSpecsFor(group string, ncores int, scale Scale, horizon int64) []runner.Spec {
-	switch group {
-	case "CilkApps":
-		return cilkSpecs(ncores, scale, Designs)
-	case "ustm":
-		return ustmSpecs(ncores, horizon, Designs)
-	default:
-		return stampSpecs(ncores, scale, Designs)
-	}
-}
-
-// fig12Groups is the group display order of the scalability study.
-var fig12Groups = []string{"CilkApps", "ustm", "STAMP"}
-
 // Fig12 reproduces Figure 12: for each workload group and aggressive
 // design, the ratio of its total fence stall time to S+'s, across the
 // given core counts (empty: DefaultCoreCounts). Paper reference: the
@@ -201,39 +144,16 @@ func (e *Engine) Fig12(ctx context.Context, scale Scale, horizon int64, coreCoun
 		Note:    "paper: bars stay flat or rise modestly from 4 to 32 cores",
 	}
 
-	// One flat batch: every group at every core count.
-	type segment struct {
-		group    string
-		cores    int
-		start, n int
-	}
-	var specs []runner.Spec
-	var segs []segment
-	for _, grp := range fig12Groups {
-		for _, n := range coreCounts {
-			block := groupSpecsFor(grp, n, scale, horizon)
-			segs = append(segs, segment{grp, n, len(specs), len(block)})
-			specs = append(specs, block...)
-		}
-	}
-	ms, err := e.RunSpecs(ctx, specs)
+	runs, err := e.runGroups(ctx, coreCounts, scale, horizon)
 	if err != nil {
 		return nil, nil, err
 	}
-	byGroupCores := map[string]map[int]*GroupRun{}
-	for _, s := range segs {
-		if byGroupCores[s.group] == nil {
-			byGroupCores[s.group] = map[int]*GroupRun{}
-		}
-		byGroupCores[s.group][s.cores] = groupFrom(s.group, ms[s.start:s.start+s.n])
-	}
-
 	var rows []Fig12Row
-	for _, grp := range fig12Groups {
+	for i, grp := range groups {
 		for _, d := range aggressive {
-			cells := []string{grp, d.String()}
-			for _, n := range coreCounts {
-				g := byGroupCores[grp][n]
+			cells := []string{grp.label, d.String()}
+			for j, n := range coreCounts {
+				g := runs[i][j]
 				var stall, base uint64
 				for _, app := range g.Apps {
 					stall += g.ByApp[app][d].Agg.FenceStallCycles
@@ -243,7 +163,7 @@ func (e *Engine) Fig12(ctx context.Context, scale Scale, horizon int64, coreCoun
 				if base > 0 {
 					ratio = float64(stall) / float64(base)
 				}
-				rows = append(rows, Fig12Row{Group: grp, Design: d, Cores: n, StallRatio: ratio})
+				rows = append(rows, Fig12Row{Group: grp.label, Design: d, Cores: n, StallRatio: ratio})
 				cells = append(cells, Pct(ratio))
 			}
 			t.AddRow(cells...)
@@ -278,26 +198,13 @@ func (e *Engine) Table4(ctx context.Context, ncores int, scale Scale, horizon in
 		Note: "paper: fences ≈1/1ki (CilkApps, STAMP) and ≈5.7/1ki (ustm); BS 3-5 lines; low bounce/retry; negligible traffic increase; W+ recoveries noticeable only for ustm; Wee demotes ≈half of ustm and ≈a third of STAMP fences, ≈none of CilkApps",
 	}
 
-	// One flat batch across all three groups.
-	type segment struct {
-		group    string
-		start, n int
-	}
-	var specs []runner.Spec
-	var segs []segment
-	for _, grp := range fig12Groups {
-		block := groupSpecsFor(grp, ncores, scale, horizon)
-		segs = append(segs, segment{grp, len(specs), len(block)})
-		specs = append(specs, block...)
-	}
-	ms, err := e.RunSpecs(ctx, specs)
+	runs, err := e.runGroups(ctx, []int{ncores}, scale, horizon)
 	if err != nil {
 		return nil, err
 	}
-
-	for _, seg := range segs {
-		g := groupFrom(seg.group, ms[seg.start:seg.start+seg.n])
-		row := []string{seg.group}
+	for _, gr := range runs {
+		g := gr[0]
+		row := []string{g.Group}
 		agg := func(d fence.Design) (sf1k, wf1k, linesBS, bouncePerWF, retryPerWr, trafficPct, recovPerKwf float64) {
 			var sf, wf, instr, bounced, retries, recov, bsSum, bsN uint64
 			var bytes, retryBytes uint64
@@ -355,20 +262,10 @@ func (e *Engine) Table4(ctx context.Context, ncores int, scale Scale, horizon in
 // it shared with Figs. 8/9/11 through the cache). Paper reference:
 // WS+ 13%, W+ 21% (and Wee 10%).
 func (e *Engine) Headline(ctx context.Context, ncores int, scale Scale, horizon int64) (map[fence.Design]float64, *Table, error) {
-	cs := cilkSpecs(ncores, scale, Designs)
-	us := ustmSpecs(ncores, horizon, Designs)
-	ss := stampSpecs(ncores, scale, Designs)
-	specs := make([]runner.Spec, 0, len(cs)+len(us)+len(ss))
-	specs = append(specs, cs...)
-	specs = append(specs, us...)
-	specs = append(specs, ss...)
-	ms, err := e.RunSpecs(ctx, specs)
+	runs, err := e.runGroups(ctx, []int{ncores}, scale, horizon)
 	if err != nil {
 		return nil, nil, err
 	}
-	cg := groupFrom("CilkApps", ms[:len(cs)])
-	ug := groupFrom("ustm", ms[len(cs):len(cs)+len(us)])
-	sg := groupFrom("STAMP", ms[len(cs)+len(us):])
 	t := &Table{
 		Title:   "Headline: mean improvement over S+ (execution time reduction / throughput gain)",
 		Headers: []string{"group", "WS+", "W+", "Wee"},
@@ -376,31 +273,23 @@ func (e *Engine) Headline(ctx context.Context, ncores int, scale Scale, horizon 
 	}
 	speedups := map[fence.Design]float64{}
 	aggr := []fence.Design{fence.WSPlus, fence.WPlus, fence.Wee}
-	addExec := func(g *GroupRun, name string) {
-		row := []string{name}
+	for i := range groups {
+		g := runs[i][0]
+		row := []string{g.Group}
 		for _, d := range aggr {
 			imp := 1 - g.MeanExecRatio(d)
+			if groups[i].throughput {
+				// Throughput gain converted to equivalent time reduction.
+				imp = 1 - 1/g.MeanThroughputRatio(d)
+			}
 			speedups[d] += imp
 			row = append(row, Pct(imp))
 		}
 		t.AddRow(row...)
 	}
-	addExec(cg, "CilkApps")
-	{
-		row := []string{"ustm"}
-		for _, d := range aggr {
-			// Throughput gain converted to equivalent time reduction.
-			r := ug.MeanThroughputRatio(d)
-			imp := 1 - 1/r
-			speedups[d] += imp
-			row = append(row, Pct(imp))
-		}
-		t.AddRow(row...)
-	}
-	addExec(sg, "STAMP")
 	row := []string{"MEAN"}
 	for _, d := range aggr {
-		speedups[d] /= 3
+		speedups[d] /= float64(len(groups))
 		row = append(row, Pct(speedups[d]))
 	}
 	t.AddRow(row...)

@@ -10,10 +10,8 @@ import (
 	"sort"
 	"testing"
 
+	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
-	"asymfence/internal/workloads/cilk"
-	"asymfence/internal/workloads/stamp"
-	"asymfence/internal/workloads/stm"
 )
 
 // update regenerates testdata/golden_digests.json from the current
@@ -32,41 +30,15 @@ const goldenPath = "testdata/golden_digests.json"
 // and WeeFence deposits.
 func goldenRun(t *testing.T, group, app string, d fence.Design) string {
 	t.Helper()
-	ctx := context.Background()
-	switch group {
-	case "cilk":
-		p, ok := cilk.AppByName(app)
-		if !ok {
-			t.Fatalf("unknown cilk app %q", app)
-		}
-		_, res, err := runCilk(ctx, p, d, 8, Scale(0.05), runObs{})
-		if err != nil {
-			t.Fatalf("cilk %s under %v: %v", app, d, err)
-		}
-		return res.Digest()
-	case "ustm":
-		p, ok := stm.USTMByName(app)
-		if !ok {
-			t.Fatalf("unknown ustm benchmark %q", app)
-		}
-		_, res, err := runUSTM(ctx, p, d, 8, 25_000, runObs{})
-		if err != nil {
-			t.Fatalf("ustm %s under %v: %v", app, d, err)
-		}
-		return res.Digest()
-	case "stamp":
-		p, ok := stamp.ByName(app)
-		if !ok {
-			t.Fatalf("unknown stamp app %q", app)
-		}
-		_, res, err := runSTAMP(ctx, p, d, 8, Scale(0.1), runObs{})
-		if err != nil {
-			t.Fatalf("stamp %s under %v: %v", app, d, err)
-		}
-		return res.Digest()
+	s := runner.Spec{Group: group, App: app, Design: d, Cores: 8, Scale: 0.05, Horizon: 25_000}
+	if group == "stamp" {
+		s.Scale = 0.1
 	}
-	t.Fatalf("unknown group %q", group)
-	return ""
+	_, res, err := run(context.Background(), s, runObs{})
+	if err != nil {
+		t.Fatalf("%s %s under %v: %v", group, app, d, err)
+	}
+	return res.Digest()
 }
 
 // goldenCases is the short mixed workload: one app per workload shape,

@@ -2,53 +2,23 @@ package experiments
 
 import (
 	"context"
-	"fmt"
-	"sort"
-	"strings"
+	"io"
 
+	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/metrics"
-	"asymfence/internal/sim"
 	"asymfence/internal/trace"
-	"asymfence/internal/workloads/cilk"
-	"asymfence/internal/workloads/stamp"
-	"asymfence/internal/workloads/stm"
 )
-
-// Groups lists the workload groups accepted by RunTraced and Apps, in
-// display order.
-var Groups = []string{"cilk", "ustm", "stamp"}
-
-// Apps returns the application names of one workload group ("cilk",
-// "ustm" or "stamp"), or nil for an unknown group.
-func Apps(group string) []string {
-	var names []string
-	switch group {
-	case "cilk":
-		for _, p := range cilk.Apps {
-			names = append(names, p.Name)
-		}
-	case "ustm":
-		for _, p := range stm.USTM {
-			names = append(names, p.Name)
-		}
-	case "stamp":
-		for _, p := range stamp.Apps {
-			names = append(names, p.Name)
-		}
-	}
-	return names
-}
 
 // TraceOptions configures a traced run. The zero value asks for every
 // event class, an unbounded buffer, and quick-run workload sizing.
 type TraceOptions struct {
-	// NCores (default DefaultCores).
-	NCores int
+	// Cores (<=0: DefaultCores).
+	Cores int
 	// Scale sizes execution-time workloads (default 0.25 — tracing
 	// full-scale runs produces very large files).
-	Scale Scale
-	// Horizon is the throughput-group run length (default USTMHorizon).
+	Scale float64
+	// Horizon is the throughput-group run length (<=0: USTMHorizon).
 	Horizon int64
 	// Mask selects the recorded event classes (zero = all).
 	Mask trace.Mask
@@ -62,14 +32,8 @@ type TraceOptions struct {
 }
 
 func (o *TraceOptions) defaults() {
-	if o.NCores == 0 {
-		o.NCores = DefaultCores
-	}
 	if o.Scale == 0 {
 		o.Scale = 0.25
-	}
-	if o.Horizon == 0 {
-		o.Horizon = USTMHorizon
 	}
 	if o.SampleInterval == 0 {
 		o.SampleInterval = 1000
@@ -82,6 +46,8 @@ func (o *TraceOptions) defaults() {
 // TraceRun is one traced execution: the reduced measurement plus the
 // raw event stream and interval series, ready for the trace exporters.
 type TraceRun struct {
+	// Meas is the run's measurement, equal to what the engine returns
+	// for the same job.
 	Meas    *Measurement
 	Events  []trace.Event
 	Samples []trace.Sample
@@ -90,41 +56,27 @@ type TraceRun struct {
 	Dropped uint64
 }
 
+// WriteJSONL writes the trace as JSON Lines (one meta header, then one
+// object per event and per interval row).
+func (t *TraceRun) WriteJSONL(w io.Writer) error {
+	return trace.WriteJSONL(w, t.Events, t.Samples, t.Dropped)
+}
+
+// WriteChrome writes the trace in the Chrome trace_event JSON format,
+// loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
+func (t *TraceRun) WriteChrome(w io.Writer) error {
+	return trace.WriteChrome(w, t.Events, t.Samples)
+}
+
 // RunTraced executes one (group, app) workload under the given design
-// with event tracing and interval sampling enabled. The run honors
+// with event tracing and interval sampling enabled: the same job the
+// engine runs for that spec, with a tracer attached. The run honors
 // ctx cancellation like the experiment engine does.
 func RunTraced(ctx context.Context, group, app string, d fence.Design, opts TraceOptions) (*TraceRun, error) {
 	opts.defaults()
 	tr := trace.New(trace.Options{Mask: opts.Mask, MaxEvents: opts.MaxEvents})
-	meas, res, err := func() (*Measurement, *sim.Result, error) {
-		switch group {
-		case "cilk":
-			for _, p := range cilk.Apps {
-				if p.Name == app {
-					return runCilk(ctx, p, d, opts.NCores, opts.Scale, runObs{tr: tr, interval: opts.SampleInterval, metrics: opts.Metrics})
-				}
-			}
-		case "ustm":
-			for _, p := range stm.USTM {
-				if p.Name == app {
-					return runUSTM(ctx, p, d, opts.NCores, opts.Horizon, runObs{tr: tr, interval: opts.SampleInterval, metrics: opts.Metrics})
-				}
-			}
-		case "stamp":
-			for _, p := range stamp.Apps {
-				if p.Name == app {
-					return runSTAMP(ctx, p, d, opts.NCores, opts.Scale, runObs{tr: tr, interval: opts.SampleInterval, metrics: opts.Metrics})
-				}
-			}
-		default:
-			return nil, nil, fmt.Errorf("experiments: unknown workload group %q (valid: %s)",
-				group, strings.Join(Groups, ", "))
-		}
-		apps := Apps(group)
-		sort.Strings(apps)
-		return nil, nil, fmt.Errorf("experiments: unknown %s app %q (valid: %s)",
-			group, app, strings.Join(apps, ", "))
-	}()
+	s := runner.Spec{Group: group, App: app, Design: d, Cores: opts.Cores, Scale: opts.Scale, Horizon: opts.Horizon}
+	meas, res, err := run(ctx, canonSpec(s), runObs{tr: tr, interval: opts.SampleInterval, metrics: opts.Metrics})
 	if err != nil {
 		return nil, err
 	}

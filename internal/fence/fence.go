@@ -92,8 +92,6 @@ type BypassSet struct {
 	// Stats.
 	Lookups, BloomFiltered, LineMatches uint64
 	PeakOccupancy                       int
-	occupancySum                        uint64
-	occupancySamples                    uint64
 }
 
 // NewBypassSet builds a Bypass Set with the given capacity (0 means the
@@ -149,8 +147,6 @@ func (b *BypassSet) Insert(l mem.Line, wordMask uint8, fenceSeq uint64) bool {
 // union of matched word masks, which SW+ uses to report true sharing.
 func (b *BypassSet) Match(l mem.Line) (hit bool, words uint8) {
 	b.Lookups++
-	b.occupancySamples++
-	b.occupancySum += uint64(len(b.entries))
 	if b.useBloom && b.bloom&bloomBit(l) == 0 {
 		b.BloomFiltered++
 		return false, 0
@@ -211,13 +207,4 @@ func (b *BypassSet) Lines() []mem.Line {
 		out[i] = e.Line
 	}
 	return out
-}
-
-// MeanOccupancy returns the average number of resident lines observed at
-// lookup time (Table 4's "#lines/BS" column).
-func (b *BypassSet) MeanOccupancy() float64 {
-	if b.occupancySamples == 0 {
-		return 0
-	}
-	return float64(b.occupancySum) / float64(b.occupancySamples)
 }

@@ -138,18 +138,6 @@ func (al *Allocator) Lookup(name string) (Region, bool) {
 	return r, ok
 }
 
-// MustLookup is Lookup for symbols that are known to exist.
-func (al *Allocator) MustLookup(name string) Region {
-	r, ok := al.symbols[name]
-	if !ok {
-		panic("mem: unknown symbol " + name)
-	}
-	return r
-}
-
-// Brk returns the next unallocated address.
-func (al *Allocator) Brk() Addr { return al.next }
-
 // Privacy classifies address ranges as thread-private or shared.
 // WeeFence's Private Access Filtering (referenced by the paper in §7.2)
 // excludes pending stores to private data from a fence's Pending Set:

@@ -271,85 +271,3 @@ func (h *Histogram) Sum() int64 {
 	}
 	return h.sum.Load()
 }
-
-// Merge folds o's instruments into r: counters and histogram buckets
-// add, gauges keep the maximum (high-water semantics). Instruments
-// present only in o are registered in r, including their timing
-// classification. Merging is commutative and associative over counter
-// and histogram updates, so folding per-run registries in any order
-// produces identical totals. A nil o (or nil r) is a no-op.
-func (r *Registry) Merge(o *Registry) {
-	if r == nil || o == nil || r == o {
-		return
-	}
-	o.mu.Lock()
-	type counterVal struct {
-		name string
-		v    int64
-	}
-	type histVal struct {
-		name   string
-		bounds []int64
-		counts []int64
-		sum, n int64
-	}
-	var (
-		counters []counterVal
-		gauges   []counterVal
-		hists    []histVal
-		timing   []string
-	)
-	for name, c := range o.counters {
-		counters = append(counters, counterVal{name, c.Value()})
-	}
-	for name, g := range o.gauges {
-		gauges = append(gauges, counterVal{name, g.Value()})
-	}
-	for name, h := range o.hists {
-		hv := histVal{name: name, bounds: h.bounds, sum: h.sum.Load(), n: h.n.Load()}
-		for i := range h.counts {
-			hv.counts = append(hv.counts, h.counts[i].Load())
-		}
-		hists = append(hists, hv)
-	}
-	for name := range o.timing {
-		timing = append(timing, name)
-	}
-	o.mu.Unlock()
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for _, cv := range counters {
-		c, ok := r.counters[cv.name]
-		if !ok {
-			c = &Counter{}
-			r.counters[cv.name] = c
-		}
-		c.Add(cv.v)
-	}
-	for _, gv := range gauges {
-		g, ok := r.gauges[gv.name]
-		if !ok {
-			g = &Gauge{}
-			r.gauges[gv.name] = g
-		}
-		g.SetMax(gv.v)
-	}
-	for _, hv := range hists {
-		h, ok := r.hists[hv.name]
-		if !ok {
-			h = newHistogram(hv.bounds)
-			r.hists[hv.name] = h
-		}
-		for i, n := range hv.counts {
-			if i < len(h.counts) {
-				h.counts[i].Add(n)
-			}
-		}
-		h.sum.Add(hv.sum)
-		h.n.Add(hv.n)
-	}
-	for _, name := range timing {
-		r.timing[name] = true
-	}
-}

@@ -132,49 +132,3 @@ func TestSnapshotDeterminism(t *testing.T) {
 			pa.String(), pb.String())
 	}
 }
-
-func TestMergeIsOrderIndependent(t *testing.T) {
-	part := func(hits, waits int64, peak int64) *Registry {
-		r := NewRegistry()
-		r.Scope("engine").Counter("hits").Add(hits)
-		r.Scope("engine").Timing().Counter("waits").Add(waits)
-		r.Scope("machine").Gauge("peak").SetMax(peak)
-		r.Scope("machine").Histogram("occ", 2, 4).Observe(peak)
-		return r
-	}
-	ab, ba := NewRegistry(), NewRegistry()
-	ab.Merge(part(1, 10, 3))
-	ab.Merge(part(2, 20, 5))
-	ba.Merge(part(2, 20, 5))
-	ba.Merge(part(1, 10, 3))
-	if !bytes.Equal(ab.JSON(), ba.JSON()) {
-		t.Fatalf("merge order changed the snapshot:\n%s\n---\n%s", ab.JSON(), ba.JSON())
-	}
-	if got := ab.Scope("engine").Counter("hits").Value(); got != 3 {
-		t.Errorf("merged counter = %d, want 3", got)
-	}
-	if got := ab.Scope("machine").Gauge("peak").Value(); got != 5 {
-		t.Errorf("merged gauge = %d, want max 5", got)
-	}
-	if got := ab.Scope("machine").Histogram("occ", 2, 4).Count(); got != 2 {
-		t.Errorf("merged histogram count = %d, want 2", got)
-	}
-	// The timing classification must survive the merge.
-	if !bytes.Contains(ab.JSON(), []byte(`"timing": {
-    "engine.timing.waits": 30
-  }`)) {
-		t.Errorf("timing section lost in merge:\n%s", ab.JSON())
-	}
-}
-
-func TestMergeSelfAndNilAreNoOps(t *testing.T) {
-	r := populate()
-	before := r.JSON()
-	r.Merge(nil)
-	r.Merge(r)
-	var nilReg *Registry
-	nilReg.Merge(r)
-	if !bytes.Equal(before, r.JSON()) {
-		t.Fatalf("no-op merges changed the registry:\n%s\n---\n%s", before, r.JSON())
-	}
-}

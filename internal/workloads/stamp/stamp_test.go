@@ -1,9 +1,11 @@
 package stamp_test
 
 import (
+	"context"
 	"testing"
 
 	"asymfence/internal/experiments"
+	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/stats"
 	"asymfence/internal/workloads/stamp"
@@ -27,21 +29,27 @@ func TestRegistry(t *testing.T) {
 	}
 }
 
+// runSTAMP measures one STAMP app under each design at the given size,
+// through the experiment engine's job path.
+func runSTAMP(t *testing.T, app string, cores int, scale float64, designs ...fence.Design) []*experiments.Measurement {
+	t.Helper()
+	specs := make([]runner.Spec, len(designs))
+	for i, d := range designs {
+		specs[i] = runner.Spec{Group: "stamp", App: app, Design: d, Cores: cores, Scale: scale}
+	}
+	ms, err := experiments.NewEngine(experiments.EngineOptions{}).RunSpecs(context.Background(), specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ms
+}
+
 // TestIntruderFavorsWPlus is the paper's Fig. 11 observation: intruder's
 // write-heavy transactions gain far more from W+ (which also weakens the
 // write and commit fences) than from WS+.
 func TestIntruderFavorsWPlus(t *testing.T) {
-	p, _ := stamp.ByName("intruder")
-	run := func(d fence.Design) int64 {
-		m, err := experiments.RunSTAMP(p, d, 8, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Cycles
-	}
-	base := run(fence.SPlus)
-	ws := run(fence.WSPlus)
-	w := run(fence.WPlus)
+	ms := runSTAMP(t, "intruder", 8, 0.5, fence.SPlus, fence.WSPlus, fence.WPlus)
+	base, ws, w := ms[0].Cycles, ms[1].Cycles, ms[2].Cycles
 	if w >= base {
 		t.Errorf("W+ (%d) not faster than S+ (%d) on intruder", w, base)
 	}
@@ -54,28 +62,16 @@ func TestIntruderFavorsWPlus(t *testing.T) {
 // optimizations cannot help much (paper: "labyrinth has very few
 // transactions in the first place").
 func TestLabyrinthBarelyMoves(t *testing.T) {
-	p, _ := stamp.ByName("labyrinth")
-	run := func(d fence.Design) int64 {
-		m, err := experiments.RunSTAMP(p, d, 8, 0.5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m.Cycles
-	}
-	base := run(fence.SPlus)
-	w := run(fence.WPlus)
+	ms := runSTAMP(t, "labyrinth", 8, 0.5, fence.SPlus, fence.WPlus)
+	base, w := ms[0].Cycles, ms[1].Cycles
 	if ratio := float64(w) / float64(base); ratio < 0.85 || ratio > 1.1 {
 		t.Errorf("labyrinth moved %.2fx under W+; expected near-flat", ratio)
 	}
 }
 
 func TestSTAMPCorrectnessUnderAllDesigns(t *testing.T) {
-	p, _ := stamp.ByName("ssca2")
-	for _, d := range fence.AllDesigns {
-		m, err := experiments.RunSTAMP(p, d, 4, 0.3)
-		if err != nil {
-			t.Fatalf("%v: %v", d, err)
-		}
+	for i, m := range runSTAMP(t, "ssca2", 4, 0.3, fence.AllDesigns...) {
+		d := fence.AllDesigns[i]
 		if m.Commits == 0 {
 			t.Fatalf("%v: nothing committed", d)
 		}

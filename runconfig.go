@@ -2,25 +2,22 @@ package asymfence
 
 import (
 	"io"
+
+	"asymfence/internal/experiments"
 )
 
-// RunConfig is the execution-environment configuration shared by every
-// entry point of the harness: Options (experiments), BatchOptions
-// (RunBatch), FuzzOptions (RunFuzz) and TraceOptions (TraceWorkload)
-// all embed it, so the worker pool, progress narration, job accounting,
-// metrics collection and the persistent measurement store are spelled
-// the same way everywhere — and every entry point gains persistence by
-// setting one field.
+// RunConfig is the execution environment of the entry points that run
+// simulation jobs: Options (experiments) embeds it and RunBatch takes
+// it, so the worker pool, progress narration, job accounting, metrics
+// collection and the persistent measurement store are spelled the same
+// way for both, and both reach the simulator through the one job path.
+// Entry points that run one instrumented or unmemoized simulation at a
+// time (TraceWorkload, RunFuzz, RunConform) declare only the fields
+// they read in their own options.
 //
 // Every field uses "unset means default" semantics: the zero value is a
 // valid configuration (default pool, no narration, no accounting, no
 // metrics, no persistence).
-//
-// Entry points that memoize simulations (experiments, RunBatch) honor
-// every field. TraceWorkload runs exactly one instrumented simulation,
-// so it uses Metrics only; RunFuzz explores seeded campaigns whose runs
-// are never memoized, so it uses Progress (one line per seed) and
-// Metrics only.
 type RunConfig struct {
 	// Jobs bounds the simulation worker pool (<=0: GOMAXPROCS;
 	// 1: fully sequential execution). Tables are byte-identical at any
@@ -43,6 +40,21 @@ type RunConfig struct {
 	// written to disk before its job completes. Warm configurations
 	// load in milliseconds instead of re-simulating, in any process.
 	Store *MeasurementStore
+}
+
+// engine builds the experiment engine c describes.
+func (c RunConfig) engine() *experiments.Engine {
+	return experiments.NewEngine(experiments.EngineOptions{
+		Workers: c.Jobs, Progress: c.Progress, Metrics: c.Metrics, Store: c.Store,
+	})
+}
+
+// report fills c.Stats, when set, with eng's job accounting.
+func (c RunConfig) report(eng *experiments.Engine) {
+	if c.Stats != nil {
+		es := eng.Stats()
+		*c.Stats = RunStats{Jobs: es.Jobs, CacheHits: es.Hits, StoreHits: es.StoreHits, Simulated: es.Simulated}
+	}
 }
 
 // RunStats summarizes the engine's job accounting for one run.

@@ -89,9 +89,7 @@ func TestRunBatchStoreSpansOpens(t *testing.T) {
 		if err != nil {
 			t.Fatalf("OpenStore: %v", err)
 		}
-		ms, err := asymfence.RunBatch(context.Background(), jobs, asymfence.BatchOptions{
-			RunConfig: asymfence.RunConfig{Store: st, Stats: stats},
-		})
+		ms, err := asymfence.RunBatch(context.Background(), jobs, asymfence.RunConfig{Store: st, Stats: stats})
 		if err != nil {
 			t.Fatalf("RunBatch: %v", err)
 		}

@@ -3,7 +3,6 @@ package asymfence
 import (
 	"context"
 	"fmt"
-	"io"
 	"strings"
 
 	"asymfence/internal/experiments"
@@ -25,63 +24,20 @@ type EventMask = trace.Mask
 // "all") into an EventMask.
 func ParseEventMask(s string) (EventMask, bool) { return trace.ParseMask(s) }
 
-// TraceOptions configures TraceWorkload; the zero value traces every
-// event class with quick-run workload sizing. See experiments.TraceOptions.
-// TraceWorkload runs exactly one instrumented simulation, so of the
-// embedded RunConfig only Metrics applies.
-type TraceOptions struct {
-	RunConfig
+// TraceOptions configures TraceWorkload: machine size, run length,
+// which events to keep and how often to sample. The zero value traces
+// every event class on 8 cores with quick-run sizing (Scale 0.25,
+// Horizon 60k cycles, a sample every 1000 cycles; a negative
+// SampleInterval disables sampling). Metrics, when non-nil, receives
+// the run's machine counters.
+type TraceOptions = experiments.TraceOptions
 
-	// Cores (default 8).
-	Cores int
-	// Scale sizes execution-time workloads (default 0.25).
-	Scale float64
-	// Horizon is the throughput-group run length (default 60k cycles).
-	Horizon int64
-	// Mask selects event classes (zero = all).
-	Mask EventMask
-	// MaxEvents bounds the event buffer ring-style (zero = unbounded).
-	MaxEvents int
-	// SampleInterval is the interval-metrics period in cycles
-	// (default 1000; negative disables sampling).
-	SampleInterval int64
-}
-
-// TraceResult is a traced workload execution. Its exporters write the
-// deterministic JSONL and Chrome trace_event formats documented in
-// OBSERVABILITY.md.
-type TraceResult struct {
-	// Group, App and Design identify the run.
-	Group, App string
-	Design     Design
-	// Cycles is the run length.
-	Cycles int64
-	// Events is the recorded stream, in emission order.
-	Events []TraceEvent
-	// Samples is the per-core interval series.
-	Samples []IntervalSample
-	// Dropped counts ring-overwritten events (0 when unbounded).
-	Dropped uint64
-}
-
-// WriteJSONL writes the trace as JSON Lines (one meta header, then one
-// object per event and per interval row).
-func (t *TraceResult) WriteJSONL(w io.Writer) error {
-	return trace.WriteJSONL(w, t.Events, t.Samples, t.Dropped)
-}
-
-// WriteChrome writes the trace in the Chrome trace_event JSON format,
-// loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
-func (t *TraceResult) WriteChrome(w io.Writer) error {
-	return trace.WriteChrome(w, t.Events, t.Samples)
-}
-
-// WorkloadGroups lists the workload groups TraceWorkload accepts.
-var WorkloadGroups = experiments.Groups
-
-// WorkloadApps returns the application names of one workload group
-// ("cilk", "ustm" or "stamp"), nil for an unknown group.
-func WorkloadApps(group string) []string { return experiments.Apps(group) }
+// TraceResult is a traced workload execution: the run's measurement
+// (Meas), the recorded event stream in emission order, the per-core
+// interval series and the count of ring-overwritten events. Its
+// exporters write the deterministic JSONL and Chrome trace_event
+// formats documented in OBSERVABILITY.md.
+type TraceResult = experiments.TraceRun
 
 // ParseDesign parses a fence-design name ("S+", "WS+", "SW+", "W+",
 // "Wee", "C-Fence"; case-insensitive, "splus"-style aliases accepted).
@@ -111,26 +67,11 @@ func ParseDesign(s string) (Design, error) {
 // TraceWorkload executes one (group, app) workload under the given
 // design with cycle-level event tracing and interval sampling enabled,
 // e.g. TraceWorkload(ctx, "cilk", "fib", asymfence.WSPlus,
-// TraceOptions{}). Cancel ctx to abort the run; the error then wraps
+// TraceOptions{}). It runs the same job RunBatch would for that
+// SimJob, with a tracer attached, so its Meas equals the batch
+// measurement; it bypasses the cache and the store because the events
+// are the point. Cancel ctx to abort the run; the error then wraps
 // context.Canceled.
 func TraceWorkload(ctx context.Context, group, app string, d Design, opts TraceOptions) (*TraceResult, error) {
-	run, err := experiments.RunTraced(ctx, group, app, d, experiments.TraceOptions{
-		NCores:         opts.Cores,
-		Scale:          experiments.Scale(opts.Scale),
-		Horizon:        opts.Horizon,
-		Mask:           opts.Mask,
-		MaxEvents:      opts.MaxEvents,
-		SampleInterval: opts.SampleInterval,
-		Metrics:        opts.Metrics,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &TraceResult{
-		Group: group, App: app, Design: d,
-		Cycles:  run.Meas.Cycles,
-		Events:  run.Events,
-		Samples: run.Samples,
-		Dropped: run.Dropped,
-	}, nil
+	return experiments.RunTraced(ctx, group, app, d, opts)
 }

@@ -1,66 +1,16 @@
 package asymfence
 
-import (
-	"fmt"
-
-	"asymfence/internal/experiments"
-	"asymfence/internal/workloads/cilk"
-	"asymfence/internal/workloads/stamp"
-	"asymfence/internal/workloads/stm"
-)
+import "asymfence/internal/experiments"
 
 // WorkloadMeasurement is one (application, design) run reduced to the
 // quantities the paper plots; see the experiments package for details.
 type WorkloadMeasurement = experiments.Measurement
 
-// CilkApps lists the work-stealing applications (paper Table 3).
-func CilkApps() []string {
-	return names(len(cilk.Apps), func(i int) string { return cilk.Apps[i].Name })
-}
+// WorkloadGroups lists the workload groups a SimJob may name: "cilk"
+// (the work-stealing CilkApps), "ustm" (the RSTM microbenchmarks) and
+// "stamp" (the STAMP applications), paper Table 3.
+var WorkloadGroups = experiments.Groups
 
-// USTMBenchmarks lists the RSTM microbenchmarks (paper Table 3).
-func USTMBenchmarks() []string {
-	return names(len(stm.USTM), func(i int) string { return stm.USTM[i].Name })
-}
-
-// STAMPApps lists the STAMP applications (paper Table 3).
-func STAMPApps() []string {
-	return names(len(stamp.Apps), func(i int) string { return stamp.Apps[i].Name })
-}
-
-func names(n int, f func(int) string) []string {
-	out := make([]string, n)
-	for i := range out {
-		out[i] = f(i)
-	}
-	return out
-}
-
-// RunCilkApp runs one CilkApps application to completion under the given
-// design (scale 1.0 = full size).
-func RunCilkApp(name string, d Design, cores int, scale float64) (*WorkloadMeasurement, error) {
-	p, ok := cilk.AppByName(name)
-	if !ok {
-		return nil, fmt.Errorf("asymfence: unknown CilkApps application %q", name)
-	}
-	return experiments.RunCilk(p, d, cores, experiments.Scale(scale))
-}
-
-// RunUSTMBenchmark runs one ustm microbenchmark for horizon cycles and
-// reports transactional throughput.
-func RunUSTMBenchmark(name string, d Design, cores int, horizon int64) (*WorkloadMeasurement, error) {
-	p, ok := stm.USTMByName(name)
-	if !ok {
-		return nil, fmt.Errorf("asymfence: unknown ustm benchmark %q", name)
-	}
-	return experiments.RunUSTM(p, d, cores, horizon)
-}
-
-// RunSTAMPApp runs one STAMP application to completion.
-func RunSTAMPApp(name string, d Design, cores int, scale float64) (*WorkloadMeasurement, error) {
-	p, ok := stamp.ByName(name)
-	if !ok {
-		return nil, fmt.Errorf("asymfence: unknown STAMP application %q", name)
-	}
-	return experiments.RunSTAMP(p, d, cores, experiments.Scale(scale))
-}
+// WorkloadApps returns the application names of one workload group in
+// the figures' row order, nil for an unknown group.
+func WorkloadApps(group string) []string { return experiments.Apps(group) }
