@@ -22,8 +22,7 @@ import (
 // conformFile is the asymsim conform JSON report layout (schema
 // asymfence-conform/v1). Everything in it is deterministic for a fixed
 // flag set on a fixed host/build — no timestamps, no hardware-coverage
-// data — so a re-run diffs clean (the conformance analogue of the
-// fuzzer's byte-reproducible reproducers).
+// data — so a re-run diffs clean.
 type conformFile struct {
 	Schema  string                   `json:"schema"`
 	Command string                   `json:"command"`

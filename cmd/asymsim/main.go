@@ -9,7 +9,6 @@
 //	asymsim [flags] run <group>:<app>      one workload under every design
 //	asymsim trace <group>:<app> [flags]    traced run (Perfetto/JSONL export)
 //	asymsim serve [flags] <experiment>     run with a live observability server
-//	asymsim fuzz [flags]                   litmus-fuzz under invariant checkers
 //	asymsim conform [flags]                cross-domain litmus conformance sweep
 //
 // where <experiment> is one of fig8, fig9, fig10, fig11, fig12, table4,
@@ -39,14 +38,16 @@
 //	asymsim trace cilk:fib -trace-out /tmp/t.json
 //	asymsim trace ustm:List -design Wee -format jsonl -interval 500
 //
-// The conform subcommand cross-checks all three execution domains on
-// generated litmus programs: the reference TSO machine enumerates each
-// program's allowed final states, then the cycle simulator (every
-// design, fault-injected schedules) and real goroutines
-// (asymfence/runtime fences, every available mode) must stay inside
-// their closures. Violations are minimized and the campaign exits 1.
-// -report writes a byte-reproducible asymfence-conform/v1 JSON file;
-// -quick is the CI shape (see ROBUSTNESS.md §8).
+// The conform subcommand is the one litmus campaign. It cross-checks
+// all three execution domains on generated litmus programs: the
+// reference TSO machine enumerates each program's allowed final states,
+// then the cycle simulator (every design, fault-injected schedules,
+// invariant oracle on) and real goroutines (asymfence/runtime fences,
+// every available mode) must stay inside their closures. A seed too
+// large to enumerate still runs its simulator sweep under the oracle.
+// Violations are minimized and the campaign exits 1. -report writes a
+// byte-reproducible asymfence-conform/v1 JSON file; -quick is the CI
+// shape (see ROBUSTNESS.md §8).
 //
 // Every subcommand accepts -metrics out.json: the run's machine and
 // harness counters are collected into a metrics registry and written as
@@ -94,8 +95,6 @@ func main() {
 		switch os.Args[1] {
 		case "trace":
 			os.Exit(traceCmd(ctx, os.Args[2:]))
-		case "fuzz":
-			os.Exit(fuzzCmd(ctx, os.Args[2:]))
 		case "conform":
 			os.Exit(conformCmd(ctx, os.Args[2:]))
 		case "serve":
@@ -105,7 +104,6 @@ func main() {
 	c := newExperimentCmd("asymsim", "usage: asymsim [flags] <experiment>\n"+
 		"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
 		"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
-		"       asymsim fuzz [flags]                  (asymsim fuzz -h for flags)\n"+
 		"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
 		"       asymsim conform [flags]               (asymsim conform -h for flags)\n")
 	if code, done := c.parse(os.Args[1:]); done {

@@ -24,17 +24,22 @@ import (
 // against that ground truth:
 //
 //   - every cycle-simulator final state (swept across designs and
-//     fault-injected schedules) must lie inside the *relaxed* closure —
-//     the weakest reading any design is allowed to exhibit (weak fences
-//     may be silently skipped, paper §3.3.1);
+//     fault-injected schedules, always under the invariant oracle) must
+//     lie inside its design's closure: the *strong* one for S+, which
+//     runs every fence strong, and the *relaxed* one for the asymmetric
+//     designs — the weakest reading they are allowed to exhibit (weak
+//     fences may be silently skipped, paper §3.3.1);
 //   - every real-goroutine final state (runtime/litmusrun, swept across
 //     fence modes) must lie inside the *strong* closure — Go's
 //     sync/atomic is sequentially consistent and SC refines TSO with
 //     every fence draining.
 //
-// An outcome outside its closure is a conformance violation: either a
-// fence design, the runtime's fence pairing, or the oracle itself is
-// wrong. Violations are minimized by nop-substitution before reporting.
+// A seed too large to enumerate is not thrown away: its simulator sweep
+// still runs under the oracle, and only the closure checks and the
+// hardware sweep are left out. An outcome outside its closure, or an
+// oracle violation, is a conformance violation: either a fence design,
+// the runtime's fence pairing, or the oracle itself is wrong.
+// Violations are minimized by nop-substitution before reporting.
 
 // ConformOptions configures RunConform. Zero fields take defaults; the
 // zero value is a usable quick configuration.
@@ -47,8 +52,8 @@ type ConformOptions struct {
 
 	// Seeds is how many generator seeds to check (default 25).
 	Seeds int
-	// StartSeed is the first seed (default 1); shards compose like the
-	// fuzzer's.
+	// StartSeed is the first seed (default 1); the campaign covers
+	// StartSeed..StartSeed+Seeds-1, so shards compose.
 	StartSeed uint64
 	// Cores fixes the thread count; 0 alternates 2 (most seeds) and 4
 	// (every fourth seed).
@@ -65,8 +70,9 @@ type ConformOptions struct {
 	// fence mode (default 128).
 	Iterations int
 	// MaxStates caps the TSO enumeration per seed; seeds whose state
-	// space exceeds it are counted in SeedsSkipped rather than risking
-	// a false violation (default tso.DefaultMaxStates).
+	// space exceeds it are counted in SeedsSkipped and checked under the
+	// invariant oracle only, never against an incomplete closure
+	// (default tso.DefaultMaxStates).
 	MaxStates int
 	// Designs selects the simulated designs (default fence.AllDesigns).
 	Designs []fence.Design
@@ -122,7 +128,11 @@ type ConformSeedResult struct {
 	// SimOutcomes maps design name to the number of distinct final
 	// states the schedule sweep observed.
 	SimOutcomes map[string]int `json:"sim_outcomes,omitempty"`
-	// Skipped marks a seed whose enumeration exceeded MaxStates.
+	// Skipped marks a seed whose enumeration exceeded MaxStates: its
+	// simulator sweep ran under the invariant oracle only, with no
+	// closure check and no hardware sweep. When the strong closure
+	// overflowed, the relaxed one was not enumerated (Relaxed and
+	// States are 0).
 	Skipped bool `json:"skipped,omitempty"`
 }
 
@@ -130,7 +140,8 @@ type ConformSeedResult struct {
 type ConformReport struct {
 	// Seeds is the number of seeds exercised.
 	Seeds int `json:"seeds"`
-	// SeedsSkipped counts seeds whose enumeration exceeded MaxStates.
+	// SeedsSkipped counts seeds whose enumeration exceeded MaxStates
+	// and were checked under the invariant oracle only.
 	SeedsSkipped int `json:"seeds_skipped"`
 	// SimRuns is the number of simulator executions (seeds × designs ×
 	// schedules), excluding minimization reruns.
@@ -221,23 +232,30 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 		if err != nil {
 			return rep, fmt.Errorf("conform: seed %d: %w", seed, err)
 		}
-		relaxed, err := tso.Enumerate(g.Programs, g.Shared, tso.Config{Semantics: tso.Relaxed, MaxStates: opts.MaxStates})
-		if err != nil {
-			return rep, fmt.Errorf("conform: seed %d: %w", seed, err)
+		// A seed whose strong closure overflows is skipped whatever the
+		// relaxed one does, so the relaxed enumeration is not attempted.
+		var relaxed tso.Result
+		if strong.Complete {
+			relaxed, err = tso.Enumerate(g.Programs, g.Shared, tso.Config{Semantics: tso.Relaxed, MaxStates: opts.MaxStates})
+			if err != nil {
+				return rep, fmt.Errorf("conform: seed %d: %w", seed, err)
+			}
 		}
 		sr.Strong, sr.Relaxed, sr.States = len(strong.Outcomes), len(relaxed.Outcomes), relaxed.States
 		if !strong.Complete || !relaxed.Complete {
 			sr.Skipped = true
 			rep.SeedsSkipped++
-			rep.PerSeed = append(rep.PerSeed, sr)
-			rep.Seeds = s + 1
-			continue
 		}
 
-		// Simulator sweep: designs × fault-seeded schedules, checked
-		// against the relaxed closure.
+		// Simulator sweep: designs × fault-seeded schedules under the
+		// invariant oracle, each outcome checked against the design's
+		// closure when the seed has one.
 		sr.SimOutcomes = make(map[string]int)
 		for _, d := range designs {
+			closure := relaxed
+			if simSemantics(d) == tso.Strong {
+				closure = strong
+			}
 			distinct := litmus.NewOutcomeSet()
 			for v := 0; v < opts.Schedules; v++ {
 				rep.SimRuns++
@@ -257,16 +275,25 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 				}
 				k := o.Key()
 				distinct.AddKey(k)
-				if !relaxed.Outcomes.Has(k) {
-					rep.Violation = minimizeConform(ctx, seed, fmt.Sprintf("sim/%s/s%d", d, v), k, len(relaxed.Outcomes), g,
+				if !sr.Skipped && !closure.Outcomes.Has(k) {
+					rep.Violation = minimizeConform(ctx, seed, fmt.Sprintf("sim/%s/s%d", d, v), k, len(closure.Outcomes), g,
 						func(c context.Context, cand []*isa.Program) bool {
-							return simEscapesRelaxed(c, seed, v, d, g, cand, opts)
+							return simEscapes(c, seed, v, d, g, cand, opts)
 						})
 					rep.Seeds = s + 1
 					return rep, nil
 				}
 			}
 			sr.SimOutcomes[d.String()] = len(distinct)
+		}
+		if sr.Skipped {
+			rep.PerSeed = append(rep.PerSeed, sr)
+			rep.Seeds = s + 1
+			if opts.Progress != nil {
+				fmt.Fprintf(opts.Progress, "conform: seed %d ok under the oracle only (%d cores, closure over the %d-state cap, %d sim runs)\n",
+					seed, g.NCores, opts.MaxStates, len(designs)*opts.Schedules)
+			}
+			continue
 		}
 
 		// Hardware sweep: real goroutines per fence mode, checked
@@ -370,22 +397,33 @@ func conformSimRun(ctx context.Context, seed uint64, variant int, d fence.Design
 	return o, nil, nil
 }
 
-// simEscapesRelaxed reports whether the candidate programs, run under
-// the same (seed, variant, design) schedule, produce an outcome outside
-// their own relaxed closure — the keep predicate for minimizing a sim
+// simSemantics is the closure a design's simulated outcomes are held
+// to: S+ runs every fence strong, so it promises the strong closure;
+// the asymmetric designs may legally skip unpaired weak fences (paper
+// §3.3.1), so they are held to the relaxed one.
+func simSemantics(d fence.Design) tso.Semantics {
+	if d == fence.SPlus {
+		return tso.Strong
+	}
+	return tso.Relaxed
+}
+
+// simEscapes reports whether the candidate programs, run under the same
+// (seed, variant, design) schedule, produce an outcome outside their
+// own closure for that design — the keep predicate for minimizing a sim
 // conformance violation. Incomplete enumerations reject the candidate.
-func simEscapesRelaxed(ctx context.Context, seed uint64, variant int, d fence.Design,
+func simEscapes(ctx context.Context, seed uint64, variant int, d fence.Design,
 	g litmus.GenResult, cand []*isa.Program, opts ConformOptions) bool {
 
-	relaxed, err := tso.Enumerate(cand, g.Shared, tso.Config{Semantics: tso.Relaxed, MaxStates: opts.MaxStates})
-	if err != nil || !relaxed.Complete {
+	closure, err := tso.Enumerate(cand, g.Shared, tso.Config{Semantics: simSemantics(d), MaxStates: opts.MaxStates})
+	if err != nil || !closure.Complete {
 		return false
 	}
 	o, cv, err := conformSimRun(ctx, seed, variant, d, g, cand, opts)
 	if err != nil || cv != nil {
 		return false
 	}
-	return !relaxed.Outcomes.Has(o.Key())
+	return !closure.Outcomes.Has(o.Key())
 }
 
 // hwEscapesStrong reports whether the candidate programs still produce

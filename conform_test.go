@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"asymfence/internal/cpu"
+	"asymfence/internal/fence"
 	asymruntime "asymfence/runtime"
 )
 
@@ -87,7 +88,7 @@ func TestConformReportReproducible(t *testing.T) {
 
 // TestConformCatchesBrokenFence: with the simulator's strong fence
 // deliberately broken, the sweep must either trip the invariant oracle
-// or observe an outcome outside the relaxed closure — and report a
+// or observe an outcome outside its design's closure — and report a
 // minimized violation rather than passing.
 func TestConformCatchesBrokenFence(t *testing.T) {
 	cpu.DebugBrokenFence = true
@@ -113,6 +114,62 @@ func TestConformCatchesBrokenFence(t *testing.T) {
 	if rep.Violation.Error() == "" {
 		t.Fatal("violation has no message")
 	}
+}
+
+// TestConformOracleOnlySeeds: seeds too large to enumerate are skipped
+// for the closure checks but still swept through the simulator under
+// the invariant oracle, which must catch a broken strong fence there
+// and minimize the programs it fired on. MaxStates is lowered only so
+// the test does not spend seconds enumerating each 8-core seed to the
+// default cap.
+func TestConformOracleOnlySeeds(t *testing.T) {
+	opts := ConformOptions{Cores: 8, OpsPerCore: 24, Seeds: 2, Schedules: 1, Iterations: 1, MaxStates: 1000}
+	rep, err := RunConform(context.Background(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation != nil {
+		t.Fatalf("oracle-only seeds violated on a clean build: %v", rep.Violation.Error())
+	}
+	if rep.SeedsSkipped != 2 || rep.SimRuns != 10 || rep.HWIterations != 0 {
+		t.Fatalf("SeedsSkipped=%d SimRuns=%d HWIterations=%d, want 2 skipped seeds swept by 10 sim runs and no hardware run",
+			rep.SeedsSkipped, rep.SimRuns, rep.HWIterations)
+	}
+
+	t.Run("BrokenFence", func(t *testing.T) {
+		cpu.DebugBrokenFence = true
+		defer func() { cpu.DebugBrokenFence = false }()
+		opts.Seeds = 50
+		opts.Designs = []fence.Design{fence.SPlus}
+		rep, err := RunConform(context.Background(), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v := rep.Violation
+		if v == nil {
+			t.Fatal("broken strong fence survived 50 oracle-only seeds")
+		}
+		if v.Domain != "sim-oracle/S+/s0" {
+			t.Fatalf("violation in domain %q, want sim-oracle/S+/s0: %v", v.Domain, v.Error())
+		}
+		// The fence checker catches the skipped drain at retire time;
+		// with it disabled the TSO checker would catch the reordered
+		// load later. Either way the flight-recorder tail comes along.
+		if !strings.HasPrefix(v.Detail, "check: fence violation") && !strings.HasPrefix(v.Detail, "check: tso violation") {
+			t.Fatalf("violation not attributed to the fence or tso checker: %s", v.Detail)
+		}
+		if !strings.Contains(v.Detail, "flight-recorder events before failure:") {
+			t.Errorf("violation carries no flight-recorder tail:\n%s", v.Detail)
+		}
+		// The minimized programs must keep the essential shape — a
+		// store, a strong fence and the halts — with nops elsewhere.
+		all := strings.Join(v.Programs, "\n")
+		for _, want := range []string{"st r", "sfence", "halt"} {
+			if !strings.Contains(all, want) {
+				t.Errorf("minimized programs lost %q:\n%s", want, all)
+			}
+		}
+	})
 }
 
 func TestConformMetricsScope(t *testing.T) {

@@ -7,27 +7,10 @@ import (
 	"asymfence/internal/trace"
 )
 
-// Repro is a self-contained reproducer for a violation found by the fuzz
-// harness: everything needed to replay the failing run deterministically.
-// The fuzz driver fills it in after minimizing the generated programs;
-// violations raised outside the harness carry a nil Repro.
-type Repro struct {
-	// Seed is the generator/fault seed of the failing run.
-	Seed uint64
-	// Design is the fence design (paper name) the run used.
-	Design string
-	// NCores is the machine's core count.
-	NCores int
-	// Programs holds the (minimized) per-core program disassemblies.
-	Programs []string
-	// Events is the tail of the trace ring around the failing cycle.
-	Events []trace.Event
-}
-
 // ViolationError is the typed error every checker raises: which invariant
-// failed, where, and — when the fuzz harness raised it — a minimized
-// reproducer. The oracle latches the first violation of a run; Machine.Run
-// returns it in place of the normal result error.
+// failed, where, and the flight-recorder events leading up to it. The
+// oracle latches the first violation of a run; Machine.Run returns it in
+// place of the normal result error.
 type ViolationError struct {
 	// Checker names the failing checker: "tso", "coherence" or "fence".
 	Checker string
@@ -41,8 +24,6 @@ type ViolationError struct {
 	Line uint64
 	// Detail is the human-readable statement of the broken invariant.
 	Detail string
-	// Repro is the minimized reproducer (nil outside the fuzz harness).
-	Repro *Repro
 	// Tail is the machine's flight-recorder tail at detection time,
 	// oldest-first. The simulator fills it in even when tracing is off
 	// (the recorder is always on), so every violation report ends with
@@ -50,7 +31,7 @@ type ViolationError struct {
 	Tail []trace.Event
 }
 
-// Error renders the violation and, when present, the full reproducer.
+// Error renders the violation followed by the flight-recorder tail.
 func (e *ViolationError) Error() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "check: %s violation at cycle %d", e.Checker, e.Cycle)
@@ -65,20 +46,6 @@ func (e *ViolationError) Error() string {
 	}
 	b.WriteString(": ")
 	b.WriteString(e.Detail)
-	if r := e.Repro; r != nil {
-		fmt.Fprintf(&b, "\nreproducer: seed=%d design=%s cores=%d", r.Seed, r.Design, r.NCores)
-		for _, p := range r.Programs {
-			b.WriteString("\n")
-			b.WriteString(strings.TrimRight(p, "\n"))
-		}
-		if len(r.Events) > 0 {
-			fmt.Fprintf(&b, "\nlast %d trace events:", len(r.Events))
-			for _, ev := range r.Events {
-				fmt.Fprintf(&b, "\n  @%d %-14s node=%d line=%#x a=%d b=%d c=%d",
-					ev.Cycle, ev.Kind, ev.Node, ev.Line, ev.A, ev.B, ev.C)
-			}
-		}
-	}
 	if tail := trace.FormatTail(e.Tail); tail != "" {
 		b.WriteString("\n")
 		b.WriteString(tail)

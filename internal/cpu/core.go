@@ -28,6 +28,17 @@ import (
 	"asymfence/internal/trace"
 )
 
+// The paper's Table 2 core parameters that no experiment varies.
+const (
+	fetchWidth   = 4         // instructions fetched per cycle
+	retireWidth  = 4         // instructions retired per cycle
+	l1Bytes      = 32 * 1024 // private L1 size
+	l1Assoc      = 4         // L1 associativity
+	l1HitLatency = 2         // L1 round trip, cycles
+	mshrs        = 8         // outstanding load misses
+	retryBackoff = 10        // cycles before re-issuing a nacked write
+)
+
 // Config holds one core's microarchitectural parameters. Zero values are
 // replaced by the paper's Table 2 defaults.
 type Config struct {
@@ -35,14 +46,8 @@ type Config struct {
 	NCores int
 	Design fence.Design
 
-	ROBSize      int   // reorder buffer entries (default 140)
-	WBSize       int   // write buffer entries (default 64)
-	FetchWidth   int   // instructions fetched per cycle (default 4)
-	RetireWidth  int   // instructions retired per cycle (default 4)
-	L1Bytes      int   // private L1 size (default 32 KB)
-	L1Assoc      int   // L1 associativity (default 4)
-	L1HitLatency int64 // L1 round trip (default 2)
-	MSHRs        int   // outstanding load misses (default 8)
+	ROBSize int // reorder buffer entries (default 140)
+	WBSize  int // write buffer entries (default 64)
 
 	BSCapacity int  // Bypass Set entries (default 32)
 	BSBloom    bool // Bloom-filter front end on the BS
@@ -50,8 +55,6 @@ type Config struct {
 	// WPlusTimeout is the deadlock-suspicion timeout of the W+ design:
 	// cycles of simultaneous bouncing/being-bounced before rollback.
 	WPlusTimeout int64
-	// RetryBackoff is the delay before re-issuing a nacked write.
-	RetryBackoff int64
 
 	// Privacy classifies addresses as private or shared for WeeFence's
 	// Private Access Filtering (see mem.Privacy). Nil means everything is
@@ -98,32 +101,11 @@ func (c *Config) applyDefaults() {
 	if c.WBSize == 0 {
 		c.WBSize = 64
 	}
-	if c.FetchWidth == 0 {
-		c.FetchWidth = 4
-	}
-	if c.RetireWidth == 0 {
-		c.RetireWidth = 4
-	}
-	if c.L1Bytes == 0 {
-		c.L1Bytes = 32 * 1024
-	}
-	if c.L1Assoc == 0 {
-		c.L1Assoc = 4
-	}
-	if c.L1HitLatency == 0 {
-		c.L1HitLatency = 2
-	}
-	if c.MSHRs == 0 {
-		c.MSHRs = 8
-	}
 	if c.BSCapacity == 0 {
 		c.BSCapacity = fence.DefaultBSCapacity
 	}
 	if c.WPlusTimeout == 0 {
 		c.WPlusTimeout = DefaultWPlusTimeout
-	}
-	if c.RetryBackoff == 0 {
-		c.RetryBackoff = 10
 	}
 }
 
@@ -376,7 +358,7 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		tr:         cfg.Tracer,
 		chk:        cfg.Checker,
 		flt:        cfg.Faults,
-		l1:         cache.New(cfg.L1Bytes, cfg.L1Assoc),
+		l1:         cache.New(l1Bytes, l1Assoc),
 		bs:         fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
 		loadMisses: make(map[mem.Line]*loadMiss),
 		issueWake:  math.MaxInt64,

@@ -50,7 +50,7 @@ func (c *Core) issueLoads(now int64) {
 		if _, hit := c.l1.Lookup(line); hit {
 			e.issued = true
 			c.acted = true
-			c.performLoad(now+c.cfg.L1HitLatency, e)
+			c.performLoad(now+l1HitLatency, e)
 			continue
 		}
 		// Miss: merge into an outstanding request for the line or send a
@@ -61,7 +61,7 @@ func (c *Core) issueLoads(now int64) {
 			lm.waiters = append(lm.waiters, e)
 			continue
 		}
-		if outstanding >= c.cfg.MSHRs {
+		if outstanding >= mshrs {
 			continue
 		}
 		outstanding++

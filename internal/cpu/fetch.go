@@ -5,14 +5,14 @@ import (
 	"asymfence/internal/mem"
 )
 
-// fetch brings up to FetchWidth instructions into the ROB. Branches are
+// fetch brings up to fetchWidth instructions into the ROB. Branches are
 // evaluated functionally at fetch (perfect prediction); when a branch
 // operand depends on an unperformed load, fetch stalls until it resolves.
 func (c *Core) fetch(now int64) {
 	if c.fetchEnd || c.draining {
 		return
 	}
-	for n := 0; n < c.cfg.FetchWidth; n++ {
+	for n := 0; n < fetchWidth; n++ {
 		if c.robSlots >= c.cfg.ROBSize {
 			return
 		}

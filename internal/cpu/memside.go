@@ -132,7 +132,7 @@ func (c *Core) handleStoreGrant(now int64, m coherence.Msg) {
 		c.st.BounceRetries++
 		c.tr.Emit(now, trace.KWBBounce, int32(c.cfg.ID), uint64(m.Line), int64(h.seq), 0, 0)
 		c.wbInFlight = false
-		c.wbRetryAt = now + c.cfg.RetryBackoff
+		c.wbRetryAt = now + retryBackoff
 		c.wbStalled = false
 	}
 }
@@ -151,7 +151,7 @@ func (c *Core) handleAtomGrant(now int64, m coherence.Msg) {
 		c.atomEntry = nil
 	case coherence.NackRetry:
 		c.atomInFlight = false
-		c.atomRetryAt = now + c.cfg.RetryBackoff
+		c.atomRetryAt = now + retryBackoff
 	}
 }
 

@@ -33,12 +33,12 @@ const (
 	rEmpty             // ROB empty (fetch stalled or program drained)
 )
 
-// retire retires up to RetireWidth instructions in order and returns the
+// retire retires up to retireWidth instructions in order and returns the
 // count, the reason the first non-retired instruction was blocked, and
 // that instruction's program counter (for the fence-site profile).
 func (c *Core) retire(now int64) (int, blockReason, int) {
 	retired := 0
-	for retired < c.cfg.RetireWidth {
+	for retired < retireWidth {
 		if len(c.rob) == 0 {
 			if retired > 0 {
 				return retired, rNone, -1
@@ -228,7 +228,7 @@ func (c *Core) retireAtomic(now int64, e *robEntry) (bool, blockReason) {
 	// Fast path: the line is already exclusively ours.
 	if st, ok := c.l1.Peek(line); ok && (st == cache.Modified || st == cache.Exclusive) {
 		c.l1.SetState(line, cache.Modified)
-		c.performAtomic(now+c.cfg.L1HitLatency, e)
+		c.performAtomic(now+l1HitLatency, e)
 		return false, rMem // retires once the RMW latency elapses
 	}
 	c.atomReqID = c.nextReqID()

@@ -90,6 +90,43 @@ func TestCheckersCleanOnLitmusSuite(t *testing.T) {
 	}
 }
 
+// TestCheckersCleanOnGeneratedLitmus runs seeds 1-100 of the random
+// racy litmus generator's default shape (2, 4 or 8 cores, up to 24 ops
+// per thread over 4 shared lines, so multi-bank Wee/GRT traffic is
+// covered) under every design, with every checker on and the seed's
+// timing faults injected. The shared region starts from the litmus
+// initial image and is marked shared for Private Access Filtering.
+// Nearly all of these programs are too large for the TSO enumerator's
+// state cap, so the oracle is their only check.
+func TestCheckersCleanOnGeneratedLitmus(t *testing.T) {
+	for _, d := range fence.AllDesigns {
+		t.Run(d.String(), func(t *testing.T) {
+			for seed := uint64(1); seed <= 100; seed++ {
+				g := litmus.Generate(mem.NewAllocator(dataBase), litmus.GenConfig{Seed: seed})
+				store := mem.NewStore()
+				for i := 0; i < int(g.Shared.Size/mem.WordSize); i++ {
+					store.StoreWord(g.Shared.Base+mem.Addr(i)*mem.WordSize, litmus.InitWord(i))
+				}
+				pv := mem.NewPrivacy()
+				pv.MarkRegion(g.Shared)
+				m, err := sim.New(sim.Config{
+					NCores:  g.NCores,
+					Design:  d,
+					Privacy: pv,
+					Checker: check.New(check.All()),
+					Faults:  faults.New(seed, faults.Default()),
+				}, g.Programs, store)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if _, err := m.Run(); err != nil {
+					t.Fatalf("seed %d (%d cores): %v", seed, g.NCores, err)
+				}
+			}
+		})
+	}
+}
+
 // TestCheckersCleanWithFaults reruns the Bakery lock under every design
 // with both the oracle and the deterministic fault injector enabled:
 // timing perturbation must never manufacture an invariant violation.
@@ -114,7 +151,8 @@ func TestCheckersCleanWithFaults(t *testing.T) {
 
 // TestBrokenFenceCaught proves the oracle has teeth: a test-only broken
 // strong fence that skips its write-buffer drain condition must trip the
-// TSO checker with a typed, reproducer-carrying violation.
+// TSO checker with a typed violation that carries the flight-recorder
+// tail.
 func TestBrokenFenceCaught(t *testing.T) {
 	cpu.DebugBrokenFence = true
 	defer func() { cpu.DebugBrokenFence = false }()

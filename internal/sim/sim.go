@@ -25,6 +25,9 @@ import (
 	"asymfence/internal/trace"
 )
 
+// l2BytesPerBank is the shared-L2 bank capacity (Table 2).
+const l2BytesPerBank = 128 * 1024
+
 // Config describes a whole machine (Table 2 defaults apply to zero
 // fields).
 type Config struct {
@@ -33,9 +36,6 @@ type Config struct {
 
 	// Core is the per-core template; ID/NCores/Design are filled in.
 	Core cpu.Config
-
-	// L2BytesPerBank is the shared-L2 bank capacity (default 128 KB).
-	L2BytesPerBank int
 
 	// MaxCycles bounds Run (default 10M).
 	MaxCycles int64
@@ -94,9 +94,6 @@ type Config struct {
 func (c *Config) applyDefaults() {
 	if c.NCores == 0 {
 		c.NCores = 8
-	}
-	if c.L2BytesPerBank == 0 {
-		c.L2BytesPerBank = 128 * 1024
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 10_000_000
@@ -161,7 +158,7 @@ func New(cfg Config, programs []*isa.Program, store *mem.Store) (*Machine, error
 		sampler: trace.NewSampler(cfg.SampleInterval, cfg.NCores),
 		chk:     cfg.Checker, mx: newSimMetrics(cfg.Metrics)}
 	for i := 0; i < cfg.NCores; i++ {
-		d := coherence.NewDirectory(i, cfg.NCores, mesh, cfg.L2BytesPerBank, grt)
+		d := coherence.NewDirectory(i, cfg.NCores, mesh, l2BytesPerBank, grt)
 		d.SetTracer(tr)
 		if cfg.Checker != nil {
 			d.SetChecker(cfg.Checker)
@@ -332,7 +329,7 @@ func (m *Machine) result(finished bool) *Result {
 }
 
 // withTail attaches the flight-recorder tail to a violation error that
-// does not carry one yet (the fuzz harness may have filled it already).
+// does not carry one yet.
 func (m *Machine) withTail(err error) error {
 	var v *check.ViolationError
 	if errors.As(err, &v) && v.Tail == nil {

@@ -20,18 +20,18 @@ type Narrator struct {
 }
 
 // NewNarrator builds a narrator writing to w. A nil writer yields a nil
-// (silent) narrator. The writer is wrapped in a LineWriter, so narrator
-// lines and any other writers sharing the same LineWriter cannot
-// interleave mid-line.
+// (silent) narrator.
 func NewNarrator(w io.Writer) *Narrator {
 	if w == nil {
 		return nil
 	}
-	return &Narrator{w: NewLineWriter(w), start: time.Now()}
+	return &Narrator{w: w, start: time.Now()}
 }
 
 // Say emits one progress line, prefixed with the wall-clock elapsed
-// since the narrator was created.
+// since the narrator was created. Each line reaches w in one Write under
+// the narrator's mutex, so goroutines sharing a narrator never
+// interleave mid-line.
 func (n *Narrator) Say(format string, args ...any) {
 	if n == nil {
 		return

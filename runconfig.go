@@ -12,7 +12,7 @@ import (
 // collection and the persistent measurement store are spelled the same
 // way for both, and both reach the simulator through the one job path.
 // Entry points that run one instrumented or unmemoized simulation at a
-// time (TraceWorkload, RunFuzz, RunConform) declare only the fields
+// time (TraceWorkload, RunConform) declare only the fields
 // they read in their own options.
 //
 // Every field uses "unset means default" semantics: the zero value is a
