@@ -32,9 +32,13 @@ test:
 
 # The benchmark harness is its own module (bench/go.mod), so the root
 # `go test ./...` never builds it; this target compiles, vets and
-# short-tests it against the current public API.
+# short-tests it against the current public API, then runs TestGolden,
+# which -short skips: it recomputes the pinned 64-core kernel-row
+# digests, the suite tables' hash and the seeds 1-600 conform report
+# (about a minute on 2 vCPUs).
 check-bench:
 	cd bench && $(GO) vet ./... && $(GO) test -short ./...
+	cd bench && $(GO) test -count=1 -run TestGolden ./...
 
 # Flakiness gate: the whole suite ten times over, shuffled, at three
 # GOMAXPROCS settings, under the race detector. Slow; CI runs it

@@ -14,6 +14,7 @@ package cpu
 
 import (
 	"math"
+	"sort"
 
 	"asymfence/internal/cache"
 	"asymfence/internal/check"
@@ -181,6 +182,10 @@ type robEntry struct {
 
 func (e *robEntry) line() mem.Line { return mem.LineOf(e.addr) }
 
+// isStore reports whether the entry writes memory (St or Xchg): the
+// entries sq holds.
+func (e *robEntry) isStore() bool { return e.in.Op == isa.St || e.in.Op == isa.Xchg }
+
 // activeFence is a retired-but-incomplete weak fence.
 type activeFence struct {
 	seq     uint64 // the fence instruction's sequence number
@@ -248,8 +253,21 @@ type Core struct {
 	regs     [isa.NumRegs]regVal
 	fetchEnd bool // Halt fetched; stop fetching
 
-	rob      []*robEntry // FIFO, index 0 = head
+	rob      []*robEntry // FIFO, index 0 = head; a window into robBuf
 	robSlots int         // occupied ROB entries (Work counts its size)
+
+	// The load and store queues beside the ROB, both in program order:
+	// lq holds exactly the loads not yet issued and sq exactly the St and
+	// Xchg entries still in the ROB. pushROB appends to them, retire pops
+	// sq's head, squashFrom truncates both at the squash point and
+	// recoverWPlus empties both, so load issue and store-to-load
+	// forwarding never walk the whole ROB.
+	lq []*robEntry
+	sq []*robEntry // a window into sqBuf
+
+	// robBuf and sqBuf back the rob and sq windows (see pushWindow).
+	robBuf, sqBuf []*robEntry
+
 	seq      uint64
 	undoLog  []undoRec
 	workFree int64 // execution-unit availability for Work instrs
@@ -438,6 +456,38 @@ func (c *Core) newEntry() *robEntry {
 	e := &c.entryArena[c.entryUsed]
 	c.entryUsed++
 	return e
+}
+
+// pushWindow appends e to w, a FIFO window into *buf whose head is
+// popped by reslicing. A window that has reached the end of its array
+// first moves to the start of *buf; if it would fill half of *buf or
+// more, *buf is first replaced by an array twice the window's length.
+// Moves cost O(1) per push amortized, *buf stops growing once it holds
+// twice the longest window (no window outgrows the ROB), and a push in
+// steady state never allocates.
+func pushWindow(w []*robEntry, buf *[]*robEntry, e *robEntry) []*robEntry {
+	if len(w) == cap(w) {
+		if 2*len(w) >= len(*buf) {
+			*buf = make([]*robEntry, max(2*len(w), 16))
+		}
+		w = append((*buf)[:0], w...)
+	}
+	return append(w, e)
+}
+
+// seqIndex returns the index of the first entry of q whose seq is at
+// least seq, or len(q). Seq numbers increase along the ROB and along lq
+// and sq, so a binary search finds it.
+func seqIndex(q []*robEntry, seq uint64) int {
+	return sort.Search(len(q), func(i int) bool { return q[i].seq >= seq })
+}
+
+// robIndex returns e's index in the ROB, or -1 if it is not there.
+func (c *Core) robIndex(e *robEntry) int {
+	if i := seqIndex(c.rob, e.seq); i < len(c.rob) && c.rob[i] == e {
+		return i
+	}
+	return -1
 }
 
 // newLoadMiss takes a record from the pool or allocates one.

@@ -101,11 +101,13 @@ func TestSignedCompares(t *testing.T) {
 	}
 }
 
-// TestBranchMispredictRecovery forces a data-dependent branch whose
-// outcome contradicts the BTFN prediction: a forward branch (predicted
+// mispredictProgram forces a data-dependent branch whose outcome
+// contradicts the BTFN prediction: a forward branch (predicted
 // not-taken) that is actually taken, fed by a load so the prediction is
-// exercised.
-func TestBranchMispredictRecovery(t *testing.T) {
+// exercised. The wrong path ends in an Xchg, which executes only at the
+// ROB head, and a load of the address the Xchg returns, so the squash
+// also cuts a store from sq and an unissued load from lq.
+func mispredictProgram() (*isa.Program, *mem.Store) {
 	store := mem.NewStore()
 	store.StoreWord(0x1000, 1)
 	b := isa.NewBuilder("mispredict")
@@ -113,13 +115,23 @@ func TestBranchMispredictRecovery(t *testing.T) {
 	b.Ld(2, 1, 0)             // loads 1 (slow: memory)
 	b.Bne(2, isa.R0, "taken") // forward, predicted not-taken, actually taken
 	b.Li(10, 111)             // wrong path
+	b.Xchg(12, 10, 1, 8)
+	b.Ld(13, 12, 0x1000)
 	b.Halt()
 	b.Label("taken")
 	b.Li(10, 222)
 	b.Halt()
-	m := runOne(t, b.MustBuild(), store)
+	return b.MustBuild(), store
+}
+
+func TestBranchMispredictRecovery(t *testing.T) {
+	p, store := mispredictProgram()
+	m := runOne(t, p, store)
 	if got := m.Core(0).Reg(10); got != 222 {
 		t.Fatalf("r10 = %d, want 222 (wrong-path result leaked)", got)
+	}
+	if got := store.Load(0x1008); got != 0 {
+		t.Fatalf("mem[0x1008] = %d, want 0 (wrong-path Xchg leaked)", got)
 	}
 	if m.Core(0).Stats().Mispredicts == 0 {
 		t.Fatal("expected a recorded misprediction")

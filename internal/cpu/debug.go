@@ -14,6 +14,15 @@ func (c *Core) DebugState() string {
 	if len(c.wb) > 0 {
 		fmt.Fprintf(&b, "  wb head: addr=%#x seq=%d retryAt=%d order=%v\n", c.wb[0].addr, c.wb[0].seq, c.wbRetryAt, c.wbOrder)
 	}
+	fmt.Fprintf(&b, "  lq=%d sq=%d\n", len(c.lq), len(c.sq))
+	if len(c.lq) > 0 {
+		ld := c.lq[0]
+		fmt.Fprintf(&b, "  oldest unissued load: seq=%d pc=%d addrOK=%v addr=%#x", ld.seq, ld.pc, ld.addrOK, ld.addr)
+		if _, _, st := c.searchOlderStores(ld); ld.addrOK && st != nil {
+			fmt.Fprintf(&b, " blocked by store seq=%d pc=%d addrOK=%v dataOK=%v", st.seq, st.pc, st.addrOK, st.dataOK)
+		}
+		b.WriteByte('\n')
+	}
 	for i, e := range c.rob {
 		if i >= 6 {
 			fmt.Fprintf(&b, "  ... %d more rob entries\n", len(c.rob)-i)

@@ -14,105 +14,110 @@ import (
 // issueLoads starts memory access for every load whose address is ready.
 // Loads may issue speculatively, arbitrarily deep in the ROB. TSO
 // store-to-load forwarding is honored: a load first searches older stores
-// (unretired ones in the ROB, then the write buffer) for a matching
-// address.
+// (unretired ones in sq, then the write buffer) for a matching address.
+//
+// The walk over lq is in program order, so a younger load whose address
+// an older load's propagate resolves earlier in the same walk is still
+// considered this cycle. Issued loads leave lq as the walk passes them.
 func (c *Core) issueLoads(now int64) {
-	outstanding := len(c.loadMisses)
 	// Recompute the earliest future address-ready among unissued loads
 	// (an idle-memoization wake term: nothing else re-examines a load
 	// whose address resolved with a future ready time).
 	c.issueWake = math.MaxInt64
-	for i, e := range c.rob {
-		if e.in.Op != isa.Ld || e.squashed || e.issued || e.performed {
-			continue
+	kept := c.lq[:0]
+	for _, e := range c.lq {
+		if !c.issueLoad(now, e) {
+			kept = append(kept, e)
 		}
-		if !e.addrOK {
-			continue
-		}
-		if now < e.addrReady {
-			if e.addrReady < c.issueWake {
-				c.issueWake = e.addrReady
-			}
-			continue
-		}
-		fwd, ok := c.searchOlderStores(i, e)
-		if !ok {
-			continue // an older store's address or data is unresolved
-		}
-		if fwd != nil {
-			e.issued = true
-			e.forwarded = true
-			c.acted = true
-			c.performLoadValue(now+1, e, fwd.val)
-			continue
-		}
-		line := e.line()
-		if _, hit := c.l1.Lookup(line); hit {
-			e.issued = true
-			c.acted = true
-			c.performLoad(now+l1HitLatency, e)
-			continue
-		}
-		// Miss: merge into an outstanding request for the line or send a
-		// new GetS, subject to the MSHR limit.
-		if lm, ok := c.loadMisses[line]; ok {
-			e.issued = true
-			c.acted = true
-			lm.waiters = append(lm.waiters, e)
-			continue
-		}
-		if outstanding >= mshrs {
-			continue
-		}
-		outstanding++
-		e.issued = true
-		lm := c.newLoadMiss()
-		lm.line = line
-		lm.reqID = c.nextReqID()
-		lm.waiters = append(lm.waiters, e)
-		c.loadMisses[line] = lm
-		c.send(now, c.home(line), coherence.Msg{
-			Type: coherence.GetS, Line: line, Core: c.cfg.ID, ReqID: lm.reqID,
-		}, noc.CatProtocol)
 	}
+	c.lq = kept
 }
 
-// fwdHit describes a store-to-load forwarding source.
-type fwdHit struct{ val uint32 }
-
-// searchOlderStores looks for the youngest older store writing the load's
-// word. It returns (nil, false) when disambiguation is impossible (an
-// older store's address is unknown) or the matching store's data is not
-// ready yet; (hit, true) on a forwarding match; (nil, true) when the load
-// may access memory.
-func (c *Core) searchOlderStores(idx int, ld *robEntry) (*fwdHit, bool) {
-	// Unretired older stores, youngest first.
-	for i := idx - 1; i >= 0; i-- {
-		e := c.rob[i]
-		if e.squashed || (e.in.Op != isa.St && e.in.Op != isa.Xchg) {
-			continue
+// issueLoad starts memory access for one unissued load and reports
+// whether it issued.
+func (c *Core) issueLoad(now int64, e *robEntry) bool {
+	if !e.addrOK {
+		return false
+	}
+	if now < e.addrReady {
+		if e.addrReady < c.issueWake {
+			c.issueWake = e.addrReady
 		}
+		return false
+	}
+	val, fwd, blocker := c.searchOlderStores(e)
+	if blocker != nil {
+		return false // an older store's address or data is unresolved
+	}
+	if fwd {
+		e.issued = true
+		e.forwarded = true
+		c.acted = true
+		c.performLoadValue(now+1, e, val)
+		return true
+	}
+	line := e.line()
+	if _, hit := c.l1.Lookup(line); hit {
+		e.issued = true
+		c.acted = true
+		c.performLoad(now+l1HitLatency, e)
+		return true
+	}
+	// Miss: merge into an outstanding request for the line or send a
+	// new GetS, subject to the MSHR limit.
+	if lm, ok := c.loadMisses[line]; ok {
+		e.issued = true
+		c.acted = true
+		lm.waiters = append(lm.waiters, e)
+		return true
+	}
+	if len(c.loadMisses) >= mshrs {
+		return false
+	}
+	e.issued = true
+	lm := c.newLoadMiss()
+	lm.line = line
+	lm.reqID = c.nextReqID()
+	lm.waiters = append(lm.waiters, e)
+	c.loadMisses[line] = lm
+	c.send(now, c.home(line), coherence.Msg{
+		Type: coherence.GetS, Line: line, Core: c.cfg.ID, ReqID: lm.reqID,
+	}, noc.CatProtocol)
+	return true
+}
+
+// searchOlderStores looks for the youngest store older than load ld that
+// writes its word: first among the stores ahead of it in sq, then in the
+// write buffer. A non-nil blocker is the first older store that keeps
+// the load from issuing: its address is unknown, so disambiguation is
+// impossible, or it matches but is an Xchg or its data is not ready yet.
+// Otherwise fwd reports a forwarding match with its value, and !fwd means
+// the load may access memory.
+func (c *Core) searchOlderStores(ld *robEntry) (val uint32, fwd bool, blocker *robEntry) {
+	// Unretired older stores, youngest first.
+	for i := seqIndex(c.sq, ld.seq) - 1; i >= 0; i-- {
+		e := c.sq[i]
 		if !e.addrOK {
-			return nil, false
+			return 0, false, e
 		}
 		if e.addr == ld.addr {
 			if e.in.Op == isa.Xchg {
 				// Atomics execute at the ROB head; the load simply waits.
-				return nil, false
+				return 0, false, e
 			}
 			if !e.dataOK {
-				return nil, false
+				return 0, false, e
 			}
-			return &fwdHit{val: e.dataVal}, true
+			return e.dataVal, true, nil
 		}
 	}
 	// Write buffer, youngest first.
 	for i := len(c.wb) - 1; i >= 0; i-- {
 		if c.wb[i].addr == ld.addr {
-			return &fwdHit{val: c.wb[i].val}, true
+			return c.wb[i].val, true, nil
 		}
 	}
-	return nil, true
+	return 0, false, nil
 }
 
 // performLoad completes a load from the memory system at cycle when.
@@ -197,7 +202,7 @@ func (c *Core) squashFrom(idx int) {
 			c.workFree = e.prevWork
 		}
 	}
-	for line, lm := range c.loadMisses {
+	for _, lm := range c.loadMisses {
 		kept := lm.waiters[:0]
 		for _, w := range lm.waiters {
 			if !w.squashed {
@@ -205,10 +210,11 @@ func (c *Core) squashFrom(idx int) {
 			}
 		}
 		lm.waiters = kept
-		_ = line
 	}
 	c.pc = c.rob[idx].pc
 	c.rob = c.rob[:idx]
+	c.lq = c.lq[:seqIndex(c.lq, cut)]
+	c.sq = c.sq[:seqIndex(c.sq, cut)]
 	c.fetchEnd = false
 }
 
@@ -242,13 +248,7 @@ func (c *Core) redirectMispredict() {
 	if e == nil || e.squashed {
 		return
 	}
-	idx := -1
-	for i, x := range c.rob {
-		if x == e {
-			idx = i
-			break
-		}
-	}
+	idx := c.robIndex(e)
 	if idx < 0 {
 		return
 	}

@@ -92,11 +92,14 @@ func TestBypassSetCapacityStalls(t *testing.T) {
 	}
 }
 
-// TestSpeculativeLoadSquashOnInvalidation: a post-sf load that performed
-// early gets squashed when the line is invalidated before the fence
-// completes, and re-executes to read the new value.
-func TestSpeculativeLoadSquash(t *testing.T) {
-	const x, y = mem.Addr(0x1000), mem.Addr(0x1100)
+// specSquashPrograms builds a post-sf load that performs early and is
+// squashed when its line is invalidated before the fence completes. T0's
+// tail, an Xchg (which executes only at the ROB head) and a load of the
+// address the Xchg returns, keeps a store in sq and an unissued load in
+// lq across the squash.
+func specSquashPrograms() (p0, p1 *isa.Program, y mem.Addr) {
+	const x = mem.Addr(0x1000)
+	y = 0x1100
 	// T0: warm y; slow store to x; sfence; ld y (speculates, must end up
 	// seeing T1's store to y because the sf holds retirement).
 	b0 := isa.NewBuilder("t0")
@@ -108,6 +111,8 @@ func TestSpeculativeLoadSquash(t *testing.T) {
 	b0.SFence()
 	b0.Li(1, int32(y))
 	b0.Ld(10, 1, 0)
+	b0.Xchg(12, 10, 1, 8)
+	b0.Ld(13, 12, int32(y))
 	b0.Halt()
 	// T1: waits a moment, then writes y.
 	b1 := isa.NewBuilder("t1")
@@ -116,9 +121,23 @@ func TestSpeculativeLoadSquash(t *testing.T) {
 	b1.Li(2, 7)
 	b1.St(2, 1, 0)
 	b1.Halt()
-	m := runPair(t, fence.SPlus, b0.MustBuild(), b1.MustBuild(), nil)
+	return b0.MustBuild(), b1.MustBuild(), y
+}
+
+// TestSpeculativeLoadSquash: a post-sf load that performed early gets
+// squashed when the line is invalidated before the fence completes, and
+// re-executes to read the new value.
+func TestSpeculativeLoadSquash(t *testing.T) {
+	p0, p1, y := specSquashPrograms()
+	m := runPair(t, fence.SPlus, p0, p1, nil)
 	if got := m.Core(0).Reg(10); got != 7 {
 		t.Fatalf("post-fence load read %d, want 7 (squash-and-replay broken)", got)
+	}
+	if got := m.Store().Load(y + 8); got != 7 {
+		t.Fatalf("mem[y+8] = %d, want 7 (the Xchg must store the replayed value)", got)
+	}
+	if got := m.Core(0).Reg(13); got != 7 {
+		t.Fatalf("r13 = %d, want 7 (a load of y after the Xchg)", got)
 	}
 	if m.Core(0).Stats().Squashes == 0 {
 		t.Fatal("no squash recorded")

@@ -196,16 +196,22 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 	return true
 }
 
-// pushROB appends an entry, charging its slot count to the window.
-// Fetching is an action for idle memoization: the front end must run
-// again next cycle.
+// pushROB appends an entry, charging its slot count to the window, and
+// enters a load into lq or a store into sq. Fetching is an action for
+// idle memoization: the front end must run again next cycle.
 func (c *Core) pushROB(e *robEntry) {
 	if e.slots == 0 {
 		e.slots = 1
 	}
 	c.acted = true
-	c.rob = append(c.rob, e)
+	c.rob = pushWindow(c.rob, &c.robBuf, e)
 	c.robSlots += e.slots
+	switch {
+	case e.in.Op == isa.Ld:
+		c.lq = append(c.lq, e)
+	case e.isStore():
+		c.sq = pushWindow(c.sq, &c.sqBuf, e)
+	}
 }
 
 // workSlots is how much of the reorder window a Work of n cycles
@@ -295,14 +301,11 @@ func (c *Core) resolveStoreData(e *robEntry) {
 // propagate re-resolves every younger entry after a load/xchg performs.
 // A single forward pass suffices because entries are in program order.
 func (c *Core) propagate(now int64, from *robEntry) {
-	seen := false
-	for _, e := range c.rob {
-		if !seen {
-			if e == from {
-				seen = true
-			}
-			continue
-		}
+	i := c.robIndex(from)
+	if i < 0 {
+		return
+	}
+	for _, e := range c.rob[i+1:] {
 		if e.squashed {
 			continue
 		}

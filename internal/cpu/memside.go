@@ -383,7 +383,7 @@ func (c *Core) recoverWPlus(now int64) {
 	for _, e := range c.rob {
 		e.squashed = true
 	}
-	c.rob = c.rob[:0]
+	c.rob, c.lq, c.sq = c.rob[:0], c.lq[:0], c.sq[:0]
 	c.robSlots = 0
 	for _, lm := range c.loadMisses {
 		lm.waiters = lm.waiters[:0]

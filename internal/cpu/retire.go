@@ -51,6 +51,9 @@ func (c *Core) retire(now int64) (int, blockReason, int) {
 			return retired, reason, e.pc
 		}
 		c.rob = c.rob[1:]
+		if e.isStore() {
+			c.sq = c.sq[1:]
+		}
 		c.robSlots -= e.slots
 		c.st.RetiredInstrs++
 		retired++

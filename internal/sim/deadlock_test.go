@@ -55,7 +55,7 @@ func TestAllWeakSWPlusDeadlockReportsState(t *testing.T) {
 		}
 	}
 	msg := de.Error()
-	for _, want := range []string{"deadlock at cycle", "core 0:", "core 1:", "wb head:"} {
+	for _, want := range []string{"deadlock at cycle", "core 0:", "core 1:", "wb head:", "lq=0 sq=0"} {
 		if !strings.Contains(msg, want) {
 			t.Errorf("deadlock report missing %q:\n%s", want, msg)
 		}

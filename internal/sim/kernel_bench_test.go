@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"fmt"
 	"testing"
 
 	"asymfence/internal/fence"
@@ -28,22 +29,25 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
 }
 
 // BenchmarkCycleKernel measures Machine.Step under each fence design on
-// a busy 4-core machine: ns/op is nanoseconds per simulated cycle, so
-// cycles/sec = 1e9 / (ns/op). This is the per-subsystem view of the
-// kernel-busy/kernel-quiescent benchmark workloads in bench/ (see
-// PERFORMANCE.md); steady
-// state should be near allocation-free.
+// a busy 4-core machine and on one of the kernel-busy benchmark
+// workload's 64 cores (sub-benchmarks <design>/c<cores>): ns/op is
+// nanoseconds per simulated cycle, so cycles/sec = 1e9 / (ns/op). This is
+// the per-subsystem view of the kernel-busy/kernel-quiescent benchmark
+// workloads in bench/ (see PERFORMANCE.md); steady state should be near
+// allocation-free.
 func BenchmarkCycleKernel(b *testing.B) {
 	for _, d := range fence.AllDesigns {
-		b.Run(d.String(), func(b *testing.B) {
-			m := kernelMachine(b, d, 4)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				m.Step()
-			}
-			b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
-		})
+		for _, n := range []int{4, 64} {
+			b.Run(fmt.Sprintf("%v/c%d", d, n), func(b *testing.B) {
+				m := kernelMachine(b, d, n)
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					m.Step()
+				}
+				b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "cycles/sec")
+			})
+		}
 	}
 }
 
