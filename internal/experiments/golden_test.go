@@ -43,8 +43,7 @@ func goldenRun(t *testing.T, group, app string, d fence.Design) string {
 
 // goldenCases is the short mixed workload: one app per workload shape,
 // plus ustm's wide-working-set List (the app the kernel-busy benchmark
-// workload runs, and the store-heaviest of the four), under each of the
-// paper's five designs.
+// workload runs), under each of the paper's five designs.
 func goldenCases() []struct{ Group, App string } {
 	return []struct{ Group, App string }{
 		{"cilk", "fib"},

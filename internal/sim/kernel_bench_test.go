@@ -29,8 +29,8 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
 }
 
 // BenchmarkCycleKernel measures Machine.Step under each fence design on
-// a busy 4-core machine and on one of the kernel-busy benchmark
-// workload's 64 cores (sub-benchmarks <design>/c<cores>): ns/op is
+// a busy machine of 4 cores and of 64, the kernel-busy benchmark
+// workload's size (sub-benchmarks <design>/c<cores>): ns/op is
 // nanoseconds per simulated cycle, so cycles/sec = 1e9 / (ns/op). This is
 // the per-subsystem view of the kernel-busy/kernel-quiescent benchmark
 // workloads in bench/ (see PERFORMANCE.md); steady state should be near
