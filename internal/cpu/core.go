@@ -265,7 +265,8 @@ type Core struct {
 	lq []*robEntry
 	sq []*robEntry // a window into sqBuf
 
-	// robBuf and sqBuf back the rob and sq windows (see pushWindow).
+	// robBuf and sqBuf, 2×ROBSize entries each, back the rob and sq
+	// windows (see pushWindow).
 	robBuf, sqBuf []*robEntry
 
 	seq      uint64
@@ -378,6 +379,8 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		flt:        cfg.Faults,
 		l1:         cache.New(l1Bytes, l1Assoc),
 		bs:         fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
+		robBuf:     make([]*robEntry, 2*cfg.ROBSize),
+		sqBuf:      make([]*robEntry, 2*cfg.ROBSize),
 		loadMisses: make(map[mem.Line]*loadMiss),
 		issueWake:  math.MaxInt64,
 	}
@@ -458,19 +461,14 @@ func (c *Core) newEntry() *robEntry {
 	return e
 }
 
-// pushWindow appends e to w, a FIFO window into *buf whose head is
-// popped by reslicing. A window that has reached the end of its array
-// first moves to the start of *buf; if it would fill half of *buf or
-// more, *buf is first replaced by an array twice the window's length.
-// Moves cost O(1) per push amortized, *buf stops growing once it holds
-// twice the longest window (no window outgrows the ROB), and a push in
-// steady state never allocates.
-func pushWindow(w []*robEntry, buf *[]*robEntry, e *robEntry) []*robEntry {
+// pushWindow appends e to w, a FIFO window into buf (2×ROBSize entries)
+// whose head is popped by reslicing. A window that has reached the end
+// of buf first slides back to its start; a window holds at most ROBSize
+// entries, so the slide never overlaps it, costs O(1) per push
+// amortized, and a push never allocates.
+func pushWindow(w, buf []*robEntry, e *robEntry) []*robEntry {
 	if len(w) == cap(w) {
-		if 2*len(w) >= len(*buf) {
-			*buf = make([]*robEntry, max(2*len(w), 16))
-		}
-		w = append((*buf)[:0], w...)
+		w = append(buf[:0], w...)
 	}
 	return append(w, e)
 }

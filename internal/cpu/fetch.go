@@ -204,13 +204,13 @@ func (c *Core) pushROB(e *robEntry) {
 		e.slots = 1
 	}
 	c.acted = true
-	c.rob = pushWindow(c.rob, &c.robBuf, e)
+	c.rob = pushWindow(c.rob, c.robBuf, e)
 	c.robSlots += e.slots
 	switch {
 	case e.in.Op == isa.Ld:
 		c.lq = append(c.lq, e)
 	case e.isStore():
-		c.sq = pushWindow(c.sq, &c.sqBuf, e)
+		c.sq = pushWindow(c.sq, c.sqBuf, e)
 	}
 }
 
