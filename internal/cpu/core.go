@@ -110,23 +110,27 @@ func (c *Config) applyDefaults() {
 	}
 }
 
-// operand is a captured instruction input: either a known value with its
-// dataflow-ready time, or a reference to the producing ROB entry.
-type operand struct {
+// regVal is a value with its dataflow-ready time, or, while the value's
+// producer is unresolved, a reference to the producing ROB entry. It is
+// the fetch-side architectural register state (maintained in program
+// order), what an undo record saves, and the core of a captured operand.
+// A producer reference is non-nil only while its producer is unresolved
+// and in the ROB: resolving an entry writes its value into every holder
+// (see wakeDependents).
+type regVal struct {
 	known bool
 	val   uint32
 	ready int64
 	prod  *robEntry
 }
 
-// regVal is the fetch-side architectural register state, maintained in
-// program order. When a register's latest writer is an unperformed load,
-// prod points at it.
-type regVal struct {
-	known bool
-	val   uint32
-	ready int64
-	prod  *robEntry
+// operand is a captured instruction input. While it waits on a producer
+// it is linked into the producer's wakeup list: holder is the entry the
+// operand belongs to and next the operand after it on the list.
+type operand struct {
+	regVal
+	holder *robEntry
+	next   *operand
 }
 
 // robEntry is one in-flight instruction.
@@ -156,14 +160,19 @@ type robEntry struct {
 	dataVal   uint32
 	dataReady int64
 
-	squashed bool
+	// waiters heads this entry's wakeup list: the operands of younger
+	// entries that wait on its result, youngest holder first, so a squash
+	// unlinks a prefix.
+	waiters *operand
+	// undoPos is the absolute undo-log position of the record that last
+	// saved this entry as its register's previous writer.
+	undoPos int
 
 	// Branch prediction state: predicted is set when the branch was
-	// fetched with unresolved operands; mispredict/actualTaken record the
-	// verification outcome.
+	// fetched with unresolved operands; actualTaken records the
+	// verification outcome of a mispredicted one.
 	predicted   bool
 	predTaken   bool
-	mispredict  bool
 	actualTaken bool
 
 	// slots is how many ROB entries this instruction occupies: 1, except
@@ -190,8 +199,6 @@ func (e *robEntry) isStore() bool { return e.in.Op == isa.St || e.in.Op == isa.X
 type activeFence struct {
 	seq     uint64 // the fence instruction's sequence number
 	pcAfter int    // resume point for W+ rollback
-	// undoMark is the undo-log length at the fence (W+ checkpoint).
-	undoMark int
 	// Wee state.
 	module   int        // module the PS (and BS) must confine to; -1 if not yet pinned
 	remotePS []mem.Line // combined pending sets of other active fences
@@ -271,6 +278,7 @@ type Core struct {
 
 	seq      uint64
 	undoLog  []undoRec
+	undoBase int   // absolute undo-log position of undoLog[0]
 	workFree int64 // execution-unit availability for Work instrs
 
 	// statLog records Stat events retired while weak fences are active,
@@ -278,10 +286,12 @@ type Core struct {
 	statLog []statRec
 
 	// mispredicted is the oldest branch found mispredicted this cycle;
-	// the squash/redirect happens at the next step boundary.
+	// the squash/redirect happens at the next step boundary. A squash
+	// that removes it clears it.
 	mispredicted *robEntry
 
-	wb []wbEntry
+	wb    []wbEntry // FIFO, index 0 = head; a window into wbBuf
+	wbBuf []wbEntry // 2×WBSize entries (see pushWindow)
 
 	// In-flight store transaction (write-buffer head).
 	wbReqID    uint64
@@ -341,16 +351,15 @@ type Core struct {
 	stallPC   int      // fence-site attribution for stallFence
 	issueWake int64    // earliest future addr-ready of an unissued load
 
-	// entryArena chunk-allocates ROB entries. Entries are never recycled:
-	// captured operands and fetch-side register state hold *robEntry
-	// references (operand.prod, regVal.prod) that can outlive retirement,
-	// so reuse would corrupt dataflow. Chunking still removes ~all
-	// per-instruction heap allocations.
-	entryArena []robEntry
-	entryUsed  int
+	// pool holds the core's ROB entries that are not in the ROB: retire
+	// and squash return entries to it and newEntry takes them back. No
+	// reference outlives an entry's stay in the ROB (see regVal), so
+	// reuse cannot alias live dataflow state. The ROBSize entries are
+	// allocated on the core's first fetch.
+	pool []*robEntry
 
-	// lmPool recycles loadMiss records (safe, unlike ROB entries: the
-	// only reference is the loadMisses map entry deleted at grant time).
+	// lmPool recycles loadMiss records (the only reference is the
+	// loadMisses map entry deleted at grant time).
 	lmPool []*loadMiss
 }
 
@@ -381,6 +390,7 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		bs:         fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
 		robBuf:     make([]*robEntry, 2*cfg.ROBSize),
 		sqBuf:      make([]*robEntry, 2*cfg.ROBSize),
+		wbBuf:      make([]wbEntry, 2*cfg.WBSize),
 		loadMisses: make(map[mem.Line]*loadMiss),
 		issueWake:  math.MaxInt64,
 	}
@@ -420,14 +430,10 @@ func (c *Core) L1Holds(l mem.Line) (held, exclusive bool) {
 // finished (test hook). It panics if the register's value is still
 // unresolved.
 func (c *Core) Reg(r isa.Reg) uint32 {
-	rv := c.regs[r]
-	if rv.prod != nil {
-		if !rv.prod.resolved {
-			panic("cpu: register value unresolved")
-		}
-		return rv.prod.val
+	if c.regs[r].prod != nil {
+		panic("cpu: register value unresolved")
 	}
-	return rv.val
+	return c.regs[r].val
 }
 
 func (c *Core) nextReqID() uint64 {
@@ -449,28 +455,35 @@ func (c *Core) send(now int64, dst int, m coherence.Msg, cat noc.Category) {
 	c.mesh.Send(now, coherence.Packet{Src: c.cfg.ID, Dst: dst, Size: m.Size(), Cat: cat, Payload: m})
 }
 
-// newEntry allocates a ROB entry from the append-only arena; the slot is
-// always fresh (zeroed) because entries are never reused.
+// newEntry takes a zeroed ROB entry from the pool. The pool holds every
+// entry not in the ROB, and fetch takes one only while the ROB has a
+// free slot, so it is never empty here.
 func (c *Core) newEntry() *robEntry {
-	if c.entryUsed == len(c.entryArena) {
-		c.entryArena = make([]robEntry, 512)
-		c.entryUsed = 0
+	if c.pool == nil {
+		entries := make([]robEntry, c.cfg.ROBSize)
+		c.pool = make([]*robEntry, len(entries))
+		for i := range entries {
+			c.pool[i] = &entries[i]
+		}
 	}
-	e := &c.entryArena[c.entryUsed]
-	c.entryUsed++
+	n := len(c.pool) - 1
+	e := c.pool[n]
+	c.pool = c.pool[:n]
+	*e = robEntry{}
 	return e
 }
 
-// pushWindow appends e to w, a FIFO window into buf (2×ROBSize entries)
-// whose head is popped by reslicing. A window that has reached the end
-// of buf first slides back to its start; a window holds at most ROBSize
-// entries, so the slide never overlaps it, costs O(1) per push
-// amortized, and a push never allocates.
-func pushWindow(w, buf []*robEntry, e *robEntry) []*robEntry {
+// pushWindow appends x to w, a FIFO window into buf whose head is popped
+// by reslicing. buf holds twice as many elements as the window ever
+// does (2×ROBSize for the ROB and sq, 2×WBSize for the write buffer). A
+// window that has reached the end of buf first slides back to its
+// start; it is at most half of buf long, so the slide never overlaps it,
+// costs O(1) per push amortized, and a push never allocates.
+func pushWindow[T any](w, buf []T, x T) []T {
 	if len(w) == cap(w) {
 		w = append(buf[:0], w...)
 	}
-	return append(w, e)
+	return append(w, x)
 }
 
 // seqIndex returns the index of the first entry of q whose seq is at
@@ -499,40 +512,61 @@ func (c *Core) newLoadMiss() *loadMiss {
 }
 
 // readReg captures the current fetch-side state of register r as an
-// operand, materializing producer results that have resolved since the
-// register was written.
+// operand.
 func (c *Core) readReg(r isa.Reg) operand {
 	if r == isa.R0 {
-		return operand{known: true}
+		return operand{regVal: regVal{known: true}}
 	}
-	rv := &c.regs[r]
-	if rv.prod != nil && rv.prod.resolved {
-		rv.known = true
-		rv.val = rv.prod.val
-		rv.ready = rv.prod.ready
-		rv.prod = nil
-	}
-	return operand{known: rv.known, val: rv.val, ready: rv.ready, prod: rv.prod}
+	return operand{regVal: c.regs[r]}
 }
 
 // writeReg records a fetch-side register write, logging the previous state
-// for squash/rollback undo.
+// for squash/rollback undo. A previous writer still unresolved learns
+// where its record is, so that resolving it updates the record too.
 func (c *Core) writeReg(e *robEntry, r isa.Reg, nv regVal) {
 	if r == isa.R0 {
 		return
 	}
 	prev := c.regs[r]
+	if prev.prod != nil {
+		prev.prod.undoPos = c.undoBase + len(c.undoLog)
+	}
 	c.undoLog = append(c.undoLog, undoRec{seq: e.seq, reg: r, prev: prev})
 	c.regs[r] = nv
 }
 
-// materialize refreshes an operand whose producer has since resolved.
-func (o *operand) materialize() {
-	if o.prod != nil && o.prod.resolved {
-		o.known = true
-		o.val = o.prod.val
-		o.ready = o.prod.ready
-		o.prod = nil
+// wakeDependents hands resolved entry e's result to every holder of a
+// reference to it: the fetch-side register while e is its latest writer,
+// the one undo record that saved e as its register's previous writer,
+// and the operands on e's wakeup list, whose entries are re-resolved in
+// turn, so an ALU result this resolves wakes its own dependents with the
+// same now. Afterwards nothing refers to e as a producer.
+func (c *Core) wakeDependents(now int64, e *robEntry) {
+	v := regVal{known: true, val: e.val, ready: e.ready}
+	if rv := &c.regs[e.in.Dst]; rv.prod == e {
+		*rv = v
+	}
+	if i := e.undoPos - c.undoBase; i >= 0 && i < len(c.undoLog) && c.undoLog[i].prev.prod == e {
+		c.undoLog[i].prev = v
+	}
+	o := e.waiters
+	e.waiters = nil
+	for ; o != nil; o = o.next {
+		o.regVal = v
+		c.operandReady(now, o.holder)
+	}
+}
+
+// unlinkSquashed removes from producer p's wakeup list the operands of
+// entries at or after seq cut, which a squash is removing. They are the
+// youngest holders, so they form a prefix of the list. A producer that is
+// itself squashed is left alone: its list dies with it.
+func unlinkSquashed(p *robEntry, cut uint64) {
+	if p == nil || p.seq >= cut {
+		return
+	}
+	for p.waiters != nil && p.waiters.holder.seq >= cut {
+		p.waiters = p.waiters.next
 	}
 }
 

@@ -135,13 +135,7 @@ func (c *Core) performLoadValue(when int64, e *robEntry, v uint32) {
 	e.val = v
 	e.ready = when
 	e.resolved = true
-	if rv := &c.regs[e.in.Dst]; rv.prod == e {
-		rv.known = true
-		rv.val = e.val
-		rv.ready = e.ready
-		rv.prod = nil
-	}
-	c.propagate(when, e)
+	c.wakeDependents(when, e)
 }
 
 // handleLoadGrant completes an outstanding load miss.
@@ -157,9 +151,7 @@ func (c *Core) handleLoadGrant(now int64, m coherence.Msg) {
 	}
 	c.installL1(now, m.Line, st)
 	for _, e := range lm.waiters {
-		if !e.squashed {
-			c.performLoad(now, e)
-		}
+		c.performLoad(now, e)
 	}
 	// The map entry above was the only live reference; recycle.
 	lm.waiters = lm.waiters[:0]
@@ -191,27 +183,34 @@ func (c *Core) installL1(now int64, l mem.Line, st cache.State) {
 // squashFrom rolls the pipeline back to re-fetch from entry index idx: a
 // speculative load there was invalidated (or a younger dependence chain
 // must replay). Fetch-side register state is restored from the undo log.
+// Every reference to a squashed entry goes with it (its operands leave
+// the wakeup lists of older producers, its load leaves a miss's waiters),
+// and the entries return to the pool.
 func (c *Core) squashFrom(idx int) {
 	cut := c.rob[idx].seq
+	c.pc = c.rob[idx].pc
 	c.undoTo(cut)
-	// Drop the squashed entries and cancel their memory transactions.
 	for _, e := range c.rob[idx:] {
-		e.squashed = true
 		c.robSlots -= e.slots
 		if e.in.Op == isa.Work {
 			c.workFree = e.prevWork
 		}
+		unlinkSquashed(e.s1.prod, cut)
+		unlinkSquashed(e.s2.prod, cut)
+		c.pool = append(c.pool, e)
 	}
 	for _, lm := range c.loadMisses {
 		kept := lm.waiters[:0]
 		for _, w := range lm.waiters {
-			if !w.squashed {
+			if w.seq < cut {
 				kept = append(kept, w)
 			}
 		}
 		lm.waiters = kept
 	}
-	c.pc = c.rob[idx].pc
+	if c.mispredicted != nil && c.mispredicted.seq >= cut {
+		c.mispredicted = nil
+	}
 	c.rob = c.rob[:idx]
 	c.lq = c.lq[:seqIndex(c.lq, cut)]
 	c.sq = c.sq[:seqIndex(c.sq, cut)]
@@ -219,21 +218,12 @@ func (c *Core) squashFrom(idx int) {
 }
 
 // undoTo unwinds the fetch-side register undo log, youngest first,
-// removing every record with seq >= cut. Restored producer references that
-// have since resolved are materialized to values.
+// removing every record with seq >= cut.
 func (c *Core) undoTo(cut uint64) {
 	n := len(c.undoLog)
 	for n > 0 && c.undoLog[n-1].seq >= cut {
-		u := c.undoLog[n-1]
-		prev := u.prev
-		if prev.prod != nil && prev.prod.resolved {
-			prev.known = true
-			prev.val = prev.prod.val
-			prev.ready = prev.prod.ready
-			prev.prod = nil
-		}
-		c.regs[u.reg] = prev
 		n--
+		c.regs[c.undoLog[n].reg] = c.undoLog[n].prev
 	}
 	c.undoLog = c.undoLog[:n]
 }
@@ -245,7 +235,7 @@ func (c *Core) undoTo(cut uint64) {
 func (c *Core) redirectMispredict() {
 	e := c.mispredicted
 	c.mispredicted = nil
-	if e == nil || e.squashed {
+	if e == nil {
 		return
 	}
 	idx := c.robIndex(e)
@@ -269,9 +259,6 @@ func (c *Core) redirectMispredict() {
 // squash happened.
 func (c *Core) squashSpeculativeLoads(now int64, l mem.Line) bool {
 	for i, e := range c.rob {
-		if e.squashed {
-			continue
-		}
 		if e.in.Op == isa.Ld && e.performed && !e.forwarded && e.line() == l {
 			c.st.Squashes++
 			c.tr.Emit(now, trace.KSquash, int32(c.cfg.ID), uint64(l), int64(e.pc), 0, 0)

@@ -10,9 +10,10 @@ import (
 // CheckQueues exposes checkQueues to the external test package.
 func (c *Core) CheckQueues() error { return c.checkQueues() }
 
-// checkQueues verifies the load and store queues against the ROB: lq
+// checkQueues verifies the load and store queues against the ROB (lq
 // must hold exactly the ROB's unissued loads and sq exactly its St and
-// Xchg entries, both in ROB order.
+// Xchg entries, both in ROB order), then the producer references and
+// wakeup lists (see checkProducers).
 func (c *Core) checkQueues() error {
 	var lq, sq []*robEntry
 	for _, e := range c.rob {
@@ -28,6 +29,65 @@ func (c *Core) checkQueues() error {
 	}
 	if !slices.Equal(c.sq, sq) {
 		return fmt.Errorf("core %d: sq holds seqs %v, the ROB's stores are %v", c.cfg.ID, seqs(c.sq), seqs(sq))
+	}
+	return c.checkProducers()
+}
+
+// checkProducers verifies the invariant that lets ROB entries be
+// recycled. Every entry is in the ROB or in the pool. Every non-nil
+// producer reference, in a ROB entry's operands, in the fetch-side
+// registers and in the undo log, names an unresolved entry in the ROB
+// that is older than its holder. Every operand on a producer's wakeup
+// list belongs to an entry in the ROB and waits on that producer, the
+// list runs youngest holder first, and the lists hold exactly the
+// operands that wait.
+func (c *Core) checkProducers() error {
+	if c.pool != nil && len(c.pool)+len(c.rob) != c.cfg.ROBSize {
+		return fmt.Errorf("core %d: %d entries in the pool and %d in the ROB, want %d in all", c.cfg.ID, len(c.pool), len(c.rob), c.cfg.ROBSize)
+	}
+	inROB := func(p *robEntry) bool { return c.robIndex(p) >= 0 }
+	bad := func(p *robEntry, holderSeq uint64) bool {
+		return !inROB(p) || p.resolved || p.seq >= holderSeq
+	}
+	waiting, listed := 0, 0
+	for _, e := range c.rob {
+		for _, o := range []*operand{&e.s1, &e.s2} {
+			if o.prod == nil {
+				continue
+			}
+			waiting++
+			if bad(o.prod, e.seq) {
+				return fmt.Errorf("core %d: entry seq=%d waits on seq=%d, which is resolved, younger or out of the ROB", c.cfg.ID, e.seq, o.prod.seq)
+			}
+		}
+		prevSeq := c.seq + 1
+		for o := e.waiters; o != nil; o = o.next {
+			listed++
+			if listed > 2*len(c.rob) {
+				return fmt.Errorf("core %d: wakeup lists hold more operands than the ROB has", c.cfg.ID)
+			}
+			h := o.holder
+			if h == nil || !inROB(h) || o.prod != e || (o != &h.s1 && o != &h.s2) {
+				return fmt.Errorf("core %d: wakeup list of seq=%d holds an operand that is out of the ROB or does not wait on it", c.cfg.ID, e.seq)
+			}
+			if h.seq > prevSeq {
+				return fmt.Errorf("core %d: wakeup list of seq=%d is not youngest first", c.cfg.ID, e.seq)
+			}
+			prevSeq = h.seq
+		}
+	}
+	if waiting != listed {
+		return fmt.Errorf("core %d: %d operands wait on a producer, the wakeup lists hold %d", c.cfg.ID, waiting, listed)
+	}
+	for r, rv := range c.regs {
+		if rv.prod != nil && bad(rv.prod, c.seq+1) {
+			return fmt.Errorf("core %d: r%d names producer seq=%d, which is resolved or out of the ROB", c.cfg.ID, r, rv.prod.seq)
+		}
+	}
+	for _, u := range c.undoLog {
+		if p := u.prev.prod; p != nil && bad(p, u.seq) {
+			return fmt.Errorf("core %d: undo record seq=%d (r%d) names producer seq=%d, which is resolved, younger or out of the ROB", c.cfg.ID, u.seq, u.reg, p.seq)
+		}
 	}
 	return nil
 }

@@ -124,7 +124,7 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		return true
 	}
 	// Immediate-form Work must be admission-checked before the entry is
-	// allocated (the arena cannot un-allocate).
+	// taken from the pool.
 	if in.Op == isa.Work {
 		if slots := workSlots(int64(in.Imm), c.cfg.ROBSize); c.robSlots+slots > c.cfg.ROBSize {
 			return false
@@ -165,7 +165,7 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		if needsSrc2(in.Op) {
 			e.s2 = c.readReg(in.Src2)
 		} else {
-			e.s2 = operand{known: true}
+			e.s2 = operand{regVal: regVal{known: true}}
 		}
 		c.resolveALU(now, e)
 		if e.resolved {
@@ -196,14 +196,17 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 	return true
 }
 
-// pushROB appends an entry, charging its slot count to the window, and
-// enters a load into lq or a store into sq. Fetching is an action for
-// idle memoization: the front end must run again next cycle.
+// pushROB appends an entry, charging its slot count to the window,
+// enters a load into lq or a store into sq, and links each operand that
+// waits on a producer into that producer's wakeup list. Fetching is an
+// action for idle memoization: the front end must run again next cycle.
 func (c *Core) pushROB(e *robEntry) {
 	if e.slots == 0 {
 		e.slots = 1
 	}
 	c.acted = true
+	e.s1.link(e)
+	e.s2.link(e)
 	c.rob = pushWindow(c.rob, c.robBuf, e)
 	c.robSlots += e.slots
 	switch {
@@ -235,11 +238,19 @@ func needsSrc2(op isa.Op) bool {
 	return false
 }
 
+// link enters operand o of entry e at the head of its producer's wakeup
+// list, if it waits on one.
+func (o *operand) link(e *robEntry) {
+	if o.prod != nil {
+		o.holder = e
+		o.next = o.prod.waiters
+		o.prod.waiters = o
+	}
+}
+
 // resolveALU computes an ALU entry's value and ready time once both
 // operands are known. One-cycle latency.
 func (c *Core) resolveALU(now int64, e *robEntry) {
-	e.s1.materialize()
-	e.s2.materialize()
 	if !e.s1.known || !e.s2.known {
 		return
 	}
@@ -278,7 +289,6 @@ func (c *Core) resolveALU(now int64, e *robEntry) {
 // resolveAddr computes a memory entry's effective address once the base
 // register is known.
 func (c *Core) resolveAddr(e *robEntry) {
-	e.s1.materialize()
 	if !e.s1.known {
 		return
 	}
@@ -289,7 +299,6 @@ func (c *Core) resolveAddr(e *robEntry) {
 
 // resolveStoreData captures a store's data operand once known.
 func (c *Core) resolveStoreData(e *robEntry) {
-	e.s2.materialize()
 	if !e.s2.known {
 		return
 	}
@@ -298,61 +307,42 @@ func (c *Core) resolveStoreData(e *robEntry) {
 	e.dataReady = e.s2.ready
 }
 
-// propagate re-resolves every younger entry after a load/xchg performs.
-// A single forward pass suffices because entries are in program order.
-func (c *Core) propagate(now int64, from *robEntry) {
-	i := c.robIndex(from)
-	if i < 0 {
-		return
-	}
-	for _, e := range c.rob[i+1:] {
-		if e.squashed {
-			continue
+// operandReady re-resolves entry e after one of its operands received
+// its value from a producer that resolved at cycle now. The oldest
+// mispredicted branch is chosen by seq, so the order in which a
+// producer's dependents are woken cannot matter.
+func (c *Core) operandReady(now int64, e *robEntry) {
+	switch e.in.Op {
+	case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
+		if !e.resolved && e.s1.known && e.s2.known {
+			e.resolved = true
+			e.ready = maxi64(now, maxi64(e.s1.ready, e.s2.ready)) + 1
+			taken := evalBranch(e.in, e.s1.val, e.s2.val)
+			if e.predicted && taken != e.predTaken {
+				e.actualTaken = taken
+				if c.mispredicted == nil || e.seq < c.mispredicted.seq {
+					c.mispredicted = e
+				}
+			}
 		}
-		switch e.in.Op {
-		case isa.Beq, isa.Bne, isa.Blt, isa.Bge:
-			if !e.resolved {
-				e.s1.materialize()
-				e.s2.materialize()
-				if e.s1.known && e.s2.known {
-					e.resolved = true
-					e.ready = maxi64(now, maxi64(e.s1.ready, e.s2.ready)) + 1
-					taken := evalBranch(e.in, e.s1.val, e.s2.val)
-					if e.predicted && taken != e.predTaken {
-						e.mispredict = true
-						e.actualTaken = taken
-						if c.mispredicted == nil || e.seq < c.mispredicted.seq {
-							c.mispredicted = e
-						}
-					}
-				}
+	case isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor,
+		isa.AddI, isa.AndI, isa.ShlI, isa.ShrI:
+		if !e.resolved {
+			c.resolveALU(now, e)
+			if e.resolved {
+				c.wakeDependents(now, e)
 			}
-		case isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor,
-			isa.AddI, isa.AndI, isa.ShlI, isa.ShrI:
-			if !e.resolved {
-				c.resolveALU(now, e)
-				if e.resolved {
-					// Update the fetch-side register if this entry is
-					// still its latest writer.
-					if rv := &c.regs[e.in.Dst]; rv.prod == e {
-						rv.known = true
-						rv.val = e.val
-						rv.ready = e.ready
-						rv.prod = nil
-					}
-				}
-			}
-		case isa.Ld:
-			if !e.addrOK {
-				c.resolveAddr(e)
-			}
-		case isa.St, isa.Xchg:
-			if !e.addrOK {
-				c.resolveAddr(e)
-			}
-			if !e.dataOK {
-				c.resolveStoreData(e)
-			}
+		}
+	case isa.Ld:
+		if !e.addrOK {
+			c.resolveAddr(e)
+		}
+	case isa.St, isa.Xchg:
+		if !e.addrOK {
+			c.resolveAddr(e)
+		}
+		if !e.dataOK {
+			c.resolveStoreData(e)
 		}
 	}
 }

@@ -12,8 +12,9 @@ import (
 )
 
 // stepChecked builds a machine running progs under design d and steps it
-// one cycle at a time to completion, checking every core's load and
-// store queues against its ROB after each cycle.
+// one cycle at a time to completion, checking after each cycle every
+// core's load and store queues against its ROB, and its producer
+// references and wakeup lists.
 func stepChecked(t *testing.T, d fence.Design, store *mem.Store, progs ...*isa.Program) *sim.Machine {
 	t.Helper()
 	if store == nil {
@@ -38,9 +39,12 @@ func stepChecked(t *testing.T, d fence.Design, store *mem.Store, progs ...*isa.P
 }
 
 // TestQueuesTrackROB drives the ROB through each way it loses entries
-// other than retirement (a branch-mispredict squash, a speculative-load
-// squash on invalidation and a W+ rollback) and checks after every cycle
-// that lq is exactly the ROB's unissued loads and sq exactly its stores.
+// other than retirement (a branch-mispredict squash, one that squashes a
+// consumer whose producer survives, a speculative-load squash on
+// invalidation and a W+ rollback) and checks after every cycle that lq
+// is exactly the ROB's unissued loads and sq exactly its stores, and
+// that no producer reference or wakeup list names an entry that left
+// the ROB.
 func TestQueuesTrackROB(t *testing.T) {
 	idle := litmus.Idle()
 	for _, d := range fence.AllDesigns {
@@ -49,6 +53,19 @@ func TestQueuesTrackROB(t *testing.T) {
 			m := stepChecked(t, d, store, p)
 			if m.Core(0).Stats().Mispredicts == 0 {
 				t.Fatal("no misprediction recorded")
+			}
+		})
+		t.Run("consumer/"+d.String(), func(t *testing.T) {
+			p, store := squashedConsumerProgram()
+			m := stepChecked(t, d, store, p)
+			if m.Core(0).Stats().Mispredicts == 0 {
+				t.Fatal("no misprediction recorded")
+			}
+			if got := m.Core(0).Reg(9); got != 10 {
+				t.Fatalf("r9 = %d, want 10", got)
+			}
+			if got := m.Core(0).Reg(8); got != 0 {
+				t.Fatalf("r8 = %d, want 0 (wrong-path result leaked)", got)
 			}
 		})
 		t.Run("squash/"+d.String(), func(t *testing.T) {
@@ -77,6 +94,28 @@ func TestQueuesTrackROB(t *testing.T) {
 			t.Fatal("no W+ recovery recorded")
 		}
 	})
+}
+
+// squashedConsumerProgram squashes a consumer whose producer survives:
+// a wrong-path Add of a cold load's result waits on that load when a
+// branch fed by a forwarded load resolves (predicted not-taken, actually
+// taken) and squashes it, long before the cold load performs.
+func squashedConsumerProgram() (*isa.Program, *mem.Store) {
+	store := mem.NewStore()
+	store.StoreWord(0x1000, 5)
+	b := isa.NewBuilder("squashed-consumer")
+	b.Li(1, 0x1000)
+	b.Ld(6, 1, 0) // cold: the producer that survives
+	b.Li(3, 1)
+	b.St(3, 1, 8)
+	b.Ld(2, 1, 8)             // forwards 1 from the store at once
+	b.Bne(2, isa.R0, "taken") // forward, predicted not-taken, actually taken
+	b.Add(8, 6, 6)            // wrong path: waits on the cold load twice
+	b.Halt()
+	b.Label("taken")
+	b.Add(9, 6, 6)
+	b.Halt()
+	return b.MustBuild(), store
 }
 
 // TestDebugStateShowsBlockingStore: the diagnostic dump names the store

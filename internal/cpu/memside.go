@@ -145,7 +145,7 @@ func (c *Core) handleAtomGrant(now int64, m coherence.Msg) {
 	case coherence.GrantM:
 		c.atomInFlight = false
 		c.installL1(now, m.Line, cache.Modified)
-		if c.atomEntry != nil && !c.atomEntry.squashed {
+		if c.atomEntry != nil {
 			c.performAtomic(now, c.atomEntry)
 		}
 		c.atomEntry = nil
@@ -328,6 +328,7 @@ func (c *Core) pruneUndoLog() {
 	}
 	if i > 0 {
 		c.undoLog = append(c.undoLog[:0], c.undoLog[i:]...)
+		c.undoBase += i
 	}
 }
 
@@ -380,17 +381,16 @@ func (c *Core) recoverWPlus(now int64) {
 		}
 	}
 	c.statLog = keep
-	for _, e := range c.rob {
-		e.squashed = true
-	}
+	// Every ROB entry is squashed, producers with them, so no wakeup list
+	// needs unlinking; the entries return to the pool.
+	c.pool = append(c.pool, c.rob...)
 	c.rob, c.lq, c.sq = c.rob[:0], c.lq[:0], c.sq[:0]
 	c.robSlots = 0
 	for _, lm := range c.loadMisses {
 		lm.waiters = lm.waiters[:0]
 	}
-	if c.atomEntry != nil {
-		c.atomEntry = nil
-	}
+	c.atomEntry = nil
+	c.mispredicted = nil
 	kept := c.wb[:0]
 	for _, w := range c.wb {
 		if w.seq < f.seq {

@@ -55,6 +55,7 @@ func (c *Core) retire(now int64) (int, blockReason, int) {
 			c.sq = c.sq[1:]
 		}
 		c.robSlots -= e.slots
+		c.pool = append(c.pool, e)
 		c.st.RetiredInstrs++
 		retired++
 		if c.finished {
@@ -112,7 +113,7 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 		if len(c.wb) >= c.cfg.WBSize {
 			return false, rExec
 		}
-		c.wb = append(c.wb, wbEntry{addr: e.addr, val: e.dataVal, seq: e.seq})
+		c.wb = pushWindow(c.wb, c.wbBuf, wbEntry{addr: e.addr, val: e.dataVal, seq: e.seq})
 		c.cfg.WBOcc.Observe(int64(len(c.wb)))
 		if c.chk != nil {
 			c.chk.OnStoreRetire(now, c.cfg.ID, e.addr, e.dataVal, e.seq)
@@ -255,13 +256,7 @@ func (c *Core) performAtomic(when int64, e *robEntry) {
 	e.val = old
 	e.ready = when
 	e.resolved = true
-	if rv := &c.regs[e.in.Dst]; rv.prod == e {
-		rv.known = true
-		rv.val = e.val
-		rv.ready = e.ready
-		rv.prod = nil
-	}
-	c.propagate(when, e)
+	c.wakeDependents(when, e)
 }
 
 // retireWeakFence implements the design-dependent behavior of a WFence at
@@ -302,7 +297,7 @@ func (c *Core) retireWeakFence(now int64, e *robEntry) (bool, blockReason) {
 	// now retire and complete early, guarded by the Bypass Set.
 	c.st.WFences++
 	c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
-	f := &activeFence{seq: e.seq, pcAfter: e.pc + 1, undoMark: len(c.undoLog)}
+	f := &activeFence{seq: e.seq, pcAfter: e.pc + 1}
 	c.fences = append(c.fences, f)
 	if c.chk != nil {
 		c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
@@ -382,7 +377,7 @@ func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 	c.st.WFences++
 	c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
 	f := &activeFence{
-		seq: e.seq, pcAfter: e.pc + 1, undoMark: len(c.undoLog),
+		seq: e.seq, pcAfter: e.pc + 1,
 		module: c.weeModule, remotePS: c.weeRemote, wee: true,
 		weeID: c.weeReqID,
 	}
