@@ -1,9 +1,11 @@
 package sim_test
 
 import (
+	"runtime"
 	"testing"
 
 	"asymfence/internal/fence"
+	"asymfence/internal/isa"
 	"asymfence/internal/mem"
 	"asymfence/internal/sim"
 	"asymfence/internal/trace"
@@ -51,11 +53,11 @@ func BenchmarkStepTracingEnabled(b *testing.B) {
 
 // TestQuiescedStepIsAllocationFree documents that the steady-state
 // cycle loop — including every tracing call site on the nil fast path
-// and the nil interval sampler — performs no allocations. (The busy
-// loop allocates for real machine state: packets, ROB growth; the
-// per-cycle tracing hooks themselves must never add any. The trace
-// package's TestNilTracerIsDisabledAndFree covers the Emit path
-// under load.)
+// and the nil interval sampler — performs no allocations. (A busy
+// machine allocates only for real machine state, such as packets in
+// flight; a busy core alone allocates nothing, see
+// TestBusyCoreStepIsAllocationFree. The trace package's
+// TestNilTracerIsDisabledAndFree covers the Emit path under load.)
 func TestQuiescedStepIsAllocationFree(t *testing.T) {
 	al := mem.NewAllocator(dataBase)
 	progs, _ := litmus.Bakery(al, 4, 2, []bool{true, true, true, true}, true)
@@ -69,5 +71,47 @@ func TestQuiescedStepIsAllocationFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, m.Step)
 	if allocs != 0 {
 		t.Fatalf("quiesced Step allocated %v per cycle, want 0", allocs)
+	}
+}
+
+// TestBusyCoreStepIsAllocationFree: once warm, a core that keeps
+// fetching, executing and retiring a load-use-store loop allocates
+// nothing per cycle under any design. ROB entries come from the core's
+// pool and every queue is a window into a fixed array. The count is
+// taken from runtime.MemStats over the whole span, not from
+// testing.AllocsPerRun, which rounds down and would miss an allocation
+// made once every few hundred cycles.
+func TestBusyCoreStepIsAllocationFree(t *testing.T) {
+	b := isa.NewBuilder("busy")
+	b.Li(1, int32(dataBase))
+	b.Li(5, 1<<30)
+	b.Label("loop")
+	b.Ld(2, 1, 0)
+	b.Add(3, 2, 2)
+	b.AddI(5, 5, -1)
+	b.St(3, 1, 4)
+	b.Bne(5, isa.R0, "loop")
+	b.Halt()
+	p := b.MustBuild()
+	for _, d := range fence.AllDesigns {
+		m, err := sim.New(sim.Config{NCores: 1, Design: d}, []*isa.Program{p}, mem.NewStore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 5_000; i++ {
+			m.Step()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < 10_000; i++ {
+			m.Step()
+		}
+		runtime.ReadMemStats(&after)
+		if n := after.Mallocs - before.Mallocs; n != 0 {
+			t.Errorf("%v: %d mallocs (%d bytes) over 10,000 busy cycles, want 0", d, n, after.TotalAlloc-before.TotalAlloc)
+		}
+		if m.Finished() || m.Core(0).Stats().RetiredInstrs < 10_000 {
+			t.Fatalf("%v: the loop did not keep the core busy", d)
+		}
 	}
 }
