@@ -2,6 +2,7 @@ package sim_test
 
 import (
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"asymfence/internal/fence"
@@ -80,7 +81,11 @@ func TestQuiescedStepIsAllocationFree(t *testing.T) {
 // pool and every queue is a window into a fixed array. The count is
 // taken from runtime.MemStats over the whole span, not from
 // testing.AllocsPerRun, which rounds down and would miss an allocation
-// made once every few hundred cycles.
+// made once every few hundred cycles. As AllocsPerRun does, the test
+// runs on one P, and with the collector off: the count covers the whole
+// process, and otherwise the Go runtime's own allocations land in it
+// (a new OS thread started to run an idle P, goroutines a collection
+// wakes).
 func TestBusyCoreStepIsAllocationFree(t *testing.T) {
 	b := isa.NewBuilder("busy")
 	b.Li(1, int32(dataBase))
@@ -93,6 +98,8 @@ func TestBusyCoreStepIsAllocationFree(t *testing.T) {
 	b.Bne(5, isa.R0, "loop")
 	b.Halt()
 	p := b.MustBuild()
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, d := range fence.AllDesigns {
 		m, err := sim.New(sim.Config{NCores: 1, Design: d}, []*isa.Program{p}, mem.NewStore())
 		if err != nil {
