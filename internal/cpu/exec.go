@@ -18,7 +18,8 @@ import (
 //
 // The walk over lq is in program order, so a younger load whose address
 // an older load's result resolves earlier in the same walk (through
-// wakeDependents) is still considered this cycle. Issued loads leave lq as the walk passes them.
+// wakeDependents) is still considered this cycle. Issued loads leave lq
+// as the walk passes them.
 func (c *Core) issueLoads(now int64) {
 	// Recompute the earliest future address-ready among unissued loads
 	// (an idle-memoization wake term: nothing else re-examines a load
