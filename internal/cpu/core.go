@@ -340,12 +340,14 @@ type Core struct {
 	// Idle-cycle memoization (see PERFORMANCE.md). When a full Step ends
 	// with nothing retired and no action taken, the core computes the
 	// earliest future cycle at which a purely time-gated event can occur
-	// and sleeps until then: Steps before wakeAt just re-charge the
-	// recorded stall category in O(1). Message-driven events cannot be
-	// predicted, so HandleMsg clears wakeAt; a spurious early wake is a
-	// stats-identical no-op, so only *missed* time-gated events would be
-	// bugs — computeWake enumerates them all conservatively.
+	// and sleeps until then: the machine does not step it before wakeAt,
+	// and Sync charges the cycles in between to the recorded stall
+	// category in O(1). Message-driven events cannot be predicted, so
+	// HandleMsg clears wakeAt; a spurious early wake is a stats-identical
+	// no-op, so only *missed* time-gated events would be bugs —
+	// computeWake enumerates them all conservatively.
 	wakeAt    int64
+	synced    int64    // last cycle stepped or charged by Sync
 	acted     bool     // something changed this Step; do not sleep
 	stallKind stallCat // category charged for skipped cycles
 	stallPC   int      // fence-site attribution for stallFence

@@ -410,17 +410,14 @@ func (c *Core) recoverWPlus(now int64) {
 }
 
 // Step advances the core by one cycle. The simulator has already delivered
-// this cycle's incoming messages via HandleMsg.
+// this cycle's incoming messages via HandleMsg. It steps a sleeping core
+// again only once a message arrives or its wake time comes, and Step
+// first charges the cycles since the core last stepped (see Sync).
 func (c *Core) Step(now int64) {
+	c.Sync(now - 1)
+	c.synced = now
 	if c.finished {
 		c.st.IdleCycles++
-		return
-	}
-	if now < c.wakeAt {
-		// Asleep: no message arrived (HandleMsg would have cleared
-		// wakeAt) and no time-gated event is due, so a full evaluation
-		// would change nothing but the recorded stall counter.
-		c.chargeStall(1)
 		return
 	}
 	c.acted = false
@@ -481,23 +478,37 @@ func (c *Core) setStall(reason blockReason, blockPC int) {
 	}
 }
 
-// chargeStall bulk-charges n cycles of the recorded stall category. The
-// category cannot change while the core sleeps: every state transition is
-// either message-driven (wakes the core immediately) or time-gated at a
-// cycle computeWake accounted for.
-func (c *Core) chargeStall(n uint64) {
-	switch c.stallKind {
+// Sync charges every cycle after the last one the core was stepped or
+// charged for, through now, to what stepping it would have charged: idle
+// once finished, otherwise the stall category latched when it went to
+// sleep. Only Step changes the category or finishes the core, and the
+// machine steps a sleeping core again in the cycle a message arrives for
+// it or at its wake time, whichever is first, so the category holds for
+// every cycle in between: computeWake accounts for every time-gated
+// transition. The machine calls Sync before anything reads the core's
+// counters.
+func (c *Core) Sync(now int64) {
+	n := now - c.synced
+	if n <= 0 {
+		return
+	}
+	c.synced = now
+	if c.finished {
+		c.st.IdleCycles += uint64(n)
+		return
+	}
+	switch u := uint64(n); c.stallKind {
 	case stallBusy:
-		c.st.BusyCycles += n
+		c.st.BusyCycles += u
 	case stallFence:
-		c.st.FenceStallCycles += n
+		c.st.FenceStallCycles += u
 		if c.stallPC >= 0 {
-			c.st.FenceSiteStall[c.stallPC] += n
+			c.st.FenceSiteStall[c.stallPC] += u
 		}
 	case stallDrain:
-		c.st.FenceStallCycles += n
+		c.st.FenceStallCycles += u
 	default:
-		c.st.OtherStallCycles += n
+		c.st.OtherStallCycles += u
 	}
 }
 
@@ -573,7 +584,8 @@ func (c *Core) computeWake(now int64) int64 {
 // WakeAt reports the earliest cycle after now at which this core may act:
 // now+1 when it is awake, its recorded wake time when it sleeps, or
 // math.MaxInt64 when it is finished or waiting only for messages. The
-// machine's quiescence-aware cycle loop uses it to bound clock jumps.
+// machine steps the core next at that cycle, or at the cycle a message
+// arrives for it if that is sooner, and bounds clock jumps by it.
 func (c *Core) WakeAt(now int64) int64 {
 	if c.finished {
 		return math.MaxInt64
@@ -582,16 +594,6 @@ func (c *Core) WakeAt(now int64) int64 {
 		return now + 1
 	}
 	return c.wakeAt
-}
-
-// SkipStall bulk-accounts n cycles the machine's cycle loop skipped while
-// this core was quiescent; it is exactly n fast-path Steps.
-func (c *Core) SkipStall(n int64) {
-	if c.finished {
-		c.st.IdleCycles += uint64(n)
-		return
-	}
-	c.chargeStall(uint64(n))
 }
 
 // Pending reports whether the core still has in-flight machine state

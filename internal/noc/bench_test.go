@@ -28,9 +28,10 @@ func BenchmarkMeshSendDeliver(b *testing.B) {
 	}
 }
 
-// BenchmarkMeshNextArrival measures the quiescence probe the cycle loop
-// uses to decide how far it may fast-forward, with a typical handful of
-// in-flight packets.
+// BenchmarkMeshNextArrival measures the probe the cycle loop uses to
+// decide how far it may fast-forward: the minimum over the mesh's
+// per-destination arrival cycles (one per node, whatever the number of
+// packets in flight), here with a typical handful of packets in flight.
 func BenchmarkMeshNextArrival(b *testing.B) {
 	m := NewMesh[uint64](4, 4)
 	for i := 0; i < 8; i++ {

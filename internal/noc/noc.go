@@ -17,9 +17,10 @@
 //
 // Determinism: packets are delivered in (arrival cycle, injection order)
 // order, and point-to-point FIFO is enforced per (src, dst) channel.
-// NextArrival exposes the earliest undelivered arrival cycle so the
-// simulator's quiescence-aware cycle loop can skip dead cycles without
-// changing delivery order.
+// The mesh keeps each destination's next arrival cycle beside the
+// queues: Arrivals exposes them so the simulator's cycle loop delivers
+// only to nodes with a packet due, and NextArrival, their minimum, lets
+// it skip dead cycles without changing delivery order.
 package noc
 
 import (
@@ -134,6 +135,9 @@ type Mesh[P any] struct {
 	hopLatency    int64
 	linkBytes     int
 	queues        []pktHeap[P] // one per destination
+	// arrivals[d] is the arrival cycle of queues[d]'s head, or
+	// math.MaxInt64 when the queue is empty (see Arrivals).
+	arrivals []int64
 	// lastArrive enforces point-to-point FIFO ordering per (src, dst)
 	// channel: XY routing sends all traffic between a pair down one path,
 	// so later packets can never overtake earlier ones even when their
@@ -161,7 +165,11 @@ func NewMesh[P any](width, height int) *Mesh[P] {
 		hopLatency: DefaultHopLatency,
 		linkBytes:  DefaultLinkBytes,
 		queues:     make([]pktHeap[P], width*height),
+		arrivals:   make([]int64, width*height),
 		lastArrive: make([]int64, width*height*width*height),
+	}
+	for i := range m.arrivals {
+		m.arrivals[i] = math.MaxInt64
 	}
 	return m
 }
@@ -240,7 +248,9 @@ func (m *Mesh[P]) Send(now int64, p Packet[P]) {
 		arrive = m.lastArrive[ch]
 	}
 	m.lastArrive[ch] = arrive
-	m.queues[p.Dst].push(inFlight[P]{arrive: arrive, seq: m.seq, pkt: p})
+	q := &m.queues[p.Dst]
+	q.push(inFlight[P]{arrive: arrive, seq: m.seq, pkt: p})
+	m.arrivals[p.Dst] = (*q)[0].arrive
 	m.tr.Emit(now, trace.KNoCSend, int32(p.Src), 0, int64(p.Dst), int64(p.Size), int64(p.Cat))
 }
 
@@ -262,6 +272,10 @@ func (m *Mesh[P]) DeliverInto(now int64, dst int, buf []Packet[P]) []Packet[P] {
 		m.tr.Emit(now, trace.KNoCDeliver, int32(dst), 0, int64(p.Src), int64(p.Size), int64(p.Cat))
 		buf = append(buf, p)
 	}
+	m.arrivals[dst] = math.MaxInt64
+	if len(*q) > 0 {
+		m.arrivals[dst] = (*q)[0].arrive
+	}
 	return buf
 }
 
@@ -276,15 +290,21 @@ func (m *Mesh[P]) InFlight() int { return m.inFlight }
 // (exported as the machine.noc.inflight_peak gauge).
 func (m *Mesh[P]) PeakInFlight() int { return m.peak }
 
+// Arrivals returns each destination's next arrival cycle: element d is
+// the arrival cycle of the earliest packet in flight to node d, or
+// math.MaxInt64 when none is. Send and DeliverInto keep it current in
+// place, so the simulator's cycle loop reads it without touching the
+// packet queues. The slice is the mesh's own; callers must not write it.
+func (m *Mesh[P]) Arrivals() []int64 { return m.arrivals }
+
 // NextArrival returns the earliest arrival cycle over every undelivered
-// packet, or math.MaxInt64 when nothing is in flight. The simulator's
-// quiescence-aware stepping uses it to bound how far the clock may skip.
+// packet, the minimum of Arrivals, or math.MaxInt64 when nothing is in
+// flight. The simulator's quiescence-aware stepping uses it to bound how
+// far the clock may skip.
 func (m *Mesh[P]) NextArrival() int64 {
 	next := int64(math.MaxInt64)
-	for i := range m.queues {
-		if q := m.queues[i]; len(q) > 0 && q[0].arrive < next {
-			next = q[0].arrive
-		}
+	for _, t := range m.arrivals {
+		next = min(next, t)
 	}
 	return next
 }

@@ -1,6 +1,7 @@
 package noc
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -107,4 +108,68 @@ func TestTrafficAccounting(t *testing.T) {
 	if s.BytesIn(CatRetry) != 40 || s.BytesIn(CatFence) != 12 || s.BytesIn(CatProtocol) != 8 {
 		t.Fatalf("per-category: %+v", s.BytesByCat)
 	}
+}
+
+// TestArrivalsTrackQueueHeads checks the per-destination arrival cycles
+// after every Send and DeliverInto: each node reports its queue head's
+// arrival, or none (math.MaxInt64) when its queue is empty, and
+// NextArrival reports their minimum. One send is clamped by the
+// per-channel FIFO rule and one is delayed through SetDelayFn.
+func TestArrivalsTrackQueueHeads(t *testing.T) {
+	const none = math.MaxInt64
+	m := NewMesh[string](2, 2)
+	var buf []Packet[string]
+	check := func(step string, want ...int64) {
+		t.Helper()
+		got := m.Arrivals()
+		next := int64(none)
+		for d, q := range m.queues {
+			head := int64(none)
+			if len(q) > 0 {
+				head = q[0].arrive
+			}
+			if got[d] != head || got[d] != want[d] {
+				t.Fatalf("%s: node %d reports %d, queue head arrives at %d, want %d", step, d, got[d], head, want[d])
+			}
+			next = min(next, want[d])
+		}
+		if m.NextArrival() != next {
+			t.Fatalf("%s: NextArrival = %d, want %d", step, m.NextArrival(), next)
+		}
+	}
+	deliver := func(now int64, dst, n int) {
+		t.Helper()
+		if buf = m.DeliverInto(now, dst, buf[:0]); len(buf) != n {
+			t.Fatalf("DeliverInto(%d, %d) delivered %d packets, want %d", now, dst, len(buf), n)
+		}
+	}
+
+	check("empty", none, none, none, none)
+	m.Send(0, Packet[string]{Src: 0, Dst: 3, Size: 8}) // 2 hops: arrives at 11
+	check("far send", none, none, none, 11)
+	m.Send(0, Packet[string]{Src: 1, Dst: 3, Size: 8}) // 1 hop: arrives at 6, the new head
+	check("near send", none, none, none, 6)
+	m.Send(0, Packet[string]{Src: 0, Dst: 1, Size: 64}) // 1 hop, 2 serialization cycles: 7
+	check("data send", none, 7, none, 6)
+	m.Send(0, Packet[string]{Src: 0, Dst: 1, Size: 8}) // would arrive at 6; FIFO clamps it to 7
+	check("clamped send", none, 7, none, 6)
+	m.SetDelayFn(func(src, dst, size int) int64 { return 9 })
+	m.Send(2, Packet[string]{Src: 0, Dst: 2, Size: 8}) // 1 hop at cycle 2, delayed 9: 17
+	m.SetDelayFn(nil)
+	check("delayed send", none, 7, 17, 6)
+
+	deliver(5, 3, 0)
+	check("deliver before arrival", none, 7, 17, 6)
+	deliver(6, 3, 1)
+	check("deliver node 3's head", none, 7, 17, 11)
+	deliver(6, 1, 0) // the clamped packet is not due before 7
+	check("deliver clamped early", none, 7, 17, 11)
+	deliver(7, 1, 2)
+	check("deliver node 1", none, none, 17, 11)
+	deliver(11, 3, 1)
+	check("deliver node 3", none, none, 17, none)
+	deliver(16, 2, 0)
+	check("deliver delayed early", none, none, 17, none)
+	deliver(17, 2, 1)
+	check("deliver delayed", none, none, none, none)
 }

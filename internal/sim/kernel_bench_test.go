@@ -7,6 +7,8 @@ import (
 	"asymfence/internal/fence"
 	"asymfence/internal/mem"
 	"asymfence/internal/sim"
+	"asymfence/internal/stats"
+	"asymfence/internal/workloads/cilk"
 	"asymfence/internal/workloads/litmus"
 	"asymfence/internal/workloads/stm"
 )
@@ -62,6 +64,55 @@ func BenchmarkCycleKernel(b *testing.B) {
 		b.Run(fmt.Sprintf("%v/List", d), func(b *testing.B) {
 			stepKernel(b, listMachine(b, d))
 		})
+	}
+}
+
+// cilkMachine builds the 64-core machine of a kernel-quiescent row:
+// cilk app under design d with tasks tasks per worker, seed 1, on the
+// machine cfg describes (cfg's core count, design, privacy and warm
+// regions are filled in). It also returns the task count a finished
+// run must have executed.
+func cilkMachine(tb testing.TB, app string, d fence.Design, tasks int, cfg sim.Config) (*sim.Machine, int) {
+	tb.Helper()
+	p, _ := cilk.AppByName(app)
+	p.TasksPerWorker = tasks
+	al, store, pv := mem.NewAllocator(dataBase), mem.NewStore(), mem.NewPrivacy()
+	wl := cilk.Build(p, 64, cilk.AssignmentFor(d), 1, al, store, pv)
+	cfg.NCores, cfg.Design, cfg.Privacy, cfg.WarmRegions = 64, d, pv, wl.WarmRegions
+	m, err := sim.New(cfg, wl.Progs, store)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return m, wl.TotalTasks
+}
+
+// BenchmarkKernelQuiescent builds and runs to completion the ten rows
+// of the kernel-quiescent benchmark workload (<design>/<app> for
+// cilk:bucket and cilk:fib): one op is one row, machine build included,
+// as the workload times it. It is how PERFORMANCE.md profiles
+// kernel-quiescent; -benchtime 1x -count 2 is two passes over the rows.
+func BenchmarkKernelQuiescent(b *testing.B) {
+	for _, app := range []string{"bucket", "fib"} {
+		p, _ := cilk.AppByName(app)
+		tasks := max(p.TasksPerWorker/4, 4) // the workload's scale, 0.25
+		for _, d := range fence.AllDesigns {
+			b.Run(fmt.Sprintf("%v/%s", d, app), func(b *testing.B) {
+				b.ReportAllocs()
+				var cycles int64
+				for i := 0; i < b.N; i++ {
+					m, total := cilkMachine(b, app, d, tasks, sim.Config{MaxCycles: 200_000_000})
+					res, err := m.Run()
+					if err != nil {
+						b.Fatal(err)
+					}
+					if got := res.Agg().Events[stats.EvTask]; got != uint64(total) {
+						b.Fatalf("ran %d of %d tasks", got, total)
+					}
+					cycles += res.Cycles
+				}
+				b.ReportMetric(float64(cycles)/b.Elapsed().Seconds(), "cycles/sec")
+			})
+		}
 	}
 }
 

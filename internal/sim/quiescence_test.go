@@ -1,9 +1,11 @@
 package sim_test
 
 import (
+	"errors"
 	"reflect"
 	"testing"
 
+	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -188,5 +190,110 @@ func TestIdleSkipWakesOnPacketArrival(t *testing.T) {
 	if mf.SkippedCycles() < 50 {
 		t.Errorf("fast run skipped only %d cycles; the memory fetch latency "+
 			"should have been mostly elided", mf.SkippedCycles())
+	}
+}
+
+// kernelShapeTasks is the tasks per worker of the kernel-shape cases: the
+// kernel-quiescent workload's minimum, a few thousand cycles per run.
+const kernelShapeTasks = 4
+
+// kernelShapeApps are the kernel-quiescent workload's apps, each with a
+// design and a watchdog length that trips on it (a gap in retirement
+// near the end of the run for bucket, mid-run for fib).
+var kernelShapeApps = []struct {
+	app      string
+	design   fence.Design
+	watchdog int64
+}{
+	{"bucket", fence.SPlus, 60},
+	{"fib", fence.WSPlus, 150},
+}
+
+// asleep counts m's cores that are not due to step next cycle.
+func asleep(m *sim.Machine) int {
+	n := 0
+	for i := 0; i < 64; i++ {
+		if m.Core(i).WakeAt(m.Cycle()) > m.Cycle()+1 {
+			n++
+		}
+	}
+	return n
+}
+
+// TestQuiescenceEquivalenceKernelShape cross-checks PureStepping against
+// the scheduled loop at the kernel-quiescent workload's shape: 64-core
+// cilk:bucket and cilk:fib, seed 1, where most cores sleep most cycles
+// and are charged for them in bulk. Each case reads the counters where
+// the bulk charge must have landed by then: at sampling boundaries, at
+// RunFor horizons, at a watchdog stop, and through Machine.Core between
+// Steps.
+func TestQuiescenceEquivalenceKernelShape(t *testing.T) {
+	for _, k := range kernelShapeApps {
+		build := func(cfg sim.Config) *sim.Machine {
+			m, _ := cilkMachine(t, k.app, k.design, kernelShapeTasks, cfg)
+			return m
+		}
+		t.Run("sampled/"+k.app, func(t *testing.T) {
+			run := func(pure bool) *sim.Result {
+				res, err := build(sim.Config{PureStepping: pure, SampleInterval: 500}).Run()
+				if err != nil {
+					t.Fatalf("pure=%v: %v", pure, err)
+				}
+				return res
+			}
+			pure, fast := run(true), run(false)
+			if pd, fd := pure.Digest(), fast.Digest(); pd != fd {
+				t.Errorf("digests diverge: pure=%s fast=%s", pd, fd)
+			}
+			if !reflect.DeepEqual(pure.Intervals, fast.Intervals) {
+				t.Errorf("interval time series diverge (%d vs %d rows)", len(pure.Intervals), len(fast.Intervals))
+			}
+		})
+		t.Run("runfor/"+k.app, func(t *testing.T) {
+			mp, mf := build(sim.Config{PureStepping: true}), build(sim.Config{})
+			for _, n := range []int64{1_234, 777, 2_000, 1_501} {
+				pure, fast := mp.RunFor(n), mf.RunFor(n)
+				if pd, fd := pure.Digest(), fast.Digest(); pd != fd {
+					t.Fatalf("at cycle %d: digests diverge: pure=%s fast=%s", mf.Cycle(), pd, fd)
+				}
+				if s := asleep(mf); s <= 32 {
+					t.Fatalf("at cycle %d only %d of 64 cores sleep; the horizon should end in a quiet stretch", mf.Cycle(), s)
+				}
+			}
+		})
+		t.Run("watchdog/"+k.app, func(t *testing.T) {
+			run := func(pure bool) (*sim.Result, *sim.DeadlockError) {
+				res, err := build(sim.Config{PureStepping: pure, WatchdogCycles: k.watchdog,
+					Core: cpu.Config{WPlusTimeout: k.watchdog}}).Run()
+				var de *sim.DeadlockError
+				if !errors.As(err, &de) {
+					t.Fatalf("pure=%v: want a watchdog stop, got %v", pure, err)
+				}
+				return res, de
+			}
+			pure, pe := run(true)
+			fast, fe := run(false)
+			if pe.Cycle != fe.Cycle {
+				t.Errorf("watchdog fires at cycle %d pure, %d fast", pe.Cycle, fe.Cycle)
+			}
+			if pd, fd := pure.Digest(), fast.Digest(); pd != fd {
+				t.Errorf("partial results diverge: pure=%s fast=%s", pd, fd)
+			}
+		})
+		t.Run("core/"+k.app, func(t *testing.T) {
+			mp, mf := build(sim.Config{PureStepping: true}), build(sim.Config{})
+			for !mp.Finished() {
+				mp.Step()
+				mf.Step()
+				if mp.Cycle()%97 != 0 {
+					continue
+				}
+				for i := 0; i < 64; i++ {
+					if p, f := mp.Core(i).Stats(), mf.Core(i).Stats(); !reflect.DeepEqual(p, f) {
+						t.Fatalf("cycle %d core %d: stats diverge:\npure %+v\nfast %+v", mp.Cycle(), i, *p, *f)
+					}
+				}
+			}
+		})
 	}
 }

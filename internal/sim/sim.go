@@ -1,10 +1,24 @@
 // Package sim wires cores, directory modules, the mesh and the functional
 // store into a whole simulated multicore and drives the cycle loop.
 //
-// Stepping is deterministic: each cycle, arrived packets are delivered
-// node by node (directory messages first at each node), directory timers
-// fire, then cores step in index order. Identical configurations and
-// programs produce bit-identical runs; a test asserts this.
+// Stepping is deterministic. Each cycle, the packets that have arrived
+// are delivered node by node, each node's in (arrival, injection) order,
+// to the node's directory or core according to the message type; then
+// directory timers fire, then cores step, each in index order. Identical
+// configurations and programs produce bit-identical runs; a test asserts
+// this.
+//
+// A cycle visits only the components with work due. The mesh keeps each
+// node's next arrival cycle, and the machine keeps each bank's next timer
+// and each core's next step cycle (its WakeAt, or the current cycle once
+// a message arrives for it), refreshing an entry when it delivers to,
+// fires or steps that component. A core the loop does not step is
+// charged for those cycles in bulk (cpu.Core.Sync) before anything reads
+// its counters: when it is next stepped, at a sampling boundary, when
+// Core hands it out and when a Result is built. When no component is due
+// in the next cycle either, fastForward moves the clock to just before
+// the earliest cycle one is. Config.PureStepping visits every component
+// every cycle instead; results are identical either way.
 package sim
 
 import (
@@ -123,6 +137,14 @@ type Machine struct {
 	coreStats []*stats.Core
 	// delivBuf is the reused packet-delivery scratch buffer.
 	delivBuf []coherence.Packet
+	// timerAt[i] is bank i's next timer cycle (Directory.NextTimer) and
+	// coreAt[i] the next cycle core i is due to step, refreshed whenever
+	// the loop delivers to, fires or steps that component. A bank arms
+	// timers only from Handle and Step, always at least a cycle ahead.
+	timerAt, coreAt []int64
+	// retired counts the instructions the cores retired, summed as the
+	// loop steps them (the watchdog's progress measure).
+	retired uint64
 	// skipped counts cycles elided by fastForward (diagnostics/tests).
 	skipped int64
 	// chk is the attached invariant oracle (nil when checking is off).
@@ -156,7 +178,8 @@ func New(cfg Config, programs []*isa.Program, store *mem.Store) (*Machine, error
 	grt := coherence.NewGRT()
 	m := &Machine{cfg: cfg, mesh: mesh, store: store, tr: tr,
 		sampler: trace.NewSampler(cfg.SampleInterval, cfg.NCores),
-		chk:     cfg.Checker, mx: newSimMetrics(cfg.Metrics)}
+		chk:     cfg.Checker, mx: newSimMetrics(cfg.Metrics),
+		timerAt: make([]int64, cfg.NCores), coreAt: make([]int64, cfg.NCores)}
 	for i := 0; i < cfg.NCores; i++ {
 		d := coherence.NewDirectory(i, cfg.NCores, mesh, l2BytesPerBank, grt)
 		d.SetTracer(tr)
@@ -167,6 +190,7 @@ func New(cfg Config, programs []*isa.Program, store *mem.Store) (*Machine, error
 			d.SetLatencyFault(cfg.Faults.DirDelay)
 		}
 		m.dirs = append(m.dirs, d)
+		m.timerAt[i] = d.NextTimer()
 		cc := cfg.Core
 		cc.ID = i
 		cc.NCores = cfg.NCores
@@ -201,8 +225,12 @@ func (m *Machine) Cycle() int64 { return m.cycle }
 // Store returns the functional memory (for inspecting workload results).
 func (m *Machine) Store() *mem.Store { return m.store }
 
-// Core returns core i (test hook).
-func (m *Machine) Core(i int) *cpu.Core { return m.cores[i] }
+// Core returns core i (test hook), its counters charged through the
+// current cycle.
+func (m *Machine) Core(i int) *cpu.Core {
+	m.cores[i].Sync(m.cycle)
+	return m.cores[i]
+}
 
 // Directory returns directory module i (test hook).
 func (m *Machine) Directory(i int) *coherence.Directory { return m.dirs[i] }
@@ -228,34 +256,55 @@ func (m *Machine) violation() error {
 	return m.chk.Err()
 }
 
-// Step advances the whole machine one cycle.
+// Step advances the whole machine one cycle, visiting only the nodes
+// with a packet due, the banks with a timer due and the cores due to
+// step (every one of them under PureStepping).
 func (m *Machine) Step() {
 	m.cycle++
 	now := m.cycle
-	for n := 0; n < m.cfg.NCores; n++ {
+	all := m.cfg.PureStepping
+	for n, t := range m.mesh.Arrivals() {
+		if t > now && !all {
+			continue
+		}
 		// Handlers may send new packets mid-delivery, but every send has
-		// latency >= 1, so the pop-then-handle order per node is stable
-		// and the scratch buffer is not mutated under iteration.
+		// latency >= 1, so the pop-then-handle order per node is stable,
+		// no node this loop has yet to visit becomes due, and the scratch
+		// buffer is not mutated under iteration.
 		m.delivBuf = m.mesh.DeliverInto(now, n, m.delivBuf[:0])
 		for _, pkt := range m.delivBuf {
 			if coherence.ToDirectory(pkt.Payload.Type) {
 				m.dirs[n].Handle(now, pkt.Payload)
 			} else {
 				m.cores[n].HandleMsg(now, pkt.Payload)
+				m.coreAt[n] = now
 			}
 		}
+		m.timerAt[n] = m.dirs[n].NextTimer()
 	}
-	for _, d := range m.dirs {
+	for n, d := range m.dirs {
+		if m.timerAt[n] > now && !all {
+			continue
+		}
 		d.Step(now)
+		m.timerAt[n] = d.NextTimer()
 	}
-	for _, c := range m.cores {
+	for n, c := range m.cores {
+		if m.coreAt[n] > now && !all {
+			continue
+		}
+		st := m.coreStats[n]
+		r := st.RetiredInstrs
 		c.Step(now)
+		m.retired += st.RetiredInstrs - r
+		m.coreAt[n] = c.WakeAt(now)
 	}
 	if m.chk != nil {
 		m.chk.EndCycle(now)
 	}
 	if m.sampler.Due(now) {
 		for i, st := range m.coreStats {
+			m.cores[i].Sync(now)
 			m.sampler.Record(now, i, st)
 		}
 	}
@@ -301,6 +350,7 @@ func (r *Result) Agg() *stats.Core {
 func (m *Machine) result(finished bool) *Result {
 	r := &Result{Cycles: m.cycle, Finished: finished}
 	for _, c := range m.cores {
+		c.Sync(m.cycle)
 		r.Cores = append(r.Cores, c.Stats())
 	}
 	r.NoC = m.mesh.Stats()
@@ -363,7 +413,7 @@ func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
 	}
 	done := ctx.Done()
 	lastProgress := m.cycle
-	lastRetired := m.totalRetired()
+	lastRetired := m.retired
 	for m.cycle < m.cfg.MaxCycles {
 		m.Step()
 		if err := m.violation(); err != nil {
@@ -379,8 +429,8 @@ func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
-		if r := m.totalRetired(); r != lastRetired {
-			lastRetired = r
+		if m.retired != lastRetired {
+			lastRetired = m.retired
 			lastProgress = m.cycle
 		} else if m.cycle-lastProgress > m.cfg.WatchdogCycles {
 			return m.result(false), m.deadlockError()
@@ -400,44 +450,31 @@ func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
 
 // fastForward advances the clock past cycles in which provably nothing
 // happens: every core is asleep or finished, no packet arrives, and no
-// directory timer fires. The skipped cycles are bulk-charged to each
-// core's recorded stall category, which is exactly what stepping them
-// would have done — runs are bit-identical with and without skipping
-// (TestQuiescenceEquivalence). The jump is also capped at the next
-// sampling boundary and at limit (watchdog deadline / horizon).
+// directory timer fires. The jump is to the earliest cycle any of them
+// is due, capped at the next sampling boundary and at limit (watchdog
+// deadline / horizon). The cores are charged for the skipped cycles
+// like for any other cycle they were not stepped, so runs are
+// bit-identical with and without skipping (TestQuiescenceEquivalence).
 func (m *Machine) fastForward(limit int64) {
 	now := m.cycle
 	if now+2 > limit {
 		return
 	}
-	next := m.sampler.Next(now)
-	for _, c := range m.cores {
-		w := c.WakeAt(now)
+	next := min(m.sampler.Next(now), limit)
+	for _, w := range m.coreAt {
 		if w <= now+1 {
 			return // an awake core steps every cycle
 		}
-		if w < next {
-			next = w
-		}
+		next = min(next, w)
 	}
-	if t := m.mesh.NextArrival(); t < next {
-		next = t
-	}
-	for _, d := range m.dirs {
-		if t := d.NextTimer(); t < next {
-			next = t
-		}
-	}
-	if next > limit {
-		next = limit
+	next = min(next, m.mesh.NextArrival())
+	for _, t := range m.timerAt {
+		next = min(next, t)
 	}
 	// Stop one cycle short: the event cycle itself must be stepped.
 	skip := next - now - 1
 	if skip <= 0 {
 		return
-	}
-	for _, c := range m.cores {
-		c.SkipStall(skip)
 	}
 	m.cycle += skip
 	m.skipped += skip
@@ -480,12 +517,4 @@ func (m *Machine) RunForCtx(ctx context.Context, n int64) (*Result, error) {
 		}
 	}
 	return m.result(m.Finished()), nil
-}
-
-func (m *Machine) totalRetired() uint64 {
-	var t uint64
-	for _, c := range m.cores {
-		t += c.Stats().RetiredInstrs
-	}
-	return t
 }

@@ -134,10 +134,15 @@ func (d *Deque) Take() (int64, bool) {
 		return 0, false
 	}
 	v := d.tasks[t&d.mask].Load()
-	// Consume under the lock and leave the canonical empty state
-	// head == tail == t+1.
-	d.head.Store(t + 1)
-	d.tail.Store(t + 1)
+	if h == t {
+		// Consume the last item and leave the canonical empty state
+		// head == tail == t+1.
+		d.head.Store(t + 1)
+		d.tail.Store(t + 1)
+	}
+	// h < t: the head we read was a thief's claim that failed and was
+	// withdrawn while we waited for the lock, so the items [h, t) remain
+	// for later takes and steals, and tail == t already excludes ours.
 	d.lock.Unlock()
 	return v, true
 }

@@ -3,6 +3,7 @@ package thedeque
 import (
 	"runtime"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -99,6 +100,62 @@ func TestMixedTakeSteal(t *testing.T) {
 	if got := d.Size(); got != 4 {
 		t.Fatalf("Size = %d, want 4", got)
 	}
+}
+
+// TestTakeKeepsItemsAfterWithdrawnClaim replays, deterministically, the
+// interleaving that lost a task under the stress test: a thief publishes
+// its claim of the oldest of two items (head = 1), the owner's Take reads
+// that head, finds it equal to the index it is taking and waits for the
+// lock, and the thief's claim then fails and is withdrawn (head = 0).
+// Take must return the newest item without consuming the oldest, which a
+// steal must still find.
+func TestTakeKeepsItemsAfterWithdrawnClaim(t *testing.T) {
+	for _, v := range variants {
+		d := New(16, v)
+		d.Push(1)
+		d.Push(2)
+		d.lock.Lock()
+		d.head.Store(1) // the thief's published claim of index 0
+		type taken struct {
+			v  int64
+			ok bool
+		}
+		done := make(chan taken)
+		go func() {
+			v, ok := d.Take()
+			done <- taken{v, ok}
+		}()
+		waitForLockWaiter(t, "(*Deque).Take")
+		d.head.Store(0) // the claim failed: withdraw it
+		d.lock.Unlock()
+		if got := <-done; !got.ok || got.v != 2 {
+			t.Fatalf("%v: Take = %d,%v want 2", v, got.v, got.ok)
+		}
+		if got, ok := d.Steal(); !ok || got != 1 {
+			t.Fatalf("%v: Steal = %d,%v want 1: the withdrawn claim's item was lost", v, got, ok)
+		}
+		if _, ok := d.Steal(); ok {
+			t.Fatalf("%v: Steal on empty succeeded", v)
+		}
+	}
+}
+
+// waitForLockWaiter blocks until a goroutine running fn is parked on a
+// sync.Mutex.
+func waitForLockWaiter(t *testing.T, fn string) {
+	t.Helper()
+	buf := make([]byte, 1<<20)
+	deadline := time.Now().Add(10 * time.Second)
+	for time.Now().Before(deadline) {
+		stacks := string(buf[:runtime.Stack(buf, true)])
+		for _, g := range strings.Split(stacks, "\n\n") {
+			if strings.Contains(g, "[sync.Mutex.Lock") && strings.Contains(g, fn) {
+				return
+			}
+		}
+		runtime.Gosched()
+	}
+	t.Fatalf("no goroutine in %s parked on a mutex within 10 s", fn)
 }
 
 // TestStressExactlyOnce is the port's core safety test: one owner
