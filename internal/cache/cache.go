@@ -2,9 +2,15 @@
 // banked shared L2, with MESI line states and LRU replacement (Table 2 of
 // the paper). Caches here track timing/coherence state only; word values
 // live in the functional store (see mem and DESIGN.md §3).
+//
+// LRU order is kept by position: each set is a run of packed tags, most
+// recently used first. A tag is the line address OR'd with its MESI
+// state in the address's always-zero low bits; the tag 0 is Invalid.
 package cache
 
 import (
+	"slices"
+
 	"asymfence/internal/mem"
 )
 
@@ -34,62 +40,62 @@ func (s State) String() string {
 	return "?"
 }
 
-type way struct {
-	line  mem.Line
-	state State
-	lru   uint64 // last-touch stamp; larger = more recent
-}
+// stateBits masks a tag's state: the bits below the line size.
+const stateBits = mem.LineSize - 1
 
 // Cache is a set-associative, write-back cache with LRU replacement.
 type Cache struct {
-	sets    [][]way
-	numSets int
+	// tags holds set i at [i*assoc, (i+1)*assoc), most recent first.
+	tags    []uint32
+	setMask uint32
 	assoc   int
-	stamp   uint64
 
 	// Statistics.
 	Hits, Misses, Evictions, DirtyEvictions uint64
 }
 
 // New builds a cache of sizeBytes with the given associativity over
-// mem.LineSize lines. sizeBytes must divide evenly into sets.
+// mem.LineSize lines. sizeBytes must be a whole number of lines that
+// divides into a power-of-two number of sets.
 func New(sizeBytes, assoc int) *Cache {
 	lines := sizeBytes / mem.LineSize
 	numSets := lines / assoc
-	if numSets == 0 || lines%assoc != 0 {
+	if sizeBytes%mem.LineSize != 0 || numSets == 0 || lines%assoc != 0 || numSets&(numSets-1) != 0 {
 		panic("cache: bad geometry")
 	}
-	c := &Cache{numSets: numSets, assoc: assoc}
-	c.sets = make([][]way, numSets)
-	backing := make([]way, numSets*assoc)
-	for i := range c.sets {
-		c.sets[i] = backing[i*assoc : (i+1)*assoc]
-	}
-	return c
+	return &Cache{tags: make([]uint32, lines), setMask: uint32(numSets - 1), assoc: assoc}
 }
 
-func (c *Cache) setIndex(l mem.Line) int {
-	return int(uint32(l)/mem.LineSize) % c.numSets
-}
-
-func (c *Cache) find(l mem.Line) *way {
-	set := c.sets[c.setIndex(l)]
-	for i := range set {
-		if set[i].state != Invalid && set[i].line == l {
-			return &set[i]
+// find returns l's set and the slot holding a valid copy of l, or -1.
+func (c *Cache) find(l mem.Line) ([]uint32, int) {
+	first := int(uint32(l)/mem.LineSize&c.setMask) * c.assoc
+	set := c.tags[first : first+c.assoc]
+	for i, t := range set {
+		// Only a valid tag for l differs from l in its state bits alone.
+		if t^uint32(l)-1 < stateBits {
+			return set, i
 		}
 	}
-	return nil
+	return set, -1
+}
+
+// toFront moves slot i's tag to the front of set, shifting the more
+// recent tags back one slot.
+func toFront(set []uint32, i int) {
+	t := set[i]
+	for ; i > 0; i-- {
+		set[i] = set[i-1]
+	}
+	set[0] = t
 }
 
 // Lookup returns the line's state, touching LRU on hit. It counts a hit or
 // miss, so use Peek for non-access inspection.
 func (c *Cache) Lookup(l mem.Line) (State, bool) {
-	if w := c.find(l); w != nil {
-		c.stamp++
-		w.lru = c.stamp
+	if set, i := c.find(l); i >= 0 {
+		toFront(set, i)
 		c.Hits++
-		return w.state, true
+		return State(set[0] & stateBits), true
 	}
 	c.Misses++
 	return Invalid, false
@@ -97,8 +103,8 @@ func (c *Cache) Lookup(l mem.Line) (State, bool) {
 
 // Peek returns the line's state without touching LRU or hit/miss counters.
 func (c *Cache) Peek(l mem.Line) (State, bool) {
-	if w := c.find(l); w != nil {
-		return w.state, true
+	if set, i := c.find(l); i >= 0 {
+		return State(set[i] & stateBits), true
 	}
 	return Invalid, false
 }
@@ -109,63 +115,52 @@ type Eviction struct {
 	Dirty bool // the victim was in Modified state (needs writeback)
 }
 
-// Install places line l in state s, evicting the LRU way of its set if
-// needed. It returns the eviction, if any. Installing over an existing
-// copy of l just updates its state.
-func (c *Cache) Install(l mem.Line, s State) (Eviction, bool) {
+// Install places line l in state s at the front of its set, in its first
+// Invalid slot or else over the set's LRU line, and returns the eviction,
+// if any. Installing over an existing copy of l just updates its state.
+// l must be line-aligned: its low bits carry the state.
+func (c *Cache) Install(l mem.Line, s State) (ev Eviction, evicted bool) {
 	if s == Invalid {
 		panic("cache: installing Invalid")
 	}
-	c.stamp++
-	if w := c.find(l); w != nil {
-		w.state = s
-		w.lru = c.stamp
-		return Eviction{}, false
+	if uint32(l)&stateBits != 0 {
+		panic("cache: unaligned line")
 	}
-	set := c.sets[c.setIndex(l)]
-	victim := &set[0]
-	for i := range set {
-		if set[i].state == Invalid {
-			victim = &set[i]
-			break
-		}
-		if set[i].lru < victim.lru {
-			victim = &set[i]
+	set, i := c.find(l)
+	if i < 0 {
+		if i = slices.Index(set, 0); i < 0 {
+			i = len(set) - 1
+			ev = Eviction{Line: mem.Line(set[i] &^ stateBits), Dirty: State(set[i]&stateBits) == Modified}
+			evicted = true
+			c.Evictions++
+			if ev.Dirty {
+				c.DirtyEvictions++
+			}
 		}
 	}
-	var ev Eviction
-	evicted := victim.state != Invalid
-	if evicted {
-		c.Evictions++
-		ev = Eviction{Line: victim.line, Dirty: victim.state == Modified}
-		if ev.Dirty {
-			c.DirtyEvictions++
-		}
-	}
-	victim.line = l
-	victim.state = s
-	victim.lru = c.stamp
+	set[i] = uint32(l) | uint32(s)
+	toFront(set, i)
 	return ev, evicted
 }
 
-// SetState changes the state of a resident line (e.g. E->M silent upgrade,
-// M->S downgrade). It is a no-op if the line is absent.
+// SetState changes the state of a resident line in place (e.g. E->M
+// silent upgrade, M->S downgrade). It is a no-op if the line is absent.
 func (c *Cache) SetState(l mem.Line, s State) {
-	if w := c.find(l); w != nil {
+	if set, i := c.find(l); i >= 0 {
 		if s == Invalid {
-			w.state = Invalid
-			return
+			set[i] = 0
+		} else {
+			set[i] = uint32(l) | uint32(s)
 		}
-		w.state = s
 	}
 }
 
 // Invalidate removes the line, returning whether it was present and dirty.
 func (c *Cache) Invalidate(l mem.Line) (wasPresent, wasDirty bool) {
-	if w := c.find(l); w != nil {
+	if set, i := c.find(l); i >= 0 {
 		wasPresent = true
-		wasDirty = w.state == Modified
-		w.state = Invalid
+		wasDirty = State(set[i]&stateBits) == Modified
+		set[i] = 0
 	}
 	return
 }
@@ -173,11 +168,9 @@ func (c *Cache) Invalidate(l mem.Line) (wasPresent, wasDirty bool) {
 // Occupied returns the number of valid lines (used by tests).
 func (c *Cache) Occupied() int {
 	n := 0
-	for _, set := range c.sets {
-		for i := range set {
-			if set[i].state != Invalid {
-				n++
-			}
+	for _, t := range c.tags {
+		if t != 0 {
+			n++
 		}
 	}
 	return n
