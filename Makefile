@@ -112,8 +112,9 @@ check-invariants:
 	$(GO) test -race -count=1 -run 'TestGenerateSmoke' ./internal/workloads/litmus/
 
 # Short per-subsystem microbenchmarks (NoC, cache, directory, cycle
-# kernel). Quick enough for the inner loop; see PERFORMANCE.md for how
-# to read and extend them.
+# kernel, machine build, TSO enumerator). Quick enough for the inner
+# loop; see PERFORMANCE.md for how to read and extend them.
 bench:
 	$(GO) test -run XX -bench . -benchtime 200ms \
-		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/
+		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/ \
+		./internal/tso/

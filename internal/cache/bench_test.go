@@ -9,8 +9,8 @@ import (
 // BenchmarkLookupInstall measures the L1 hot path as the core sees it:
 // a Lookup, followed by an Install on miss. The working set (1024 lines)
 // is four times the cache capacity, so the steady state mixes hits with
-// LRU evictions. Must be allocation-free: the set arrays are fixed at
-// construction.
+// LRU evictions. Must be allocation-free: every set is a window into the
+// one tag array New allocates.
 func BenchmarkLookupInstall(b *testing.B) {
 	c := New(8*1024, 4) // 256 lines
 	rng := uint32(1)
