@@ -11,6 +11,11 @@
 // visited states, and returns the exact set of reachable final
 // outcomes for programs whose state space fits the configured cap.
 //
+// A visited state is kept only as a packed key: per thread its pc, the
+// registers its program writes and its store buffer, then memory. The
+// search decodes each popped key into one reused state and encodes each
+// successor into one reused buffer: a new state costs one string.
+//
 // The conformance harness (ROBUSTNESS.md §8) uses this set as the
 // ground truth both directions: every cycle-simulator final state must
 // be inside the relaxed closure, and every real-hardware final state —
@@ -19,9 +24,11 @@
 package tso
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -132,7 +139,7 @@ func Local(in isa.Instr, pc int, r *Regs) (next int, handled bool) {
 	return pc + 1, true
 }
 
-// sbEntry is one buffered store.
+// sbEntry is one buffered store, or one written word outside the region.
 type sbEntry struct {
 	addr mem.Addr
 	val  uint32
@@ -147,59 +154,66 @@ type thread struct {
 	buf    []sbEntry
 }
 
-// state is one interior node of the interleaving exploration.
+// state is one node of the interleaving exploration. Memory is the
+// region's words plus every other written word (unaligned ones inside
+// the region included) sorted by address; a word in neither reads zero.
 type state struct {
 	threads []thread
-	memory  map[mem.Addr]uint32
+	base    mem.Addr
+	region  []uint32
+	extra   []sbEntry
 }
 
-func (s *state) clone() *state {
-	n := &state{
-		threads: make([]thread, len(s.threads)),
-		memory:  make(map[mem.Addr]uint32, len(s.memory)),
-	}
-	for i, t := range s.threads {
-		n.threads[i] = t
-		n.threads[i].buf = append([]sbEntry(nil), t.buf...)
-	}
-	for a, v := range s.memory {
-		n.memory[a] = v
-	}
-	return n
+func newState(nthreads int, shared mem.Region) *state {
+	return &state{threads: make([]thread, nthreads), base: shared.Base, region: make([]uint32, shared.Size/mem.WordSize)}
 }
 
-// key serializes the state canonically for memoization.
-func (s *state) key() string {
-	buf := make([]byte, 0, 128)
-	put32 := func(v uint32) {
-		buf = append(buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
+// copyFrom makes s a copy of o, reusing s's buffers.
+func (s *state) copyFrom(o *state) {
+	for t := range o.threads {
+		d, src := &s.threads[t], &o.threads[t]
+		d.pc, d.halted, d.regs = src.pc, src.halted, src.regs
+		d.buf = append(d.buf[:0], src.buf...)
 	}
-	for _, t := range s.threads {
-		put32(uint32(t.pc))
-		if t.halted {
-			buf = append(buf, 1)
-		} else {
-			buf = append(buf, 0)
-		}
-		for _, v := range t.regs {
-			put32(v)
-		}
-		put32(uint32(len(t.buf)))
-		for _, e := range t.buf {
-			put32(uint32(e.addr))
-			put32(e.val)
-		}
+	copy(s.region, o.region)
+	s.extra = append(s.extra[:0], o.extra...)
+}
+
+// slot returns the index of addr's region word, or -1 when addr is
+// outside the region or not word-aligned.
+func (s *state) slot(addr mem.Addr) int {
+	off := addr - s.base
+	if addr >= s.base && off%mem.WordSize == 0 && off/mem.WordSize < mem.Addr(len(s.region)) {
+		return int(off / mem.WordSize)
 	}
-	addrs := make([]mem.Addr, 0, len(s.memory))
-	for a := range s.memory {
-		addrs = append(addrs, a)
+	return -1
+}
+
+// find returns where addr is or belongs in extra.
+func (s *state) find(addr mem.Addr) (int, bool) {
+	return slices.BinarySearchFunc(s.extra, addr, func(e sbEntry, a mem.Addr) int { return cmp.Compare(e.addr, a) })
+}
+
+// read returns memory's value at addr.
+func (s *state) read(addr mem.Addr) uint32 {
+	if i := s.slot(addr); i >= 0 {
+		return s.region[i]
 	}
-	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
-	for _, a := range addrs {
-		put32(uint32(a))
-		put32(s.memory[a])
+	if i, ok := s.find(addr); ok {
+		return s.extra[i].val
 	}
-	return string(buf)
+	return 0
+}
+
+// write stores v to memory at addr.
+func (s *state) write(addr mem.Addr, v uint32) {
+	if i := s.slot(addr); i >= 0 {
+		s.region[i] = v
+	} else if i, ok := s.find(addr); ok {
+		s.extra[i].val = v
+	} else {
+		s.extra = slices.Insert(s.extra, i, sbEntry{addr: addr, val: v})
+	}
 }
 
 // load reads addr for thread t: newest buffered store first (TSO store
@@ -212,7 +226,87 @@ func (s *state) load(t int, addr mem.Addr) uint32 {
 			return th.buf[i].val
 		}
 	}
-	return s.memory[addr]
+	return s.read(addr)
+}
+
+// writtenRegs lists, per thread, the registers some instruction of its
+// program names as Dst. No other register is ever written, so each
+// stays zero and the key leaves it out.
+func writtenRegs(progs []*isa.Program) [][]isa.Reg {
+	out := make([][]isa.Reg, len(progs))
+	for t, p := range progs {
+		var named uint64
+		for _, in := range p.Instrs {
+			named |= 1 << in.Dst
+		}
+		for r := isa.Reg(1); r < isa.NumRegs; r++ {
+			if named>>r&1 != 0 {
+				out[t] = append(out[t], r)
+			}
+		}
+	}
+	return out
+}
+
+// appendKey appends s's canonical key to b: per thread its pc (the top
+// bit set when halted), its written registers, its buffer's length and
+// entries; then the region's words; then the other written words, to
+// the end of the key. Two states have the same key exactly when they
+// are the same state.
+func (s *state) appendKey(b []byte, regs [][]isa.Reg) []byte {
+	put := func(v uint32) { b = binary.LittleEndian.AppendUint32(b, v) }
+	for t := range s.threads {
+		th := &s.threads[t]
+		w := uint32(th.pc)
+		if th.halted {
+			w |= 1 << 31
+		}
+		put(w)
+		for _, r := range regs[t] {
+			put(th.regs[r])
+		}
+		put(uint32(len(th.buf)))
+		for _, e := range th.buf {
+			put(uint32(e.addr))
+			put(e.val)
+		}
+	}
+	for _, v := range s.region {
+		put(v)
+	}
+	for _, e := range s.extra {
+		put(uint32(e.addr))
+		put(e.val)
+	}
+	return b
+}
+
+// decode makes s the state appendKey encoded as k.
+func (s *state) decode(k string, regs [][]isa.Reg) {
+	p := 0
+	next := func() uint32 {
+		p += 4
+		return uint32(k[p-4]) | uint32(k[p-3])<<8 | uint32(k[p-2])<<16 | uint32(k[p-1])<<24
+	}
+	for t := range s.threads {
+		th := &s.threads[t]
+		w := next()
+		th.pc, th.halted = int(w&^(1<<31)), w&(1<<31) != 0
+		for _, r := range regs[t] {
+			th.regs[r] = next()
+		}
+		th.buf = th.buf[:0]
+		for n := next(); n > 0; n-- {
+			th.buf = append(th.buf, sbEntry{addr: mem.Addr(next()), val: next()})
+		}
+	}
+	for i := range s.region {
+		s.region[i] = next()
+	}
+	s.extra = s.extra[:0]
+	for p < len(k) {
+		s.extra = append(s.extra, sbEntry{addr: mem.Addr(next()), val: next()})
+	}
 }
 
 // maxLocalSteps bounds one local-execution burst; a thread-local
@@ -225,11 +319,10 @@ const maxLocalSteps = 100_000
 // litmus generator never emits.
 var ErrRunaway = errors.New("tso: runaway local execution (backward branch loop?)")
 
-// runLocal advances thread t through consecutive local instructions
-// (and, under Relaxed, weak fences) until it parks at a memory access,
-// fence, halt or program end.
-func runLocal(st *state, t int, prog *isa.Program, sem Semantics) error {
-	th := &st.threads[t]
+// runLocal advances th through consecutive local instructions (and,
+// under Relaxed, weak fences) until it parks at a memory access, fence,
+// halt or program end.
+func runLocal(th *thread, prog *isa.Program, sem Semantics) error {
 	for steps := 0; ; steps++ {
 		if steps > maxLocalSteps {
 			return ErrRunaway
@@ -291,127 +384,117 @@ func Enumerate(progs []*isa.Program, shared mem.Region, cfg Config) (Result, err
 		maxStates = DefaultMaxStates
 	}
 	res := Result{Outcomes: litmus.NewOutcomeSet(), Complete: true}
+	regs := writtenRegs(progs)
 
-	init := &state{
-		threads: make([]thread, len(progs)),
-		memory:  make(map[mem.Addr]uint32),
-	}
-	words := int(shared.Size / mem.WordSize)
-	for i := 0; i < words; i++ {
-		init.memory[shared.Base+mem.Addr(i)*mem.WordSize] = litmus.InitWord(i)
+	st, n := newState(len(progs), shared), newState(len(progs), shared)
+	for i := range st.region {
+		st.region[i] = litmus.InitWord(i)
 	}
 	for t := range progs {
-		if err := runLocal(init, t, progs[t], cfg.Semantics); err != nil {
+		if err := runLocal(&st.threads[t], progs[t], cfg.Semantics); err != nil {
 			return res, fmt.Errorf("thread %d: %w", t, err)
 		}
 	}
+	key := st.appendKey(nil, regs)
+	k0 := string(key)
+	visited := map[string]struct{}{k0: {}}
+	stack := []string{k0}
 
-	visited := map[string]struct{}{init.key(): {}}
-	stack := []*state{init}
+	// push runs n's live threads to their next park point and pushes
+	// n's key unless visited; only a new key becomes a string.
+	push := func() error {
+		for t := range n.threads {
+			if !n.threads[t].halted {
+				if err := runLocal(&n.threads[t], progs[t], cfg.Semantics); err != nil {
+					return fmt.Errorf("thread %d: %w", t, err)
+				}
+			}
+		}
+		key = n.appendKey(key[:0], regs)
+		if _, ok := visited[string(key)]; ok {
+			return nil
+		}
+		if len(visited) >= maxStates {
+			res.Complete = false
+			return nil
+		}
+		k := string(key)
+		visited[k] = struct{}{}
+		stack = append(stack, k)
+		return nil
+	}
+
 	for len(stack) > 0 {
-		st := stack[len(stack)-1]
+		st.decode(stack[len(stack)-1], regs)
 		stack = stack[:len(stack)-1]
 
 		// Each thread is parked at a memory access, fence or halt.
-		// Successors: perform that operation (when enabled), or flush
-		// the oldest buffered store.
+		// Successors, thread by thread: flush the oldest buffered store,
+		// then perform the parked operation (when enabled).
 		final := true
-		var succs []*state
 		for t := range st.threads {
 			th := &st.threads[t]
 			if len(th.buf) > 0 {
 				final = false
-				n := st.clone()
-				e := n.threads[t].buf[0]
-				n.threads[t].buf = n.threads[t].buf[1:]
-				n.memory[e.addr] = e.val
-				succs = append(succs, n)
+				n.copyFrom(st)
+				nt := &n.threads[t]
+				e := nt.buf[0]
+				nt.buf = append(nt.buf[:0], nt.buf[1:]...)
+				n.write(e.addr, e.val)
+				if err := push(); err != nil {
+					return res, err
+				}
 			}
 			if th.halted {
 				continue
 			}
 			final = false
 			in := progs[t].Instrs[th.pc]
+			if (in.Op == isa.Xchg || in.IsFence()) && len(th.buf) != 0 {
+				// Fences and atomic exchanges drain: enabled only on an
+				// empty buffer. (A relaxed-mode wfence never parks here —
+				// runLocal stepped over it.)
+				continue
+			}
+			n.copyFrom(st)
+			nt := &n.threads[t]
+			addr := mem.Addr(nt.regs.Get(in.Src1) + uint32(in.Imm))
 			switch in.Op {
 			case isa.St:
-				n := st.clone()
-				nt := &n.threads[t]
-				addr := mem.Addr(nt.regs.Get(in.Src1) + uint32(in.Imm))
 				nt.buf = append(nt.buf, sbEntry{addr: addr, val: nt.regs.Get(in.Src2)})
-				nt.pc++
-				succs = append(succs, n)
 			case isa.Ld:
-				n := st.clone()
-				nt := &n.threads[t]
-				addr := mem.Addr(nt.regs.Get(in.Src1) + uint32(in.Imm))
 				nt.regs.Set(in.Dst, n.load(t, addr))
-				nt.pc++
-				succs = append(succs, n)
 			case isa.Xchg:
 				// Atomic exchange: x86-style locked RMW, a full fence —
-				// enabled only on an empty buffer, reads and writes
-				// memory directly.
-				if len(th.buf) != 0 {
-					continue
-				}
-				n := st.clone()
-				nt := &n.threads[t]
-				addr := mem.Addr(nt.regs.Get(in.Src1) + uint32(in.Imm))
-				old := n.memory[addr]
-				n.memory[addr] = nt.regs.Get(in.Src2)
+				// reads and writes memory directly.
+				old := n.read(addr)
+				n.write(addr, nt.regs.Get(in.Src2))
 				nt.regs.Set(in.Dst, old)
-				nt.pc++
-				succs = append(succs, n)
 			case isa.SFence, isa.WFence:
-				// Fences drain: enabled only on an empty buffer. (A
-				// relaxed-mode wfence never parks here — runLocal
-				// stepped over it.)
-				if len(th.buf) != 0 {
-					continue
-				}
-				n := st.clone()
-				n.threads[t].pc++
-				succs = append(succs, n)
 			default:
 				return res, fmt.Errorf("thread %d parked at unexpected op %v", t, in.Op)
 			}
+			nt.pc++
+			if err := push(); err != nil {
+				return res, err
+			}
 		}
 		if final {
-			res.Outcomes.Add(extract(st, shared))
-			continue
-		}
-		for _, n := range succs {
-			for t := range n.threads {
-				if !n.threads[t].halted {
-					if err := runLocal(n, t, progs[t], cfg.Semantics); err != nil {
-						return res, fmt.Errorf("thread %d: %w", t, err)
-					}
-				}
-			}
-			k := n.key()
-			if _, ok := visited[k]; ok {
-				continue
-			}
-			if len(visited) >= maxStates {
-				res.Complete = false
-				continue
-			}
-			visited[k] = struct{}{}
-			stack = append(stack, n)
+			res.Outcomes.Add(st.outcome(shared))
 		}
 	}
 	res.States = len(visited)
 	return res, nil
 }
 
-// extract converts a final machine state into the canonical outcome.
-func extract(st *state, shared mem.Region) litmus.Outcome {
-	return litmus.ExtractOutcome(len(st.threads), shared,
-		func(t int, r isa.Reg) uint32 { return st.threads[t].regs.Get(r) },
-		func(a mem.Addr) uint32 { return st.memory[a] },
+// outcome converts a final machine state into the canonical outcome.
+func (s *state) outcome(shared mem.Region) litmus.Outcome {
+	return litmus.ExtractOutcome(len(s.threads), shared,
+		func(t int, r isa.Reg) uint32 { return s.threads[t].regs.Get(r) },
+		s.read,
 		func(f func(a mem.Addr, v uint32)) {
-			for a, v := range st.memory {
-				f(a, v)
+			for _, e := range s.extra {
+				f(e.addr, e.val)
 			}
 		})
 }
