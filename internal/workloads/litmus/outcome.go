@@ -1,9 +1,8 @@
 package litmus
 
 import (
-	"fmt"
 	"sort"
-	"strings"
+	"strconv"
 
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -58,23 +57,28 @@ type ExtraWord struct {
 }
 
 // Key returns the canonical one-line encoding of the outcome, suitable
-// as a set element and stable across executors.
+// as a set element and stable across executors:
+// "t0=r10,r11,r12,r13 t1=... | mem0 mem1 ... @0xaddr=val ...".
 func (o Outcome) Key() string {
-	var b strings.Builder
+	b := make([]byte, 0, 48*len(o.Regs)+2+11*len(o.Mem)+22*len(o.Extra))
 	for t, r := range o.Regs {
 		if t > 0 {
-			b.WriteByte(' ')
+			b = append(b, ' ')
 		}
-		fmt.Fprintf(&b, "t%d=%d,%d,%d,%d", t, r[0], r[1], r[2], r[3])
+		b = strconv.AppendInt(append(b, 't'), int64(t), 10)
+		for j, v := range r {
+			b = strconv.AppendUint(append(b, "=,,,"[j]), uint64(v), 10)
+		}
 	}
-	b.WriteString(" |")
+	b = append(b, " |"...)
 	for _, v := range o.Mem {
-		fmt.Fprintf(&b, " %d", v)
+		b = strconv.AppendUint(append(b, ' '), uint64(v), 10)
 	}
 	for _, e := range o.Extra {
-		fmt.Fprintf(&b, " @%#x=%d", uint32(e.Addr), e.Val)
+		b = strconv.AppendUint(append(b, " @0x"...), uint64(e.Addr), 16)
+		b = strconv.AppendUint(append(b, '='), uint64(e.Val), 10)
 	}
-	return b.String()
+	return string(b)
 }
 
 // OutcomeSet is a set of outcome keys.

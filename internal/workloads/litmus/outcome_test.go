@@ -1,6 +1,8 @@
 package litmus
 
 import (
+	"fmt"
+	"math/rand/v2"
 	"strings"
 	"testing"
 
@@ -22,6 +24,78 @@ func TestOutcomeKeyDeterministic(t *testing.T) {
 		if !strings.Contains(k1, want) {
 			t.Errorf("key %q missing %q", k1, want)
 		}
+	}
+}
+
+// fmtKey is Key's encoding written with fmt, as Key itself was before
+// it was built from strconv appends; TestKeyMatchesFmt holds Key to it.
+func fmtKey(o Outcome) string {
+	var b strings.Builder
+	for t, r := range o.Regs {
+		if t > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(&b, "t%d=%d,%d,%d,%d", t, r[0], r[1], r[2], r[3])
+	}
+	b.WriteString(" |")
+	for _, v := range o.Mem {
+		fmt.Fprintf(&b, " %d", v)
+	}
+	for _, e := range o.Extra {
+		fmt.Fprintf(&b, " @%#x=%d", uint32(e.Addr), e.Val)
+	}
+	return b.String()
+}
+
+// randOutcome draws an outcome of 1-8 threads, 0-16 memory words and
+// 0-3 extra words. A third of the values are 0 or 0xffffffff, and an
+// extra word's address may be 0.
+func randOutcome(rng *rand.Rand) Outcome {
+	val := func() uint32 {
+		switch rng.IntN(6) {
+		case 0:
+			return 0
+		case 1:
+			return 0xffffffff
+		case 2:
+			return uint32(rng.IntN(100))
+		}
+		return rng.Uint32()
+	}
+	o := Outcome{Regs: make([][4]uint32, 1+rng.IntN(8))}
+	for t := range o.Regs {
+		for j := range o.Regs[t] {
+			o.Regs[t][j] = val()
+		}
+	}
+	for n := rng.IntN(17); n > 0; n-- {
+		o.Mem = append(o.Mem, val())
+	}
+	for n := rng.IntN(4); n > 0; n-- {
+		o.Extra = append(o.Extra, ExtraWord{Addr: mem.Addr(val()), Val: val()})
+	}
+	return o
+}
+
+func TestKeyMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewPCG(1, 0))
+	for i := 0; i < 20000; i++ {
+		o := randOutcome(rng)
+		if got, want := o.Key(), fmtKey(o); got != want {
+			t.Fatalf("outcome %d: Key() = %q, fmt encoding %q", i, got, want)
+		}
+	}
+}
+
+func TestKeyPinned(t *testing.T) {
+	o := Outcome{
+		Regs:  [][4]uint32{{0, 1, 0xffffffff, 42}, {2654435761, 0, 0, 7}},
+		Mem:   []uint32{5, 0, 4294967295},
+		Extra: []ExtraWord{{Addr: 0, Val: 3}, {Addr: 0x40, Val: 0}, {Addr: 0xffffffff, Val: 9}},
+	}
+	const want = "t0=0,1,4294967295,42 t1=2654435761,0,0,7 | 5 0 4294967295 @0x0=3 @0x40=0 @0xffffffff=9"
+	if got := o.Key(); got != want {
+		t.Fatalf("Key() = %q, want %q", got, want)
 	}
 }
 
