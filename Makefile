@@ -112,9 +112,10 @@ check-invariants:
 	$(GO) test -race -count=1 -run 'TestGenerateSmoke' ./internal/workloads/litmus/
 
 # Short per-subsystem microbenchmarks (NoC, cache, directory, cycle
-# kernel, machine build, TSO enumerator). Quick enough for the inner
-# loop; see PERFORMANCE.md for how to read and extend them.
+# kernel, machine build, TSO enumerator, outcome keys, hardware litmus
+# sweep). Quick enough for the inner loop; see PERFORMANCE.md for how
+# to read and extend them.
 bench:
 	$(GO) test -run XX -bench . -benchtime 200ms \
 		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/ \
-		./internal/tso/
+		./internal/tso/ ./internal/workloads/litmus/ ./runtime/litmusrun/

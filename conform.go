@@ -44,7 +44,9 @@ import (
 // ConformOptions configures RunConform. Zero fields take defaults; the
 // zero value is a usable quick configuration.
 type ConformOptions struct {
-	// Progress, when non-nil, receives one line per clean seed.
+	// Progress, when non-nil, receives one line per clean seed, with
+	// hw=<distinct>/<strong> when it had closures: the distinct hardware
+	// outcomes over all modes against the strong closure's size.
 	Progress io.Writer
 	// Metrics, when non-nil, receives the simulator runs' machine
 	// counters and the campaign counters (under "conform").
@@ -298,6 +300,7 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 
 		// Hardware sweep: real goroutines per fence mode, checked
 		// against the strong closure.
+		hw := litmus.NewOutcomeSet()
 		for mi, m := range modes {
 			if err := asymruntime.Use(m); err != nil {
 				return rep, fmt.Errorf("conform: seed %d mode %s: %w", seed, m, err)
@@ -310,6 +313,7 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 			if err != nil {
 				return rep, fmt.Errorf("conform: seed %d mode %s: %w", seed, m, err)
 			}
+			hw.Union(res.Outcomes)
 			for _, k := range res.Outcomes.Keys() {
 				if strong.Outcomes.Has(k) {
 					continue
@@ -326,8 +330,8 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 		rep.PerSeed = append(rep.PerSeed, sr)
 		rep.Seeds = s + 1
 		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "conform: seed %d ok (%d cores, strong=%d relaxed=%d, %d sim runs)\n",
-				seed, g.NCores, sr.Strong, sr.Relaxed, len(designs)*opts.Schedules)
+			fmt.Fprintf(opts.Progress, "conform: seed %d ok (%d cores, strong=%d relaxed=%d, %d sim runs, hw=%d/%d)\n",
+				seed, g.NCores, sr.Strong, sr.Relaxed, len(designs)*opts.Schedules, len(hw), sr.Strong)
 		}
 	}
 	return rep, nil

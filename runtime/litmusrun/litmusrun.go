@@ -23,6 +23,8 @@
 // per-iteration GOMAXPROCS choice. The decisions are a pure function of
 // (seed, iteration, thread, draw counter); what the Go scheduler does
 // with the yields is of course nondeterministic — that is the point.
+// Iterations run grouped by their GOMAXPROCS choice, ascending within a
+// group, so GOMAXPROCS (which stops the world) changes once per group.
 package litmusrun
 
 import (
@@ -140,6 +142,43 @@ func (j *jitter) maybeYield() {
 	}
 }
 
+// procChoices are the GOMAXPROCS values the sweep draws from.
+var procChoices = []int{1, 2, 4}
+
+// procsFor returns iteration it's GOMAXPROCS choice under seed.
+func procsFor(seed uint64, it int) int {
+	return procChoices[int(splitmix64(seed^uint64(it)*0x9e3779b97f4a7c15)%3)]
+}
+
+// sweep calls run for every iteration. Unless NoProcsJitter, it runs
+// them grouped by procsFor (in procChoices order, ascending within a
+// group), sets GOMAXPROCS once per non-empty group and restores it on
+// return; otherwise in order under the current setting.
+func sweep(cfg Config, run func(it int) error) error {
+	choices := procChoices
+	if cfg.NoProcsJitter {
+		choices = []int{0} // GOMAXPROCS(0) only reads the setting
+	} else {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	}
+	for _, procs := range choices {
+		first := true
+		for it := 0; it < cfg.Iterations; it++ {
+			if procs != 0 && procsFor(cfg.Seed, it) != procs {
+				continue
+			}
+			if first {
+				runtime.GOMAXPROCS(procs)
+				first = false
+			}
+			if err := run(it); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
 // Run executes the program group Iterations times and returns the set
 // of observed final states. Run mutates GOMAXPROCS while active (unless
 // NoProcsJitter) and restores it before returning; do not call it
@@ -158,25 +197,16 @@ func Run(progs []*isa.Program, shared mem.Region, cfg Config) (Result, error) {
 		cfg.MaxSteps = 1_000_000
 	}
 	res := Result{Outcomes: litmus.NewOutcomeSet()}
-
-	if !cfg.NoProcsJitter {
-		orig := runtime.GOMAXPROCS(0)
-		defer runtime.GOMAXPROCS(orig)
-	}
-	procChoices := []int{1, 2, 4}
-
-	for it := 0; it < cfg.Iterations; it++ {
-		if !cfg.NoProcsJitter {
-			runtime.GOMAXPROCS(procChoices[int(splitmix64(cfg.Seed^uint64(it)*0x9e3779b97f4a7c15)%3)])
-		}
+	err := sweep(cfg, func(it int) error {
 		o, err := runOnce(progs, shared, cfg.Seed+uint64(it)*0x100000001b3, cfg.MaxSteps)
 		if err != nil {
-			return res, err
+			return err
 		}
 		res.Outcomes.Add(o)
 		res.Iterations++
-	}
-	return res, nil
+		return nil
+	})
+	return res, err
 }
 
 // runOnce executes one iteration: spawn one goroutine per program,

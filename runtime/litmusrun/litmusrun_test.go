@@ -2,6 +2,8 @@ package litmusrun
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 
 	"asymfence/internal/isa"
@@ -131,6 +133,69 @@ func TestExtraWordsObserved(t *testing.T) {
 	keys := res.Outcomes.Keys()
 	if len(keys) != 1 || !want.Outcomes.Has(keys[0]) {
 		t.Fatalf("hardware outcomes %v != tso outcomes %v", keys, want.Outcomes.Keys())
+	}
+}
+
+// TestSweepGroupsByProcs: Run's sweep runs every iteration exactly
+// once, under its own GOMAXPROCS choice, grouped by that choice in
+// procChoices order and ascending within a group, and restores
+// GOMAXPROCS; with NoProcsJitter it runs them in order and leaves
+// GOMAXPROCS alone.
+func TestSweepGroupsByProcs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	for _, seed := range []uint64{1, 7, 0x9e3779b97f4a7c15} {
+		cfg := Config{Iterations: 256, Seed: seed}
+		var order []int
+		err := sweep(cfg, func(it int) error {
+			if got, want := runtime.GOMAXPROCS(0), procsFor(seed, it); got != want {
+				t.Errorf("seed %d iteration %d ran at GOMAXPROCS %d, its choice is %d", seed, it, got, want)
+			}
+			order = append(order, it)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := runtime.GOMAXPROCS(0); got != 3 {
+			t.Errorf("seed %d: GOMAXPROCS %d after the sweep, want 3 restored", seed, got)
+		}
+		// The expected order: each choice's iterations, ascending.
+		var want []int
+		for _, p := range procChoices {
+			n := len(want)
+			for it := 0; it < cfg.Iterations; it++ {
+				if procsFor(seed, it) == p {
+					want = append(want, it)
+				}
+			}
+			if len(want) == n {
+				t.Errorf("seed %d: no iteration chose GOMAXPROCS %d", seed, p)
+			}
+		}
+		if !slices.Equal(order, want) {
+			t.Errorf("seed %d: iterations ran in the order %v, want %v", seed, order, want)
+		}
+	}
+
+	var order []int
+	_ = sweep(Config{Iterations: 5, Seed: 1, NoProcsJitter: true}, func(it int) error {
+		if got := runtime.GOMAXPROCS(0); got != 3 {
+			t.Errorf("NoProcsJitter: iteration %d ran at GOMAXPROCS %d, want 3", it, got)
+		}
+		order = append(order, it)
+		return nil
+	})
+	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
+		t.Errorf("NoProcsJitter: iterations ran in the order %v", order)
+	}
+
+	shared := mem.Region{Base: 0x1000, Size: mem.LineSize}
+	res, err := Run(sb(shared.Base, isa.SFence), shared, Config{Iterations: 40, Seed: 5})
+	if err != nil || res.Iterations != 40 {
+		t.Fatalf("Run: %d iterations, err %v", res.Iterations, err)
+	}
+	if got := runtime.GOMAXPROCS(0); got != 3 {
+		t.Errorf("GOMAXPROCS %d after Run, want 3 restored", got)
 	}
 }
 
