@@ -7,21 +7,26 @@ import (
 	"asymfence/internal/workloads/litmus"
 )
 
+// conformSeed generates litmus seed s in conform's default shape: 2
+// cores × 8 ops, every fourth seed 4 × 5, one shared line.
+func conformSeed(seed uint64) litmus.GenResult {
+	cores, ops := 2, 8
+	if seed%4 == 0 {
+		cores, ops = 4, 5
+	}
+	return litmus.Generate(mem.NewAllocator(0x1000), litmus.GenConfig{
+		Seed: seed, NCores: cores, OpsPerCore: ops, SharedLines: 1,
+	})
+}
+
 // BenchmarkEnumerate runs the closures conform enumerates for litmus
-// seeds 1-100 in its default shape (2 cores × 8 ops, every fourth seed
-// 4 × 5, one shared line): one op is both semantics for every seed,
-// and states/op is the interior states they visit together. It is the
-// profiling target for the enumerator, conform's largest layer.
+// seeds 1-100 in its default shape: one op is both semantics for every
+// seed, and states/op is the interior states they visit together. It
+// is the profiling target for the enumerator.
 func BenchmarkEnumerate(b *testing.B) {
 	var groups []litmus.GenResult
 	for seed := uint64(1); seed <= 100; seed++ {
-		cores, ops := 2, 8
-		if seed%4 == 0 {
-			cores, ops = 4, 5
-		}
-		groups = append(groups, litmus.Generate(mem.NewAllocator(0x1000), litmus.GenConfig{
-			Seed: seed, NCores: cores, OpsPerCore: ops, SharedLines: 1,
-		}))
+		groups = append(groups, conformSeed(seed))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -232,12 +232,12 @@ func TestMatchesMapModel(t *testing.T) {
 			Seed: seed, NCores: cores, OpsPerCore: ops, SharedLines: lines,
 		})
 	}
-	compare := func(t *testing.T, name string, g litmus.GenResult, progs []*isa.Program, maxStates int) (extra int) {
+	compare := func(t *testing.T, name string, progs []*isa.Program, shared mem.Region, maxStates int) (extra int) {
 		t.Helper()
 		for _, sem := range []Semantics{Strong, Relaxed} {
 			cfg := Config{Semantics: sem, MaxStates: maxStates}
-			got, gerr := Enumerate(progs, g.Shared, cfg)
-			want, werr := mapEnumerate(progs, g.Shared, cfg)
+			got, gerr := Enumerate(progs, shared, cfg)
+			want, werr := mapEnumerate(progs, shared, cfg)
 			if fmt.Sprint(gerr) != fmt.Sprint(werr) {
 				t.Fatalf("%s %v: error %v, model %v", name, sem, gerr, werr)
 			}
@@ -267,40 +267,32 @@ func TestMatchesMapModel(t *testing.T) {
 
 	t.Run("default", func(t *testing.T) {
 		for seed := uint64(1); seed <= 200; seed++ {
-			cores, ops := 2, 8
-			if seed%4 == 0 {
-				cores, ops = 4, 5
-			}
-			g := gen(seed, cores, ops, 1)
-			compare(t, fmt.Sprintf("seed %d", seed), g, g.Programs, 0)
+			g := conformSeed(seed)
+			compare(t, fmt.Sprintf("seed %d", seed), g.Programs, g.Shared, 0)
 		}
 	})
 	t.Run("2x12-2lines", func(t *testing.T) {
-		for seed := uint64(1); seed <= 10; seed++ {
+		for seed := uint64(1); seed <= 40; seed++ {
 			g := gen(seed, 2, 12, 2)
-			compare(t, fmt.Sprintf("seed %d", seed), g, g.Programs, 0)
+			compare(t, fmt.Sprintf("seed %d", seed), g.Programs, g.Shared, 0)
 		}
 	})
 	t.Run("capped", func(t *testing.T) {
 		for seed := uint64(1); seed <= 8; seed++ {
 			g := gen(seed, 4, 8, 1)
-			compare(t, fmt.Sprintf("4x8 seed %d", seed), g, g.Programs, 5000)
+			compare(t, fmt.Sprintf("4x8 seed %d", seed), g.Programs, g.Shared, 5000)
 		}
 		for seed := uint64(1); seed <= 3; seed++ {
 			g := gen(seed, 8, 24, 1)
-			compare(t, fmt.Sprintf("8x24 seed %d", seed), g, g.Programs, 2000)
+			compare(t, fmt.Sprintf("8x24 seed %d", seed), g.Programs, g.Shared, 2000)
 		}
 	})
 	t.Run("mangled", func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(1, 0))
 		extra := 0
 		for seed := uint64(1); seed <= 400; seed++ {
-			cores, ops := 2, 8
-			if seed%4 == 0 {
-				cores, ops = 4, 5
-			}
-			g := gen(seed, cores, ops, 1)
-			extra += compare(t, fmt.Sprintf("seed %d", seed), g, mangle(rng, g.Programs, g.Shared), 0)
+			g := conformSeed(seed)
+			extra += compare(t, fmt.Sprintf("seed %d", seed), mangle(rng, g.Programs, g.Shared), g.Shared, 0)
 		}
 		if extra == 0 {
 			t.Fatal("no mangled program wrote outside the region")

@@ -206,13 +206,7 @@ func TestLocalR0Hardwired(t *testing.T) {
 func TestEnumerateAllocsPerState(t *testing.T) {
 	var groups []litmus.GenResult
 	for seed := uint64(1); seed <= 100; seed++ {
-		cores, ops := 2, 8
-		if seed%4 == 0 {
-			cores, ops = 4, 5
-		}
-		groups = append(groups, litmus.Generate(mem.NewAllocator(0x1000), litmus.GenConfig{
-			Seed: seed, NCores: cores, OpsPerCore: ops, SharedLines: 1,
-		}))
+		groups = append(groups, conformSeed(seed))
 	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
