@@ -278,7 +278,7 @@ func TestMatchesMapModel(t *testing.T) {
 		}
 	})
 	t.Run("capped", func(t *testing.T) {
-		for seed := uint64(1); seed <= 8; seed++ {
+		for seed := uint64(1); seed <= 6; seed++ {
 			g := gen(seed, 4, 8, 1)
 			compare(t, fmt.Sprintf("4x8 seed %d", seed), g.Programs, g.Shared, 5000)
 		}
@@ -290,7 +290,7 @@ func TestMatchesMapModel(t *testing.T) {
 	t.Run("mangled", func(t *testing.T) {
 		rng := rand.New(rand.NewPCG(1, 0))
 		extra := 0
-		for seed := uint64(1); seed <= 400; seed++ {
+		for seed := uint64(1); seed <= 300; seed++ {
 			g := conformSeed(seed)
 			extra += compare(t, fmt.Sprintf("seed %d", seed), mangle(rng, g.Programs, g.Shared), g.Shared, 0)
 		}
