@@ -44,9 +44,12 @@ import (
 // ConformOptions configures RunConform. Zero fields take defaults; the
 // zero value is a usable quick configuration.
 type ConformOptions struct {
-	// Progress, when non-nil, receives one line per clean seed, with
-	// hw=<distinct>/<strong> when it had closures: the distinct hardware
-	// outcomes over all modes against the strong closure's size.
+	// Progress, when non-nil, receives one line per clean seed, ending
+	// in hw=<distinct>/<strong>, sim=<distinct>/<relaxed> when it had
+	// closures: the distinct hardware outcomes over all modes against
+	// the strong closure's size, and the distinct simulator outcomes
+	// over all designs and schedules against the relaxed closure's size.
+	// Neither enters the report.
 	Progress io.Writer
 	// Metrics, when non-nil, receives the simulator runs' machine
 	// counters and the campaign counters (under "conform").
@@ -251,8 +254,13 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 
 		// Simulator sweep: designs × fault-seeded schedules under the
 		// invariant oracle, each outcome checked against the design's
-		// closure when the seed has one.
+		// closure when the seed has one. simAll, the outcomes over all
+		// designs, is kept only for the progress line.
 		sr.SimOutcomes = make(map[string]int)
+		var simAll litmus.OutcomeSet
+		if opts.Progress != nil {
+			simAll = litmus.NewOutcomeSet()
+		}
 		for _, d := range designs {
 			closure := relaxed
 			if simSemantics(d) == tso.Strong {
@@ -287,6 +295,9 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 				}
 			}
 			sr.SimOutcomes[d.String()] = len(distinct)
+			if simAll != nil {
+				simAll.Union(distinct)
+			}
 		}
 		if sr.Skipped {
 			rep.PerSeed = append(rep.PerSeed, sr)
@@ -330,8 +341,8 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 		rep.PerSeed = append(rep.PerSeed, sr)
 		rep.Seeds = s + 1
 		if opts.Progress != nil {
-			fmt.Fprintf(opts.Progress, "conform: seed %d ok (%d cores, strong=%d relaxed=%d, %d sim runs, hw=%d/%d)\n",
-				seed, g.NCores, sr.Strong, sr.Relaxed, len(designs)*opts.Schedules, len(hw), sr.Strong)
+			fmt.Fprintf(opts.Progress, "conform: seed %d ok (%d cores, strong=%d relaxed=%d, %d sim runs, hw=%d/%d, sim=%d/%d)\n",
+				seed, g.NCores, sr.Strong, sr.Relaxed, len(designs)*opts.Schedules, len(hw), sr.Strong, len(simAll), sr.Relaxed)
 		}
 	}
 	return rep, nil

@@ -3,6 +3,8 @@ package asymfence
 import (
 	"context"
 	"encoding/json"
+	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -170,6 +172,44 @@ func TestConformOracleOnlySeeds(t *testing.T) {
 			}
 		}
 	})
+}
+
+// TestConformProgressLine pins the clean-seed progress lines of seeds 1
+// and 2 except the distinct hardware outcome count, which depends on the
+// host's schedules: it must lie between 1 and the strong closure's size
+// printed after it.
+func TestConformProgressLine(t *testing.T) {
+	var buf strings.Builder
+	rep, err := RunConform(context.Background(), ConformOptions{Seeds: 2, Progress: &buf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Violation != nil {
+		t.Fatalf("conformance violation on a clean build: %v", rep.Violation.Error())
+	}
+	want := []string{
+		"conform: seed 1 ok (2 cores, strong=1 relaxed=1, 20 sim runs, hw=N/1, sim=1/1)",
+		"conform: seed 2 ok (2 cores, strong=7 relaxed=7, 20 sim runs, hw=N/7, sim=3/7)",
+	}
+	hw := regexp.MustCompile(`hw=(\d+)/(\d+),`)
+	got := strings.Split(strings.TrimSuffix(buf.String(), "\n"), "\n")
+	if len(got) != len(want) {
+		t.Fatalf("progress:\n%s\nwant %d lines", buf.String(), len(want))
+	}
+	for i, line := range got {
+		m := hw.FindStringSubmatch(line)
+		if m == nil {
+			t.Fatalf("progress line %q has no hw=<distinct>/<strong>", line)
+		}
+		distinct, _ := strconv.Atoi(m[1])
+		strong, _ := strconv.Atoi(m[2])
+		if distinct < 1 || distinct > strong {
+			t.Errorf("progress line %q: %d distinct hardware outcomes, want 1 to %d", line, distinct, strong)
+		}
+		if line = hw.ReplaceAllString(line, "hw=N/$2,"); line != want[i] {
+			t.Errorf("progress line %d:\n got %s\nwant %s", i+1, line, want[i])
+		}
+	}
 }
 
 func TestConformMetricsScope(t *testing.T) {

@@ -10,7 +10,7 @@ import (
 // a Lookup, followed by an Install on miss. The working set (1024 lines)
 // is four times the cache capacity, so the steady state mixes hits with
 // LRU evictions. Must be allocation-free: every set is a window into the
-// one tag array New allocates.
+// one tag array the first Install allocates.
 func BenchmarkLookupInstall(b *testing.B) {
 	c := New(8*1024, 4) // 256 lines
 	rng := uint32(1)

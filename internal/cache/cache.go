@@ -6,6 +6,9 @@
 // LRU order is kept by position: each set is a run of packed tags, most
 // recently used first. A tag is the line address OR'd with its MESI
 // state in the address's always-zero low bits; the tag 0 is Invalid.
+// A cache allocates its tags on its first Install and answers every
+// access before it as a miss, so a small machine pays only for the
+// caches its programs fill.
 package cache
 
 import (
@@ -45,7 +48,8 @@ const stateBits = mem.LineSize - 1
 
 // Cache is a set-associative, write-back cache with LRU replacement.
 type Cache struct {
-	// tags holds set i at [i*assoc, (i+1)*assoc), most recent first.
+	// tags holds set i at [i*assoc, (i+1)*assoc), most recent first;
+	// nil until the first Install.
 	tags    []uint32
 	setMask uint32
 	assoc   int
@@ -63,11 +67,15 @@ func New(sizeBytes, assoc int) *Cache {
 	if sizeBytes%mem.LineSize != 0 || numSets == 0 || lines%assoc != 0 || numSets&(numSets-1) != 0 {
 		panic("cache: bad geometry")
 	}
-	return &Cache{tags: make([]uint32, lines), setMask: uint32(numSets - 1), assoc: assoc}
+	return &Cache{setMask: uint32(numSets - 1), assoc: assoc}
 }
 
-// find returns l's set and the slot holding a valid copy of l, or -1.
+// find returns l's set and the slot holding a valid copy of l, or -1. A
+// cache never filled has no sets and holds nothing.
 func (c *Cache) find(l mem.Line) ([]uint32, int) {
+	if c.tags == nil {
+		return nil, -1
+	}
 	first := int(uint32(l)/mem.LineSize&c.setMask) * c.assoc
 	set := c.tags[first : first+c.assoc]
 	for i, t := range set {
@@ -125,6 +133,9 @@ func (c *Cache) Install(l mem.Line, s State) (ev Eviction, evicted bool) {
 	}
 	if uint32(l)&stateBits != 0 {
 		panic("cache: unaligned line")
+	}
+	if c.tags == nil {
+		c.tags = make([]uint32, (int(c.setMask)+1)*c.assoc)
 	}
 	set, i := c.find(l)
 	if i < 0 {

@@ -25,6 +25,45 @@ func TestHitMiss(t *testing.T) {
 	}
 }
 
+// TestFreshCacheIsEmpty: a cache never filled has no tags yet answers
+// Lookup, Peek, SetState and Invalidate as the stamp model's empty cache
+// does, Lookup counting a miss, without allocating; the first Install
+// allocates the sets, and the line then hits.
+func TestFreshCacheIsEmpty(t *testing.T) {
+	const size, assoc = 32 * 1024, 4
+	c, ref := New(size, assoc), newRefCache(size, assoc)
+	l := line(5)
+	got := fmt.Sprint(c.Lookup(l))
+	got += fmt.Sprint(c.Peek(l))
+	c.SetState(l, Modified)
+	got += fmt.Sprint(c.Invalidate(l))
+	got += fmt.Sprint(c.Hits, c.Misses, c.Occupied())
+	want := fmt.Sprint(ref.Lookup(l))
+	want += fmt.Sprint(ref.Peek(l))
+	ref.SetState(l, Modified)
+	want += fmt.Sprint(ref.Invalidate(l))
+	want += fmt.Sprint(ref.Hits, ref.Misses, ref.Occupied())
+	if got != want {
+		t.Fatalf("Lookup, Peek, SetState, Invalidate on a fresh cache: got %q, want %q (results, then hits, misses, occupied)", got, want)
+	}
+	access := func() {
+		c.Lookup(l)
+		c.Peek(l)
+		c.SetState(l, Modified)
+		c.Invalidate(l)
+	}
+	if n := testing.AllocsPerRun(100, access); n != 0 {
+		t.Errorf("accesses to a fresh cache allocated %v times per run, want 0", n)
+	}
+	if c.tags != nil || c.Occupied() != 0 || c.Misses != 1+101 {
+		t.Fatalf("after 102 Lookups: tags allocated=%v, occupied=%d, misses=%d; want false, 0, 102", c.tags != nil, c.Occupied(), c.Misses)
+	}
+	c.Install(l, Exclusive)
+	if st, ok := c.Lookup(l); !ok || st != Exclusive || c.Hits != 1 || c.Occupied() != 1 {
+		t.Fatalf("after the first Install: Lookup = %v %v, hits %d, occupied %d; want E true 1 1", st, ok, c.Hits, c.Occupied())
+	}
+}
+
 func TestStateTransitions(t *testing.T) {
 	c := New(1024, 4)
 	c.Install(line(2), Exclusive)

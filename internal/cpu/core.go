@@ -272,7 +272,11 @@ type Core struct {
 	lq []*robEntry
 	sq []*robEntry // a window into sqBuf
 
-	// robBuf and sqBuf, 2×ROBSize entries each, back the rob and sq
+	// robCap is the most entries the ROB can ever hold (see robBound);
+	// it sizes the pool and the windows below.
+	robCap int
+
+	// robBuf and sqBuf, 2×robCap entries each, back the rob and sq
 	// windows (see pushWindow).
 	robBuf, sqBuf []*robEntry
 
@@ -291,7 +295,7 @@ type Core struct {
 	mispredicted *robEntry
 
 	wb    []wbEntry // FIFO, index 0 = head; a window into wbBuf
-	wbBuf []wbEntry // 2×WBSize entries (see pushWindow)
+	wbBuf []wbEntry // 2×wbCap entries (see New and pushWindow)
 
 	// In-flight store transaction (write-buffer head).
 	wbReqID    uint64
@@ -356,8 +360,8 @@ type Core struct {
 	// pool holds the core's ROB entries that are not in the ROB: retire
 	// and squash return entries to it and newEntry takes them back. No
 	// reference outlives an entry's stay in the ROB (see regVal), so
-	// reuse cannot alias live dataflow state. The ROBSize entries are
-	// allocated on the core's first fetch.
+	// reuse cannot alias live dataflow state. The robCap entries are
+	// allocated as one array on the core's first fetch.
 	pool []*robEntry
 
 	// lmPool recycles loadMiss records (the only reference is the
@@ -379,6 +383,10 @@ const (
 // New builds a core executing prog on the given machine fabric.
 func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store) *Core {
 	cfg.applyDefaults()
+	robCap, wbCap := robBound(prog, cfg.ROBSize), cfg.WBSize
+	if robCap < cfg.ROBSize {
+		wbCap = min(wbCap, robCap) // a loop-free program buffers each store at most once
+	}
 	c := &Core{
 		cfg:        cfg,
 		prog:       prog,
@@ -390,9 +398,10 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		flt:        cfg.Faults,
 		l1:         cache.New(l1Bytes, l1Assoc),
 		bs:         fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
-		robBuf:     make([]*robEntry, 2*cfg.ROBSize),
-		sqBuf:      make([]*robEntry, 2*cfg.ROBSize),
-		wbBuf:      make([]wbEntry, 2*cfg.WBSize),
+		robCap:     robCap,
+		robBuf:     make([]*robEntry, 2*robCap),
+		sqBuf:      make([]*robEntry, 2*robCap),
+		wbBuf:      make([]wbEntry, 2*wbCap),
 		loadMisses: make(map[mem.Line]*loadMiss),
 		issueWake:  math.MaxInt64,
 	}
@@ -401,6 +410,28 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		c.regs[i].known = true
 	}
 	return c
+}
+
+// robBound returns the most entries prog's ROB can ever hold:
+// robSize, or prog's length when that is smaller and no branch targets
+// its own or an earlier pc. Such a program is loop-free, and its ROB
+// holds each instruction at most once: fetch moves forward except at a
+// squash, a mispredict redirect or a W+ rollback, and each of those
+// first removes every entry at or after the pc fetch resumes at. Its
+// write buffer holds each store at most once too, because retirement
+// also moves forward except at a rollback, which drops the stores that
+// retired after the fence it resumes behind.
+func robBound(prog *isa.Program, robSize int) int {
+	n := len(prog.Instrs)
+	if n >= robSize {
+		return robSize
+	}
+	for pc, in := range prog.Instrs {
+		if in.IsBranch() && in.Target <= pc {
+			return robSize
+		}
+	}
+	return n
 }
 
 // Stats returns the core's measurement block.
@@ -458,11 +489,13 @@ func (c *Core) send(now int64, dst int, m coherence.Msg, cat noc.Category) {
 }
 
 // newEntry takes a zeroed ROB entry from the pool. The pool holds every
-// entry not in the ROB, and fetch takes one only while the ROB has a
-// free slot, so it is never empty here.
+// entry not in the ROB, and fetch takes one only while the ROB holds
+// fewer than robCap: it has a free slot, and a loop-free program's ROB
+// never holds the instruction being fetched (see robBound). So the pool
+// is never empty here.
 func (c *Core) newEntry() *robEntry {
 	if c.pool == nil {
-		entries := make([]robEntry, c.cfg.ROBSize)
+		entries := make([]robEntry, c.robCap)
 		c.pool = make([]*robEntry, len(entries))
 		for i := range entries {
 			c.pool[i] = &entries[i]
@@ -477,7 +510,7 @@ func (c *Core) newEntry() *robEntry {
 
 // pushWindow appends x to w, a FIFO window into buf whose head is popped
 // by reslicing. buf holds twice as many elements as the window ever
-// does (2×ROBSize for the ROB and sq, 2×WBSize for the write buffer). A
+// does (2×robCap for the ROB and sq, 2×wbCap for the write buffer). A
 // window that has reached the end of buf first slides back to its
 // start; it is at most half of buf long, so the slide never overlaps it,
 // costs O(1) per push amortized, and a push never allocates.

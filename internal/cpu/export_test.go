@@ -10,6 +10,9 @@ import (
 // CheckQueues exposes checkQueues to the external test package.
 func (c *Core) CheckQueues() error { return c.checkQueues() }
 
+// RobBound exposes robBound to the external test package.
+func RobBound(prog *isa.Program, robSize int) int { return robBound(prog, robSize) }
+
 // checkQueues verifies the load and store queues against the ROB (lq
 // must hold exactly the ROB's unissued loads and sq exactly its St and
 // Xchg entries, both in ROB order), then the producer references and
@@ -34,7 +37,8 @@ func (c *Core) checkQueues() error {
 }
 
 // checkProducers verifies the invariant that lets ROB entries be
-// recycled. Every entry is in the ROB or in the pool. Every non-nil
+// recycled. Every one of the core's robCap entries is in the ROB or in
+// the pool, so the ROB never needs more than robBound. Every non-nil
 // producer reference, in a ROB entry's operands, in the fetch-side
 // registers and in the undo log, names an unresolved entry in the ROB
 // that is older than its holder. Every operand on a producer's wakeup
@@ -42,8 +46,8 @@ func (c *Core) checkQueues() error {
 // list runs youngest holder first, and the lists hold exactly the
 // operands that wait.
 func (c *Core) checkProducers() error {
-	if c.pool != nil && len(c.pool)+len(c.rob) != c.cfg.ROBSize {
-		return fmt.Errorf("core %d: %d entries in the pool and %d in the ROB, want %d in all", c.cfg.ID, len(c.pool), len(c.rob), c.cfg.ROBSize)
+	if c.pool != nil && len(c.pool)+len(c.rob) != c.robCap {
+		return fmt.Errorf("core %d: %d entries in the pool and %d in the ROB, want %d in all", c.cfg.ID, len(c.pool), len(c.rob), c.robCap)
 	}
 	inROB := func(p *robEntry) bool { return c.robIndex(p) >= 0 }
 	bad := func(p *robEntry, holderSeq uint64) bool {

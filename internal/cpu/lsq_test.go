@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -42,12 +43,18 @@ func stepChecked(t *testing.T, d fence.Design, store *mem.Store, progs ...*isa.P
 // other than retirement (a branch-mispredict squash, one that squashes a
 // consumer whose producer survives, a speculative-load squash on
 // invalidation and a W+ rollback) and checks after every cycle that lq
-// is exactly the ROB's unissued loads and sq exactly its stores, and
-// that no producer reference or wakeup list names an entry that left
-// the ROB.
+// is exactly the ROB's unissued loads and sq exactly its stores, that
+// the pool and the ROB together hold exactly the core's robBound
+// entries, and that no producer reference or wakeup list names an entry
+// that left the ROB. Every program but Bakery's is loop-free, so its
+// pool is sized by its length; Bakery's spin loops keep ROBSize.
 func TestQueuesTrackROB(t *testing.T) {
 	idle := litmus.Idle()
 	for _, d := range fence.AllDesigns {
+		t.Run("loop/"+d.String(), func(t *testing.T) {
+			progs, _ := litmus.Bakery(mem.NewAllocator(0x1000), 2, 2, []bool{true, false}, true)
+			stepChecked(t, d, nil, progs...)
+		})
 		t.Run("mispredict/"+d.String(), func(t *testing.T) {
 			p, store := mispredictProgram()
 			m := stepChecked(t, d, store, p)
@@ -94,6 +101,50 @@ func TestQueuesTrackROB(t *testing.T) {
 			t.Fatal("no W+ recovery recorded")
 		}
 	})
+}
+
+// TestRobBound: a program whose branches all jump forward is bounded by
+// its length, anything else, or anything longer, by ROBSize.
+func TestRobBound(t *testing.T) {
+	const robSize = 140
+	build := func(n int, emit func(b *isa.Builder)) *isa.Program {
+		b := isa.NewBuilder("bound")
+		for i := 0; i < n; i++ {
+			b.Nop()
+		}
+		emit(b)
+		return b.Halt().MustBuild()
+	}
+	forward := func(b *isa.Builder) {
+		b.Bne(1, isa.R0, "end").Jmp("end").Nop()
+		b.Label("end")
+	}
+	backward := func(br func(b *isa.Builder)) func(b *isa.Builder) {
+		return func(b *isa.Builder) {
+			b.Label("top")
+			b.Nop()
+			br(b)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		prog *isa.Program
+		want int
+	}{
+		{"loop-free", build(6, forward), 10},
+		{"longer than ROBSize", build(robSize, forward), robSize},
+		{"backward bne", build(3, backward(func(b *isa.Builder) { b.Bne(1, isa.R0, "top") })), robSize},
+		{"backward jmp", build(3, backward(func(b *isa.Builder) { b.Jmp("top") })), robSize},
+		{"branch to itself", build(3, func(b *isa.Builder) {
+			b.Label("self")
+			b.Beq(1, isa.R0, "self")
+		}), robSize},
+		{"lone halt", build(0, func(*isa.Builder) {}), 1},
+	} {
+		if got := cpu.RobBound(tc.prog, robSize); got != tc.want {
+			t.Errorf("%s (%d instructions): bound %d, want %d", tc.name, len(tc.prog.Instrs), got, tc.want)
+		}
+	}
 }
 
 // squashedConsumerProgram squashes a consumer whose producer survives:
