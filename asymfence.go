@@ -63,10 +63,6 @@ const (
 // AllDesigns lists the designs in the paper's comparison order.
 var AllDesigns = fence.AllDesigns
 
-// CFenceDesign is the Conditional Fence related-work baseline (paper §8),
-// additional to the paper's evaluated designs.
-const CFenceDesign = fence.CFence
-
 // Program is an assembled simulated-ISA thread program.
 type Program = isa.Program
 

@@ -38,6 +38,42 @@ func TestPublicAPIQuickstart(t *testing.T) {
 	}
 }
 
+// TestParseDesign accepts every name and alias of the five paper
+// designs, case-insensitively, and rejects anything else with an error
+// that lists exactly those five. The rejected inputs are the aliases
+// ParseDesign once matched for the Conditional Fence baseline (it
+// lowercases its input first) and the empty string.
+func TestParseDesign(t *testing.T) {
+	aliases := map[asymfence.Design][]string{
+		asymfence.SPlus:  {"S+", "s+", "splus", "s", " SPlus "},
+		asymfence.WSPlus: {"WS+", "ws+", "wsplus", "ws"},
+		asymfence.SWPlus: {"SW+", "sw+", "swplus", "sw"},
+		asymfence.WPlus:  {"W+", "w+", "wplus", "w"},
+		asymfence.Wee:    {"Wee", "wee", "WeeFence", "weefence"},
+	}
+	if len(aliases) != len(asymfence.AllDesigns) {
+		t.Fatalf("test covers %d designs, AllDesigns has %d", len(aliases), len(asymfence.AllDesigns))
+	}
+	for _, d := range asymfence.AllDesigns {
+		for _, s := range append([]string{d.String()}, aliases[d]...) {
+			got, err := asymfence.ParseDesign(s)
+			if err != nil || got != d {
+				t.Errorf("ParseDesign(%q) = %v, %v; want %v", s, got, err, d)
+			}
+		}
+	}
+	for _, s := range []string{"c-fence", "cfence", "cf", ""} {
+		_, err := asymfence.ParseDesign(s)
+		if err == nil {
+			t.Errorf("ParseDesign(%q) succeeded, want an error", s)
+			continue
+		}
+		if !strings.HasSuffix(err.Error(), "(valid: S+, WS+, SW+, W+, Wee)") {
+			t.Errorf("ParseDesign(%q) error %q does not list exactly the five designs", s, err)
+		}
+	}
+}
+
 func TestWorkloadRegistries(t *testing.T) {
 	want := map[string]int{"cilk": 10, "ustm": 10, "stamp": 6} // paper Table 3
 	if len(asymfence.WorkloadGroups) != len(want) {

@@ -16,7 +16,6 @@ import (
 
 	"asymfence/internal/cpu"
 	"asymfence/internal/experiments"
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/mem"
 	"asymfence/internal/sim"
@@ -197,28 +196,6 @@ func BenchmarkAblationBSCapacity(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				_, agg := runUSTMMachine(b, fence.WPlus, cpu.Config{BSCapacity: capy}, benchHorizon)
 				b.ReportMetric(float64(agg.Events[stats.EvCommit]), "commits")
-			}
-		})
-	}
-}
-
-// BenchmarkBaselineCFence compares the Conditional Fence baseline (paper
-// §8) against S+ and WS+ on the finest-grained work-stealing app. The
-// paper's qualitative claim: C-Fence needs centralized global hardware
-// and every fence pays the table round trip, while wfs have no
-// centralization point.
-func BenchmarkBaselineCFence(b *testing.B) {
-	for _, d := range []fence.Design{fence.SPlus, fence.CFence, fence.WSPlus} {
-		b.Run(d.String(), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				// Scale 0.275 leaves fib 60 tasks per worker.
-				ms, err := eng.RunSpecs(ctx, []runner.Spec{{Group: "cilk", App: "fib", Design: d, Cores: 8, Scale: 0.275}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				m := ms[0]
-				b.ReportMetric(float64(m.Cycles), "cycles")
-				b.ReportMetric(m.FenceStall, "fence_stall_frac")
 			}
 		})
 	}

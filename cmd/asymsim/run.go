@@ -8,7 +8,7 @@ import (
 )
 
 // runDesigns are the designs `asymsim run` compares, in print order.
-var runDesigns = append(asymfence.AllDesigns, asymfence.CFenceDesign)
+var runDesigns = asymfence.AllDesigns
 
 // runJobs builds the jobs of `asymsim run <group>:<app>`: one per
 // design, executed as one parallel batch whose submission order fixes

@@ -17,7 +17,7 @@ import (
 // The workload spec may come before or after the flags.
 func traceCmd(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("asymsim trace", flag.ExitOnError)
-	design := fs.String("design", "WS+", "fence design (S+, WS+, SW+, W+, Wee, C-Fence)")
+	design := fs.String("design", "WS+", "fence design (S+, WS+, SW+, W+, Wee)")
 	out := fs.String("trace-out", "", "output file (default stdout)")
 	format := fs.String("format", "chrome", "export format: chrome (Perfetto/chrome://tracing) or jsonl")
 	interval := fs.Int64("interval", 1000, "interval-sample period in cycles (negative disables)")

@@ -36,7 +36,7 @@ const (
 func ToDirectory(t MsgType) bool {
 	switch t {
 	case GetS, GetM, PutM, InvAck, InvNack, InvAckKeep, DowngradeAck,
-		WeeDeposit, WeeRemove, CFRegister, CFQuery, CFDeregister:
+		WeeDeposit, WeeRemove:
 		return true
 	}
 	return false
@@ -198,51 +198,6 @@ func (g *GRT) Remove(core int, id uint64) {
 // Entry returns core's registered pending set (test hook).
 func (g *GRT) Entry(core int) []mem.Line { return g.ps[core] }
 
-// CFTable is the Conditional Fence baseline's centralized associate
-// table (paper §8): it tracks the currently-executing fences per
-// associate group. Physically it lives at node 0 — every consultation
-// pays the mesh round trip to it, the centralization cost the paper
-// criticizes.
-type CFTable struct {
-	active map[int32][]CFEntry
-}
-
-// NewCFTable returns an empty table.
-func NewCFTable() *CFTable { return &CFTable{active: map[int32][]CFEntry{}} }
-
-// Register records an executing fence and returns a snapshot of the
-// other fences already executing in its associate group. The registrant
-// is free if the snapshot is empty; otherwise it must stall until every
-// snapshotted fence deregisters.
-func (t *CFTable) Register(group int32, e CFEntry) []CFEntry {
-	snap := append([]CFEntry(nil), t.active[group]...)
-	t.active[group] = append(t.active[group], e)
-	return snap
-}
-
-// Deregister removes a completed fence.
-func (t *CFTable) Deregister(group int32, e CFEntry) {
-	list := t.active[group]
-	for i, x := range list {
-		if x == e {
-			t.active[group] = append(list[:i], list[i+1:]...)
-			return
-		}
-	}
-}
-
-// AnyActive reports whether any fence of the snapshot is still executing.
-func (t *CFTable) AnyActive(group int32, snap []CFEntry) bool {
-	for _, e := range snap {
-		for _, x := range t.active[group] {
-			if x == e {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // Directory is one home module: the directory slice plus the co-located
 // shared-L2 bank, the memory access path, and (for WeeFence) access to the
 // Global Reorder Table.
@@ -252,7 +207,6 @@ type Directory struct {
 	mesh   *Fabric
 	l2     *cache.Cache
 	grt    *GRT
-	cft    *CFTable
 
 	l2Lat, memLat int64
 
@@ -271,8 +225,7 @@ type Directory struct {
 
 // NewDirectory builds the home module for the given bank node.
 // l2BytesPerBank is the bank's L2 capacity (Table 2: 128 KB, 8-way).
-// All modules of one machine share the same GRT instance; the C-Fence
-// associate table is only consulted at node 0 (it is centralized).
+// All modules of one machine share the same GRT instance.
 func NewDirectory(bank, nbanks int, mesh *Fabric, l2BytesPerBank int, grt *GRT) *Directory {
 	return &Directory{
 		bank:   bank,
@@ -280,7 +233,6 @@ func NewDirectory(bank, nbanks int, mesh *Fabric, l2BytesPerBank int, grt *GRT) 
 		mesh:   mesh,
 		l2:     cache.New(l2BytesPerBank, 8),
 		grt:    grt,
-		cft:    NewCFTable(),
 		l2Lat:  DefaultL2Latency,
 		memLat: DefaultMemLatency,
 		lines:  make(map[mem.Line]*dirLine),
@@ -361,7 +313,7 @@ func (d *Directory) Pending() bool {
 // Handle processes one incoming message.
 func (d *Directory) Handle(now int64, m Msg) {
 	switch m.Type {
-	case WeeRemove, WeeDeposit, CFRegister, CFQuery, CFDeregister:
+	case WeeRemove, WeeDeposit:
 		// Fence-management messages are not line-homed.
 	default:
 		if mem.HomeBank(m.Line, d.nbanks) != d.bank {
@@ -384,15 +336,6 @@ func (d *Directory) Handle(now int64, m Msg) {
 		d.Stats.GRTRemovals++
 		d.tr.Emit(now, trace.KGRTRemove, int32(d.bank), 0, int64(m.Core), 0, 0)
 		d.grt.Remove(m.Core, m.ReqID)
-	case CFRegister:
-		snap := d.cft.Register(m.Group, CFEntry{Core: m.Core, ID: m.ReqID})
-		d.send(now, m.Core, Msg{Type: CFRegisterAck, Core: m.Core, ReqID: m.ReqID,
-			Group: m.Group, CFSnapshot: snap}, noc.CatFence)
-	case CFQuery:
-		d.send(now, m.Core, Msg{Type: CFQueryAck, Core: m.Core, ReqID: m.ReqID,
-			Group: m.Group, TrueShare: d.cft.AnyActive(m.Group, m.CFSnapshot)}, noc.CatFence)
-	case CFDeregister:
-		d.cft.Deregister(m.Group, CFEntry{Core: m.Core, ID: m.ReqID})
 	default:
 		panic("coherence: directory got " + m.Type.String())
 	}

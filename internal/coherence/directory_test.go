@@ -2,6 +2,7 @@ package coherence
 
 import (
 	"testing"
+	"unsafe"
 
 	"asymfence/internal/mem"
 	"asymfence/internal/noc"
@@ -267,6 +268,19 @@ func TestMsgSizes(t *testing.T) {
 	}
 	if (&Msg{Type: WeeDeposit, PS: []mem.Line{0, 32}}).Size() != 16 {
 		t.Error("deposit size should include pending-set addresses")
+	}
+}
+
+// TestMsgFootprint holds the in-memory size of a message and of the NoC
+// packet carrying it: every packet in flight is copied by value through
+// the mesh's queues, so a new field or a reordering that adds padding
+// must show up here.
+func TestMsgFootprint(t *testing.T) {
+	if got := unsafe.Sizeof(Msg{}); got > 56 {
+		t.Errorf("coherence.Msg is %d bytes, want at most 56", got)
+	}
+	if got := unsafe.Sizeof(Packet{}); got > 88 {
+		t.Errorf("noc.Packet[coherence.Msg] is %d bytes, want at most 88", got)
 	}
 }
 

@@ -68,20 +68,6 @@ const (
 	WeeDepositAck
 	// WeeRemove clears the core's GRT entry when its WeeFence completes.
 	WeeRemove
-	// CFRegister registers an executing Conditional Fence with the
-	// centralized associate table (at node 0) and asks for a snapshot of
-	// the currently-executing associates.
-	CFRegister
-	// CFRegisterAck returns the snapshot (CFSnapshot): empty means the
-	// fence is free.
-	CFRegisterAck
-	// CFQuery asks whether any fence of a previous snapshot is still
-	// executing.
-	CFQuery
-	// CFQueryAck answers a CFQuery (TrueShare reused as "still active").
-	CFQueryAck
-	// CFDeregister removes a completed Conditional Fence from the table.
-	CFDeregister
 )
 
 var msgNames = [...]string{
@@ -91,9 +77,7 @@ var msgNames = [...]string{
 	GrantS: "GrantS", GrantE: "GrantE", GrantM: "GrantM",
 	GrantOrder: "GrantOrder", NackRetry: "NackRetry",
 	WeeDeposit: "WeeDeposit", WeeDepositAck: "WeeDepositAck",
-	WeeRemove:  "WeeRemove",
-	CFRegister: "CFRegister", CFRegisterAck: "CFRegisterAck",
-	CFQuery: "CFQuery", CFQueryAck: "CFQueryAck", CFDeregister: "CFDeregister",
+	WeeRemove: "WeeRemove",
 }
 
 // String returns the message type's wire name (for traces and tests).
@@ -105,7 +89,9 @@ func (t MsgType) String() string {
 }
 
 // Msg is one protocol message. It is carried as the payload of a noc
-// packet.
+// packet, copied by value on every mesh queue operation; the one-byte
+// fields sit together so they share one word (TestMsgFootprint holds
+// the size).
 type Msg struct {
 	Type MsgType
 	Line mem.Line
@@ -125,23 +111,12 @@ type Msg struct {
 	// Retry marks re-issued (previously bounced) requests, for traffic
 	// accounting (Table 4).
 	Retry bool
-	// PS is a WeeFence pending set (WeeDeposit) or remote pending set
-	// (WeeDepositAck).
-	PS []mem.Line
-	// Group is the Conditional Fence associate-group id.
-	Group int32
-	// CFSnapshot lists the (core, fence id) pairs executing at
-	// registration time; the registrant must wait for all of them.
-	CFSnapshot []CFEntry
 	// Dirty marks DowngradeAck/InvAck responses that carry written-back
 	// data.
 	Dirty bool
-}
-
-// CFEntry identifies one executing Conditional Fence.
-type CFEntry struct {
-	Core int
-	ID   uint64
+	// PS is a WeeFence pending set (WeeDeposit) or remote pending set
+	// (WeeDepositAck).
+	PS []mem.Line
 }
 
 // ctrlBytes and dataBytes are message sizes used for traffic accounting:
@@ -159,8 +134,6 @@ func (m *Msg) Size() int {
 		return dataBytes
 	case WeeDeposit, WeeDepositAck:
 		return ctrlBytes + 4*len(m.PS)
-	case CFRegisterAck, CFQuery:
-		return ctrlBytes + 4*len(m.CFSnapshot)
 	case GetM:
 		if m.Order {
 			// Order requests carry the update in the message (paper §3.3.1).

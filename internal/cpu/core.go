@@ -204,10 +204,6 @@ type activeFence struct {
 	remotePS []mem.Line // combined pending sets of other active fences
 	wee      bool
 	weeID    uint64 // GRT deposit id (the fence's deposit ReqID)
-	// C-Fence state: a free Conditional Fence stays registered in the
-	// centralized associate table until it completes.
-	cf      bool
-	cfGroup int32
 	// demoted: a post-fence access homed outside the fence's module, so
 	// the fence could not confine its PS and BS to one directory module
 	// and turned into a conventional fence (paper §6): subsequent
@@ -322,14 +318,6 @@ type Core struct {
 	weeRemote      []mem.Line
 	weeModule      int
 	weeReqID       uint64
-
-	// C-Fence handshake state for the fence at the ROB head.
-	cfState   uint8 // 0 idle, 1 registering, 2 stalled, 3 free
-	cfReqID   uint64
-	cfSnap    []coherence.CFEntry
-	cfCleared bool
-	cfQueryIn bool
-	cfQueryAt int64
 
 	// W+ deadlock detection and recovery.
 	bouncedExternal bool // our BS bounced someone since oldest fence began

@@ -181,27 +181,6 @@ func (c *Core) HandleMsg(now int64, m coherence.Msg) {
 			c.weeDepositAck = true
 			c.weeRemote = m.PS
 		}
-	case coherence.CFRegisterAck:
-		if c.cfState == 1 && m.ReqID == c.cfReqID {
-			c.cfSnap = m.CFSnapshot
-			c.cfCleared = len(c.cfSnap) == 0
-			c.cfQueryIn = false
-			c.cfQueryAt = now
-			if c.cfCleared {
-				c.cfState = 3 // free
-			} else {
-				c.cfState = 2 // stalled behind the snapshot
-			}
-		}
-	case coherence.CFQueryAck:
-		if c.cfState == 2 && m.ReqID == c.cfReqID {
-			c.cfQueryIn = false
-			if m.TrueShare {
-				c.cfQueryAt = now + 30 // still active: poll again later
-			} else {
-				c.cfCleared = true
-			}
-		}
 	default:
 		panic("cpu: core got " + m.Type.String())
 	}
@@ -291,12 +270,6 @@ func (c *Core) completeFences(now int64) {
 			}
 			c.send(now, dst, coherence.Msg{
 				Type: coherence.WeeRemove, Core: c.cfg.ID, ReqID: f.weeID,
-			}, noc.CatFence)
-		}
-		if f.cf {
-			c.send(now, 0, coherence.Msg{
-				Type: coherence.CFDeregister, Core: c.cfg.ID, ReqID: f.weeID,
-				Group: f.cfGroup,
 			}, noc.CatFence)
 		}
 		c.fences = c.fences[1:]
@@ -530,8 +503,8 @@ func (c *Core) maybeSleep(now int64) {
 // progress requires a message. Dataflow resolution is eager (values
 // propagate the cycle their producer performs), so it never gates on time
 // by itself; the gates are head-of-ROB ready times, the write-buffer and
-// atomic retry backoffs, the W+ timeout, the C-Fence poll timer and the
-// future address-ready times of unissued loads.
+// atomic retry backoffs, the W+ timeout and the future address-ready
+// times of unissued loads.
 func (c *Core) computeWake(now int64) int64 {
 	wake := int64(math.MaxInt64)
 	consider := func(t int64) {
@@ -560,9 +533,8 @@ func (c *Core) computeWake(now int64) int64 {
 				}
 			}
 		case isa.SFence, isa.WFence:
-			if c.cfState == 2 && !c.cfCleared && !c.cfQueryIn {
-				consider(c.cfQueryAt)
-			}
+			// Fences have no time gate of their own: they wait for the
+			// write buffer (its retry term is below) or for messages.
 		default:
 			// Work, ALU ops, branches, Halt: once resolved they wait only
 			// for their ready time; unresolved entries resolve on events.

@@ -124,9 +124,6 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 		return c.retireAtomic(now, e)
 
 	case isa.SFence:
-		if c.cfg.Design == fence.CFence {
-			return c.retireCFence(now, e)
-		}
 		if len(c.wb) != 0 && !DebugBrokenFence {
 			return false, rFence
 		}
@@ -138,9 +135,6 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 		return true, rNone
 
 	case isa.WFence:
-		if c.cfg.Design == fence.CFence {
-			return c.retireCFence(now, e)
-		}
 		return c.retireWeakFence(now, e)
 
 	case isa.Halt:
@@ -160,12 +154,6 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 // and the single-module confinement rule.
 func (c *Core) retireLoad(now int64, e *robEntry) (bool, blockReason) {
 	if len(c.fences) == 0 {
-		return true, rNone
-	}
-	if c.cfg.Design == fence.CFence {
-		// A free Conditional Fence imposes no constraint on post-fence
-		// accesses: the centralized table guarantees any colliding
-		// associate stalls until this fence completes.
 		return true, rNone
 	}
 	line := e.line()
@@ -389,74 +377,6 @@ func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 		c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
 	}
 	return true, rNone
-}
-
-// retireCFence implements the Conditional Fence baseline (paper §8): the
-// fence registers with the centralized associate table; with no associate
-// executing it is free (no stall at all); otherwise it stalls until both
-// its own write buffer drains and every fence in its registration
-// snapshot completes.
-func (c *Core) retireCFence(now int64, e *robEntry) (bool, blockReason) {
-	switch c.cfState {
-	case 0: // register
-		c.cfReqID = c.nextReqID()
-		c.cfState = 1
-		c.send(now, 0, coherence.Msg{
-			Type: coherence.CFRegister, Core: c.cfg.ID, ReqID: c.cfReqID,
-			Group: e.in.Imm,
-		}, noc.CatFence)
-		return false, rFence
-	case 1: // waiting for the registration snapshot
-		return false, rFence
-	case 2: // stalled: wait for drain + snapshot completion
-		if !c.cfCleared {
-			if !c.cfQueryIn && now >= c.cfQueryAt {
-				c.cfQueryIn = true
-				c.send(now, 0, coherence.Msg{
-					Type: coherence.CFQuery, Core: c.cfg.ID, ReqID: c.cfReqID,
-					Group: e.in.Imm, CFSnapshot: c.cfSnap,
-				}, noc.CatFence)
-			}
-			return false, rFence
-		}
-		if len(c.wb) != 0 {
-			return false, rFence
-		}
-		c.send(now, 0, coherence.Msg{
-			Type: coherence.CFDeregister, Core: c.cfg.ID, ReqID: c.cfReqID,
-			Group: e.in.Imm,
-		}, noc.CatFence)
-		c.cfState = 0
-		c.st.SFences++ // behaved as a conventional fence
-		c.tr.Emit(now, trace.KFenceStrong, int32(c.cfg.ID), 0, int64(e.pc), 0, 0)
-		if c.chk != nil {
-			c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, true)
-		}
-		return true, rNone
-	case 3: // free: retire now, stay registered until the drain completes
-		c.cfState = 0
-		c.st.WFences++ // behaved as a free (unordered-cost) fence
-		c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
-		if len(c.wb) == 0 {
-			c.send(now, 0, coherence.Msg{
-				Type: coherence.CFDeregister, Core: c.cfg.ID, ReqID: c.cfReqID,
-				Group: e.in.Imm,
-			}, noc.CatFence)
-			c.tr.Emit(now, trace.KFenceComplete, int32(c.cfg.ID), 0, int64(e.seq), int64(c.bs.Len()), 0)
-			if c.chk != nil {
-				c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
-				c.chk.OnFenceComplete(now, c.cfg.ID, e.seq)
-			}
-			return true, rNone
-		}
-		f := &activeFence{seq: e.seq, pcAfter: e.pc + 1, cf: true, cfGroup: e.in.Imm, weeID: c.cfReqID}
-		c.fences = append(c.fences, f)
-		if c.chk != nil {
-			c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
-		}
-		return true, rNone
-	}
-	return false, rFence
 }
 
 // resetWeeHandshake clears a deposit that became unnecessary (the write

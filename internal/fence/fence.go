@@ -27,19 +27,10 @@ const (
 	// pending sets), with the single-directory-module confinement rule
 	// that demotes unconfinable fences to strong fences.
 	Wee
-	// CFence is the Conditional Fence baseline (Lin, Nagarajan & Gupta,
-	// PACT'10; paper §8): fences are statically grouped into associates;
-	// at runtime a fence consults a centralized table — if no associate
-	// is currently executing, the fence is free; otherwise it stalls
-	// until the associates it observed complete. No Bypass Set, but
-	// centralized global hardware — the implementability cost the paper
-	// contrasts with.
-	CFence
 )
 
 var designNames = [...]string{
 	SPlus: "S+", WSPlus: "WS+", SWPlus: "SW+", WPlus: "W+", Wee: "Wee",
-	CFence: "C-Fence",
 }
 
 // String returns the paper's name for the design.
@@ -51,12 +42,10 @@ func (d Design) String() string {
 }
 
 // AllDesigns lists every design in the paper's comparison order.
-// (C-Fence, the §8 related-work baseline, is additional to the paper's
-// evaluation and listed separately.)
 var AllDesigns = []Design{SPlus, WSPlus, SWPlus, WPlus, Wee}
 
 // UsesBS reports whether the design has a Bypass Set at all.
-func (d Design) UsesBS() bool { return d != SPlus && d != CFence }
+func (d Design) UsesBS() bool { return d != SPlus }
 
 // WordGranular reports whether the Bypass Set records word-level masks
 // (needed by SW+'s Conditional Order).

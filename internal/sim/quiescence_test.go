@@ -53,19 +53,13 @@ func quiesceProgs() []*isa.Program {
 	return []*isa.Program{w.MustBuild(), r.MustBuild(), worker.MustBuild(), idle.MustBuild()}
 }
 
-// quiesceDesigns is every fence design including the C-Fence baseline
-// (whose query/retry machinery has its own wake term).
-func quiesceDesigns() []fence.Design {
-	return append(append([]fence.Design{}, fence.AllDesigns...), fence.CFence)
-}
-
 // TestQuiescenceEquivalence proves the quiescence-aware cycle loop is an
 // invisible optimization: the same workload run with PureStepping (every
 // component stepped every cycle) and with idle skipping enabled must
 // produce byte-identical results — same final cycle, same digest over
 // every counter — for every fence design.
 func TestQuiescenceEquivalence(t *testing.T) {
-	for _, d := range quiesceDesigns() {
+	for _, d := range fence.AllDesigns {
 		run := func(pure bool) *sim.Result {
 			m, err := sim.New(sim.Config{NCores: 4, Design: d, PureStepping: pure},
 				quiesceProgs(), mem.NewStore())

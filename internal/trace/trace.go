@@ -25,8 +25,8 @@ type Kind uint8
 
 const (
 	// KFenceStrong: a fence finished executing with strong (conventional)
-	// behavior: an SFence, a WFence under S+, a demoted WeeFence, or a
-	// stalled Conditional Fence. node=core, a=pc.
+	// behavior: an SFence, a WFence under S+, or a demoted WeeFence.
+	// node=core, a=pc.
 	KFenceStrong Kind = iota
 	// KFenceWeak: a weak fence retired with weak behavior and (if the
 	// write buffer was non-empty) became an active fence. node=core,

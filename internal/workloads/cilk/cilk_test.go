@@ -89,18 +89,3 @@ func TestWeeStaysWeakOnCilk(t *testing.T) {
 		t.Errorf("Wee demoted %.1f%% of CilkApps fences; paper reports they remain weak", 100*frac)
 	}
 }
-
-// TestCFenceBaselineOnWorkStealing: the §8 baseline also preserves the
-// work-stealing invariant and lands between S+ and the wf designs.
-func TestCFenceBaselineOnWorkStealing(t *testing.T) {
-	p, _ := cilk.AppByName("fib")
-	p.TasksPerWorker = 40
-	res, wl := runApp(t, p, fence.CFence, 4)
-	if got := res.Agg().Events[stats.EvTask]; got != uint64(wl.TotalTasks) {
-		t.Fatalf("C-Fence: executed %d tasks, want %d", got, wl.TotalTasks)
-	}
-	base, _ := runApp(t, p, fence.SPlus, 4)
-	if res.Cycles > base.Cycles*11/10 {
-		t.Errorf("C-Fence (%d cycles) much slower than S+ (%d)", res.Cycles, base.Cycles)
-	}
-}

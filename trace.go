@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"asymfence/internal/experiments"
-	"asymfence/internal/fence"
 	"asymfence/internal/trace"
 )
 
@@ -40,7 +39,7 @@ type TraceOptions = experiments.TraceOptions
 type TraceResult = experiments.TraceRun
 
 // ParseDesign parses a fence-design name ("S+", "WS+", "SW+", "W+",
-// "Wee", "C-Fence"; case-insensitive, "splus"-style aliases accepted).
+// "Wee"; case-insensitive, "splus"-style aliases accepted).
 func ParseDesign(s string) (Design, error) {
 	switch strings.ToLower(strings.TrimSpace(s)) {
 	case "s+", "splus", "s":
@@ -53,11 +52,9 @@ func ParseDesign(s string) (Design, error) {
 		return WPlus, nil
 	case "wee", "weefence":
 		return Wee, nil
-	case "c-fence", "cfence", "cf":
-		return CFenceDesign, nil
 	}
 	var names []string
-	for _, d := range append(fence.AllDesigns, fence.CFence) {
+	for _, d := range AllDesigns {
 		names = append(names, d.String())
 	}
 	return 0, fmt.Errorf("asymfence: unknown fence design %q (valid: %s)",
