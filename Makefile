@@ -90,9 +90,13 @@ check-runtime:
 # runtime's fault-injection/degradation suite, the mid-run
 # mode-degradation torture tests for the deque and the TLRW read-lock,
 # and the quick CLI campaign (50 seeds x 5 designs x both fence modes)
-# with its byte-reproducible report.
+# with its byte-reproducible report. The litmus runner's suite runs ten
+# times: its workers and their image and register files are shared
+# across goroutines for a whole Run, and ten passes (about 2 s) give
+# the race detector more interleavings of that handoff.
 check-conform:
-	$(GO) test -race -count=1 ./internal/tso/ ./runtime/litmusrun/
+	$(GO) test -race -count=1 ./internal/tso/
+	$(GO) test -race -count=10 ./runtime/litmusrun/
 	$(GO) test -race -count=1 -run 'TestFault|TestHeavyFence|TestConcurrentDegradation|TestStatsSnapshot' ./runtime/
 	$(GO) test -race -count=1 -run 'TestTorture' ./runtime/thedeque/ ./runtime/tlrw/
 	$(GO) test -race -count=1 -run 'TestConform|TestMinimize' . ./cmd/asymsim/

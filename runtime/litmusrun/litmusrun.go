@@ -3,13 +3,24 @@
 // onto the asymruntime fence pair — the silicon half of the
 // cross-domain conformance harness (ROBUSTNESS.md §8).
 //
-// Each simulated core becomes one goroutine; shared-region words become
-// atomic.Uint32 cells seeded with the litmus initial image; wfence
+// Run builds a crew once and keeps it for all its iterations: one worker
+// goroutine per simulated core, one memory image whose shared-region
+// words are atomic.Uint32 cells, and one register file per thread. For
+// each iteration the caller resets the image to the litmus initial
+// image and the registers to zero, releases every worker by a send on
+// the worker's own channel, and waits for each to report on a shared
+// done channel. Run returns only after every worker has exited. wfence
 // becomes asymruntime.LightFence and sfence asymruntime.HeavyFence, so
-// the generated Dekker-style handshakes exercise the exact
-// light/heavy pairing the runtime ships. Thread-local instruction
-// semantics are shared with the reference TSO machine (tso.Local), so
-// the two domains cannot drift on functional behavior.
+// the generated Dekker-style handshakes exercise the exact light/heavy
+// pairing the runtime ships. Thread-local instruction semantics are
+// shared with the reference TSO machine (tso.Local), so the two domains
+// cannot drift on functional behavior.
+//
+// After each iteration the caller appends the final state raw to a
+// reused buffer (observed registers, shared words, extra cells). Only a
+// raw state new to the Run is extracted as a litmus.Outcome and
+// formatted as its canonical key, so a key is formatted once per
+// distinct final state, not once per iteration.
 //
 // Go's sync/atomic loads, stores and swaps are sequentially
 // consistent, so every outcome a run observes must be a sequentially
@@ -28,9 +39,12 @@
 package litmusrun
 
 import (
+	"cmp"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -78,12 +92,12 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// image is one iteration's memory: the shared region as word-indexed
-// atomic cells plus a lazy map for any access outside it (minimized or
-// hand-built programs may compute such addresses; generated ones do
-// not). The addressing discipline matches the simulator's functional
-// store and the TSO machine: cells are keyed by exact address, and a
-// never-written cell reads zero.
+// image is the memory a Run's iterations share, reset before each: the
+// shared region as word-indexed atomic cells plus a lazy map for any
+// access outside it (minimized or hand-built programs may compute such
+// addresses; generated ones do not). The addressing discipline matches
+// the simulator's functional store and the TSO machine: cells are keyed
+// by exact address, and a never-written cell reads zero.
 type image struct {
 	base  mem.Addr
 	words []atomic.Uint32
@@ -92,10 +106,21 @@ type image struct {
 
 func newImage(shared mem.Region) *image {
 	img := &image{base: shared.Base, words: make([]atomic.Uint32, shared.Size/mem.WordSize)}
+	img.reset()
+	return img
+}
+
+// reset puts the image back to the litmus initial image: every region
+// word to litmus.InitWord, and no extra cells. sync.Map.Clear would
+// need Go 1.23.
+func (img *image) reset() {
 	for i := range img.words {
 		img.words[i].Store(litmus.InitWord(i))
 	}
-	return img
+	img.extra.Range(func(k, _ any) bool {
+		img.extra.Delete(k)
+		return true
+	})
 }
 
 // cell returns the atomic cell backing addr: a region word when addr is
@@ -182,7 +207,8 @@ func sweep(cfg Config, run func(it int) error) error {
 // Run executes the program group Iterations times and returns the set
 // of observed final states. Run mutates GOMAXPROCS while active (unless
 // NoProcsJitter) and restores it before returning; do not call it
-// concurrently with itself or with latency-sensitive code.
+// concurrently with itself or with latency-sensitive code. Every worker
+// goroutine Run starts has exited when it returns, on error too.
 func Run(progs []*isa.Program, shared mem.Region, cfg Config) (Result, error) {
 	if len(progs) == 0 {
 		return Result{}, errors.New("litmusrun: no programs")
@@ -196,52 +222,140 @@ func Run(progs []*isa.Program, shared mem.Region, cfg Config) (Result, error) {
 	if cfg.MaxSteps <= 0 {
 		cfg.MaxSteps = 1_000_000
 	}
+	c := newCrew(progs, shared, cfg.MaxSteps)
+	defer c.stop()
 	res := Result{Outcomes: litmus.NewOutcomeSet()}
 	err := sweep(cfg, func(it int) error {
-		o, err := runOnce(progs, shared, cfg.Seed+uint64(it)*0x100000001b3, cfg.MaxSteps)
-		if err != nil {
+		if err := c.run(cfg.Seed + uint64(it)*0x100000001b3); err != nil {
 			return err
 		}
-		res.Outcomes.Add(o)
+		c.record(res.Outcomes)
 		res.Iterations++
 		return nil
 	})
 	return res, err
 }
 
-// runOnce executes one iteration: spawn one goroutine per program,
-// release them together, join, and extract the final state.
-func runOnce(progs []*isa.Program, shared mem.Region, seed uint64, maxSteps int) (litmus.Outcome, error) {
-	img := newImage(shared)
-	regs := make([]tso.Regs, len(progs))
-	errs := make([]error, len(progs))
-	gate := make(chan struct{})
-	var wg sync.WaitGroup
-	for t := range progs {
-		wg.Add(1)
-		go func(t int) {
-			defer wg.Done()
-			<-gate
-			errs[t] = exec(progs[t], t, &regs[t], img,
-				&jitter{seed: splitmix64(seed ^ uint64(t))}, maxSteps)
-		}(t)
+// crew runs a program group on one worker goroutine per thread, kept
+// for a whole Run, over one reused image and register files. Between
+// iterations the caller owns all of it; from the send on start[t] that
+// releases worker t to that worker's send on done, the worker owns
+// regs[t] and errs[t] and shares img with the other workers.
+type crew struct {
+	progs    []*isa.Program
+	shared   mem.Region
+	maxSteps int
+	img      *image
+	regs     []tso.Regs
+	errs     []error
+	start    []chan uint64 // one per worker: the iteration's seed; closed by stop
+	done     chan struct{} // one send per worker per iteration
+	exited   sync.WaitGroup
+
+	raw   []byte              // the last recorded final state, raw
+	extra []litmus.ExtraWord  // the last recorded extra cells, address-sorted
+	seen  map[string]struct{} // every raw final state recorded so far
+}
+
+// newCrew starts one worker per program; stop ends them.
+func newCrew(progs []*isa.Program, shared mem.Region, maxSteps int) *crew {
+	c := &crew{
+		progs:    progs,
+		shared:   shared,
+		maxSteps: maxSteps,
+		img:      newImage(shared),
+		regs:     make([]tso.Regs, len(progs)),
+		errs:     make([]error, len(progs)),
+		start:    make([]chan uint64, len(progs)),
+		done:     make(chan struct{}, len(progs)),
+		seen:     make(map[string]struct{}),
 	}
-	close(gate)
-	wg.Wait()
-	for t, err := range errs {
+	c.exited.Add(len(progs))
+	for t := range progs {
+		// One slot, so a release never waits for a worker still on
+		// its way back from reporting the previous iteration.
+		c.start[t] = make(chan uint64, 1)
+		go c.work(t)
+	}
+	return c
+}
+
+// work is thread t's worker: it runs the thread once per seed it
+// receives and reports each run on done, until stop closes its channel.
+func (c *crew) work(t int) {
+	defer c.exited.Done()
+	for seed := range c.start[t] {
+		jit := jitter{seed: splitmix64(seed ^ uint64(t))}
+		c.errs[t] = exec(c.progs[t], t, &c.regs[t], c.img, &jit, c.maxSteps)
+		c.done <- struct{}{}
+	}
+}
+
+// run executes one iteration under seed: it resets the image and the
+// register files, releases every worker and waits for all of them.
+func (c *crew) run(seed uint64) error {
+	c.img.reset()
+	clear(c.regs)
+	for _, ch := range c.start {
+		ch <- seed
+	}
+	for range c.start {
+		<-c.done
+	}
+	for t, err := range c.errs {
 		if err != nil {
-			return litmus.Outcome{}, fmt.Errorf("thread %d: %w", t, err)
+			return fmt.Errorf("thread %d: %w", t, err)
 		}
 	}
-	return litmus.ExtractOutcome(len(progs), shared,
-		func(t int, r isa.Reg) uint32 { return regs[t].Get(r) },
-		img.load,
+	return nil
+}
+
+// stop ends every worker and returns once all of them have exited.
+func (c *crew) stop() {
+	for _, ch := range c.start {
+		close(ch)
+	}
+	c.exited.Wait()
+}
+
+// record adds the crew's final state to out. It appends the state raw
+// to c.raw: every thread's litmus.ObservedRegs, every region word, then
+// every extra cell's address and value in address order. Equal raw
+// states have equal outcomes, so only a raw state the crew has not
+// recorded before is extracted and formatted as its canonical key.
+func (c *crew) record(out litmus.OutcomeSet) {
+	b := c.raw[:0]
+	for t := range c.regs {
+		for _, r := range litmus.ObservedRegs {
+			b = binary.LittleEndian.AppendUint32(b, c.regs[t].Get(r))
+		}
+	}
+	for i := range c.img.words {
+		b = binary.LittleEndian.AppendUint32(b, c.img.words[i].Load())
+	}
+	c.extra = c.extra[:0]
+	c.img.extra.Range(func(k, v any) bool {
+		c.extra = append(c.extra, litmus.ExtraWord{Addr: k.(mem.Addr), Val: v.(*atomic.Uint32).Load()})
+		return true
+	})
+	slices.SortFunc(c.extra, func(x, y litmus.ExtraWord) int { return cmp.Compare(x.Addr, y.Addr) })
+	for _, e := range c.extra {
+		b = binary.LittleEndian.AppendUint32(b, uint32(e.Addr))
+		b = binary.LittleEndian.AppendUint32(b, e.Val)
+	}
+	c.raw = b
+	if _, ok := c.seen[string(b)]; ok {
+		return
+	}
+	c.seen[string(b)] = struct{}{}
+	out.Add(litmus.ExtractOutcome(len(c.regs), c.shared,
+		func(t int, r isa.Reg) uint32 { return c.regs[t].Get(r) },
+		c.img.load,
 		func(f func(a mem.Addr, v uint32)) {
-			img.extra.Range(func(k, v any) bool {
-				f(k.(mem.Addr), v.(*atomic.Uint32).Load())
-				return true
-			})
-		}), nil
+			for _, e := range c.extra {
+				f(e.Addr, e.Val)
+			}
+		}))
 }
 
 // exec interprets one thread body. Local instructions go through
