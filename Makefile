@@ -63,12 +63,15 @@ race-runner:
 	$(GO) test -race -count=1 ./internal/experiments/runner/
 
 # The persistence layer under the race detector: the content-addressed
-# store's crash-safety and write-fault suite, the runner's read-through
-# tier contract, the warm-vs-cold byte-equivalence tests, and the CLI
-# end to end through the store (`asymsim -store D run`, serve, trace).
-# Every test runs in its own t.TempDir, so no state leaks between runs.
+# store's crash-safety and write-fault suite, measurement records whose
+# payload is missing, null or mistyped (read as corrupt misses), the
+# runner's read-through tier contract, the warm-vs-cold
+# byte-equivalence tests, and the CLI end to end through the store
+# (`asymsim -store D run`, serve, trace). Every test runs in its own
+# t.TempDir, so no state leaks between runs.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
+	$(GO) test -race -count=1 -run 'TestLoadBadPayload' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'WriteFaults' ./internal/faults/
 	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
 	$(GO) test -race -count=1 -run 'TestStore|TestRunBatchStore' .
@@ -120,9 +123,10 @@ check-invariants:
 
 # Short per-subsystem microbenchmarks (NoC, cache, directory, cycle
 # kernel, machine build, TSO enumerator, outcome keys, hardware litmus
-# sweep). Quick enough for the inner loop; see PERFORMANCE.md for how
-# to read and extend them.
+# sweep, store open and measurement load). Quick enough for the inner
+# loop; see PERFORMANCE.md for how to read and extend them.
 bench:
 	$(GO) test -run XX -bench . -benchtime 200ms \
 		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/ \
-		./internal/tso/ ./internal/workloads/litmus/ ./runtime/litmusrun/
+		./internal/tso/ ./internal/workloads/litmus/ ./runtime/litmusrun/ \
+		./internal/store/ ./internal/experiments/

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"encoding/json"
-
 	"asymfence/internal/metrics"
 	"asymfence/internal/store"
 )
@@ -51,15 +49,7 @@ func (ms *MeasurementStore) Load(key string) (*Measurement, bool) {
 	if ms == nil {
 		return nil, false
 	}
-	payload, ok := ms.s.Get(key)
-	if !ok {
-		return nil, false
-	}
-	var m Measurement
-	if err := json.Unmarshal(payload, &m); err != nil {
-		return nil, false
-	}
-	return &m, true
+	return store.Get[Measurement](ms.s, key)
 }
 
 // Store persists a measurement under its canonical spec key, returning
@@ -69,11 +59,7 @@ func (ms *MeasurementStore) Store(key string, m *Measurement) {
 	if ms == nil || m == nil {
 		return
 	}
-	payload, err := json.Marshal(m)
-	if err != nil {
-		return
-	}
-	ms.s.Put(key, payload)
+	ms.s.Put(key, m)
 }
 
 // Stats returns the underlying store's traffic snapshot.

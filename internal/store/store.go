@@ -10,23 +10,29 @@
 // The layout under the store directory is
 //
 //	objects/<aa>/<sha256(key)>.json   one envelope per record
+//	tmp/tmp-*                         records being written
 //
-// where <aa> is the first byte of the key hash, git-style. The files
-// are the whole store: there is no index, no size bound and no
-// background work. Get reads the key's file; Put writes it before
-// returning.
+// where <aa> is the first byte of the key hash, git-style. The record
+// files are the whole store: there is no index, no size bound and no
+// background work. Get reads the key's file and decodes the envelope and
+// its payload in one json.Unmarshal, straight into the caller's type;
+// Put writes the file before returning.
 //
 // The design holds two contracts:
 //
 //   - Crash safety. Record files appear atomically (written to a
-//     temporary file in the same directory, then renamed), so a reader
-//     — in this process or another — never observes a torn record, and
-//     a record is on disk once Put returns. Truncated or corrupt files
-//     (a crash mid-rename on a non-atomic filesystem, bit rot, a schema
-//     from a future version, a foreign key or payload kind) are treated
-//     as misses and removed; they can always be regenerated by
-//     re-simulating. Open removes leftover temporary files without
-//     reading any record.
+//     temporary file in tmp/, then renamed into objects/<aa>/ within the
+//     same tree), so a reader — in this process or another — never
+//     observes a torn record, and a record is on disk once Put returns.
+//     A record that fails to read or decode (a crash mid-rename on a
+//     non-atomic filesystem, bit rot, a schema from a future version, a
+//     foreign key or payload kind, a payload that is missing, null or
+//     not of the caller's type) is corrupt: it is counted, removed and
+//     read as a miss, and the next Put regenerates it by re-simulating.
+//     Open empties tmp/ and reads nothing else: writers create no other
+//     files, so the fan directories hold only records. Temporary files
+//     that older binaries left beside the records are not swept; Get
+//     never reads them.
 //
 //   - Cache semantics. A failed write is counted and costs only a later
 //     miss. Concurrent opens of one directory are safe: writes are
@@ -55,9 +61,10 @@ import (
 // can change shape without poisoning old binaries.
 const Schema = "asymfence-store/v1"
 
-// Envelope is the on-disk record format: a versioned wrapper around an
-// opaque payload.
-type Envelope struct {
+// Envelope is the on-disk record format: a versioned wrapper around a
+// payload of type T. Put writes an Envelope[any]; Get reads an
+// Envelope[*T], so a missing or null payload decodes as nil.
+type Envelope[T any] struct {
 	// Schema is the envelope format tag (Schema).
 	Schema string `json:"schema"`
 	// Key is the record's full content key (the filename holds only its
@@ -69,7 +76,7 @@ type Envelope struct {
 	// Build is the provenance of the binary that wrote the record.
 	Build buildinfo.Info `json:"build"`
 	// Payload is the record body, opaque to the store.
-	Payload json.RawMessage `json:"payload"`
+	Payload T `json:"payload"`
 }
 
 // Options configure Open.
@@ -89,12 +96,14 @@ type Options struct {
 	WriteFile func(path string, data []byte) error
 }
 
-// WriteFileAtomic writes data to path with the store's crash-safety
-// discipline: a temporary file in the same directory, then a rename, so
-// a reader never observes a torn file and a crash leaves at worst a
-// "tmp-*" leftover that the next Open sweeps.
+// WriteFileAtomic writes data to the record file path with the store's
+// crash-safety discipline: a temporary file in the store's tmp
+// directory, then a rename, so a reader never observes a torn file and
+// a crash leaves at worst a "tmp-*" leftover that the next Open sweeps.
+// path must be a record path, <dir>/objects/<aa>/<name>: the temporary
+// file goes in <dir>/tmp, in the same tree as the record.
 func WriteFileAtomic(path string, data []byte) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), "tmp-*")
+	tmp, err := os.CreateTemp(filepath.Join(filepath.Dir(path), "..", "..", "tmp"), "tmp-*")
 	if err != nil {
 		return err
 	}
@@ -113,8 +122,9 @@ func WriteFileAtomic(path string, data []byte) error {
 // Stats is a point-in-time traffic snapshot of one handle.
 type Stats struct {
 	// Hits/Misses count Get outcomes; Writes counts records persisted;
-	// WriteErrors counts Puts whose write failed; Corrupt counts
-	// unreadable records dropped on Get.
+	// WriteErrors counts Puts whose encoding or write failed; Corrupt
+	// counts records a Get dropped because they failed to read or
+	// decode, payload included.
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Writes      int64 `json:"writes"`
@@ -151,8 +161,8 @@ type Store struct {
 }
 
 // Open opens (creating if necessary) the store rooted at dir and
-// removes temporary files a crashed writer left behind. It reads no
-// record.
+// removes the temporary files a crashed writer left in its tmp
+// directory. It reads no record and lists no other directory.
 func Open(dir string, o Options) (*Store, error) {
 	if o.Kind == "" {
 		o.Kind = "raw/v1"
@@ -160,28 +170,16 @@ func Open(dir string, o Options) (*Store, error) {
 	if o.WriteFile == nil {
 		o.WriteFile = WriteFileAtomic
 	}
-	objects := filepath.Join(dir, "objects")
-	if err := os.MkdirAll(objects, 0o777); err != nil {
+	tmp := filepath.Join(dir, "tmp")
+	if err := os.MkdirAll(tmp, 0o777); err != nil {
 		return nil, fmt.Errorf("store: open %s: %w", dir, err)
 	}
-	fans, err := os.ReadDir(objects)
+	leftovers, err := os.ReadDir(tmp)
 	if err != nil {
-		return nil, fmt.Errorf("store: scanning %s: %w", dir, err)
+		return nil, fmt.Errorf("store: scanning %s: %w", tmp, err)
 	}
-	for _, fan := range fans {
-		if !fan.IsDir() {
-			continue
-		}
-		fanDir := filepath.Join(objects, fan.Name())
-		files, err := os.ReadDir(fanDir)
-		if err != nil {
-			return nil, fmt.Errorf("store: scanning %s: %w", fanDir, err)
-		}
-		for _, f := range files {
-			if filepath.Ext(f.Name()) != ".json" {
-				os.Remove(filepath.Join(fanDir, f.Name()))
-			}
-		}
+	for _, f := range leftovers {
+		os.Remove(filepath.Join(tmp, f.Name()))
 	}
 	return &Store{dir: dir, kind: o.Kind, writeFile: o.WriteFile, mx: newStoreMetrics(o.Metrics)}, nil
 }
@@ -198,11 +196,13 @@ func (s *Store) objectPath(key string) string {
 	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
 }
 
-// Get returns the payload stored under key, or ok=false on a miss. A
-// record that fails to read or parse — truncated, corrupt, wrong kind,
-// wrong key — counts as a miss and is removed so a later Put
+// Get returns the payload stored under key, decoded into a T, or
+// ok=false on a miss. The envelope and the payload are decoded in one
+// json.Unmarshal. A record that fails to read or decode — truncated,
+// corrupt, wrong kind, wrong key, a payload missing, null or not a T —
+// counts as corrupt and a miss, and is removed so a later Put
 // regenerates it.
-func (s *Store) Get(key string) (json.RawMessage, bool) {
+func Get[T any](s *Store, key string) (*T, bool) {
 	if s == nil {
 		return nil, false
 	}
@@ -213,8 +213,8 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 		s.mx.misses.Inc()
 		return nil, false
 	}
-	var env Envelope
-	if err := json.Unmarshal(b, &env); err != nil || env.Schema != Schema || env.Kind != s.kind || env.Key != key {
+	var env Envelope[*T]
+	if err := json.Unmarshal(b, &env); err != nil || env.Schema != Schema || env.Kind != s.kind || env.Key != key || env.Payload == nil {
 		os.Remove(path)
 		s.corrupt.Add(1)
 		s.mx.corrupt.Inc()
@@ -227,14 +227,15 @@ func (s *Store) Get(key string) (json.RawMessage, bool) {
 	return env.Payload, true
 }
 
-// Put stores payload under key and returns once the record is on disk
-// or the write has failed. A failed write is counted in WriteErrors and
-// leaves the key a miss; the store is a cache, so nothing else is lost.
-func (s *Store) Put(key string, payload json.RawMessage) {
+// Put stores payload, encoded as JSON inside the envelope, under key and
+// returns once the record is on disk or the write has failed. A failed
+// encoding or write is counted in WriteErrors and leaves the key a
+// miss; the store is a cache, so nothing else is lost.
+func (s *Store) Put(key string, payload any) {
 	if s == nil {
 		return
 	}
-	b, err := json.Marshal(&Envelope{
+	b, err := json.Marshal(&Envelope[any]{
 		Schema:  Schema,
 		Key:     key,
 		Kind:    s.kind,

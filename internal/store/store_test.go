@@ -29,6 +29,31 @@ func open(t *testing.T, dir string, o Options) *Store {
 // object returns the on-disk path of key's record.
 func object(s *Store, key string) string { return s.objectPath(key) }
 
+// get reads key's payload back as its raw JSON bytes.
+func get(s *Store, key string) (string, bool) {
+	p, ok := Get[json.RawMessage](s, key)
+	if !ok {
+		return "", false
+	}
+	return string(*p), true
+}
+
+// onlyRecords fails the test unless every fan directory under dir holds
+// only ".json" records. Writers create their temporary files in tmp/,
+// and that is what lets Open sweep tmp/ alone.
+func onlyRecords(t *testing.T, dir string) {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if filepath.Ext(f) != ".json" {
+			t.Fatalf("fan directory holds %s, which is not a record", f)
+		}
+	}
+}
+
 // records counts the record files on disk under dir.
 func records(t *testing.T, dir string) int {
 	t.Helper()
@@ -43,14 +68,14 @@ func TestPutGetRoundtrip(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
 
-	if _, ok := s.Get("missing"); ok {
+	if _, ok := get(s, "missing"); ok {
 		t.Fatal("Get on empty store reported a hit")
 	}
 	payload := json.RawMessage(`{"cycles":12345}`)
 	s.Put("cilk:fib@WS+/p8", payload)
 
-	got, ok := s.Get("cilk:fib@WS+/p8")
-	if !ok || string(got) != string(payload) {
+	got, ok := get(s, "cilk:fib@WS+/p8")
+	if !ok || got != string(payload) {
 		t.Fatalf("Get after Put = %q, %v; want payload hit", got, ok)
 	}
 	st := s.Stats()
@@ -75,7 +100,7 @@ func TestPutIsOnDiskWhenItReturns(t *testing.T) {
 			t.Fatalf("record %s not on disk after Put returned: %v", key, err)
 		}
 		r := open(t, dir, Options{})
-		if got, ok := r.Get(key); !ok || string(got) != fmt.Sprintf(`{"v":%d}`, i) {
+		if got, ok := get(r, key); !ok || got != fmt.Sprintf(`{"v":%d}`, i) {
 			t.Fatalf("second handle Get(%s) = %q, %v; want a hit", key, got, ok)
 		}
 	}
@@ -90,8 +115,8 @@ func TestReopenPersists(t *testing.T) {
 
 	r := open(t, dir, Options{})
 	for i := 0; i < 5; i++ {
-		got, ok := r.Get(fmt.Sprintf("key-%d", i))
-		if !ok || string(got) != fmt.Sprintf(`{"v":%d}`, i) {
+		got, ok := get(r, fmt.Sprintf("key-%d", i))
+		if !ok || got != fmt.Sprintf(`{"v":%d}`, i) {
 			t.Fatalf("reopened Get(key-%d) = %q, %v", i, got, ok)
 		}
 	}
@@ -121,13 +146,13 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	}
 
 	// Same handle: the damaged records degrade to misses and are removed.
-	if _, ok := s.Get("truncated"); ok {
+	if _, ok := get(s, "truncated"); ok {
 		t.Fatal("truncated record served as a hit")
 	}
-	if _, ok := s.Get("garbage"); ok {
+	if _, ok := get(s, "garbage"); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
-	if got, ok := s.Get("good"); !ok || string(got) != `{"v":1}` {
+	if got, ok := get(s, "good"); !ok || got != `{"v":1}` {
 		t.Fatalf("intact record lost: %q, %v", got, ok)
 	}
 	if st := s.Stats(); st.Corrupt != 2 {
@@ -143,7 +168,7 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	// Fresh open over a damaged directory also recovers.
 	s2 := open(t, dir, Options{})
 	s2.Put("truncated", json.RawMessage(`{"v":22}`))
-	if got, ok := s2.Get("truncated"); !ok || string(got) != `{"v":22}` {
+	if got, ok := get(s2, "truncated"); !ok || got != `{"v":22}` {
 		t.Fatalf("regenerated record = %q, %v", got, ok)
 	}
 }
@@ -157,9 +182,9 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 	if err := os.Truncate(object(s, "broken"), 7); err != nil {
 		t.Fatal(err)
 	}
-	// A crashed writer leaves a temp file behind; Open must sweep it.
-	tmp := filepath.Join(dir, "objects", "ab")
-	os.MkdirAll(tmp, 0o777)
+	// A crashed writer leaves a temp file behind in tmp/, where writers
+	// create them; Open must sweep it.
+	tmp := filepath.Join(dir, "tmp")
 	if err := os.WriteFile(filepath.Join(tmp, "tmp-12345"), []byte("partial"), 0o666); err != nil {
 		t.Fatal(err)
 	}
@@ -172,10 +197,10 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 	if st, n := r.Stats(), records(t, dir); st.Corrupt != 0 || n != 2 {
 		t.Fatalf("after open: stats %+v, %d record files; want 0 corrupt, 2 files", st, n)
 	}
-	if got, ok := r.Get("keep"); !ok || string(got) != `{"v":1}` {
+	if got, ok := get(r, "keep"); !ok || got != `{"v":1}` {
 		t.Fatalf("intact record lost across damaged open: %q, %v", got, ok)
 	}
-	if _, ok := r.Get("broken"); ok {
+	if _, ok := get(r, "broken"); ok {
 		t.Fatal("truncated record served as a hit")
 	}
 	if st, n := r.Stats(), records(t, dir); st.Corrupt != 1 || n != 1 {
@@ -189,7 +214,7 @@ func TestKindMismatchIsMiss(t *testing.T) {
 	s.Put("k", json.RawMessage(`{"v":1}`))
 
 	r := open(t, dir, Options{Kind: "new/v2"})
-	if _, ok := r.Get("k"); ok {
+	if _, ok := get(r, "k"); ok {
 		t.Fatal("record of a different kind served as a hit")
 	}
 	if st, n := r.Stats(), records(t, dir); st.Corrupt != 1 || n != 0 {
@@ -210,7 +235,7 @@ func TestConcurrentOpenAndUse(t *testing.T) {
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("key-%d", i)
 				s.Put(key, json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
-				if v, ok := s.Get(key); !ok || string(v) != fmt.Sprintf(`{"v":%d}`, i) {
+				if v, ok := get(s, key); !ok || v != fmt.Sprintf(`{"v":%d}`, i) {
 					t.Errorf("handle %d: Get(%s) = %q, %v", g, key, v, ok)
 					return
 				}
@@ -224,9 +249,10 @@ func TestConcurrentOpenAndUse(t *testing.T) {
 	if n := records(t, dir); n != 50 {
 		t.Fatalf("after concurrent writers, %d record files, want 50", n)
 	}
+	onlyRecords(t, dir)
 	c := open(t, dir, Options{})
 	for i := 0; i < 50; i++ {
-		if _, ok := c.Get(fmt.Sprintf("key-%d", i)); !ok {
+		if _, ok := get(c, fmt.Sprintf("key-%d", i)); !ok {
 			t.Fatalf("third handle missed key-%d", i)
 		}
 	}
@@ -235,7 +261,7 @@ func TestConcurrentOpenAndUse(t *testing.T) {
 func TestNilStoreIsInert(t *testing.T) {
 	var s *Store
 	s.Put("k", json.RawMessage(`1`))
-	if _, ok := s.Get("k"); ok {
+	if _, ok := get(s, "k"); ok {
 		t.Fatal("nil store reported a hit")
 	}
 	if st := s.Stats(); st != (Stats{}) {
@@ -247,8 +273,8 @@ func TestMetricsAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := open(t, t.TempDir(), Options{Metrics: reg.Scope("store")})
 	s.Put("k", json.RawMessage(`{"v":1}`))
-	s.Get("k")
-	s.Get("absent")
+	get(s, "k")
+	get(s, "absent")
 
 	info, err := os.Stat(object(s, "k"))
 	if err != nil {
@@ -283,12 +309,13 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 	if st := s.Stats(); st.WriteErrors == 0 || st.Writes+st.WriteErrors != 64 {
 		t.Fatalf("stats after 64 faulted puts = %+v; want some write errors, every put counted once", st)
 	}
+	onlyRecords(t, dir)
 
 	hits := 0
 	for key, payload := range want {
-		if got, ok := s.Get(key); ok {
+		if got, ok := get(s, key); ok {
 			hits++
-			if string(got) != payload {
+			if got != payload {
 				t.Fatalf("live Get(%s) = %q, want %q or a miss", key, got, payload)
 			}
 		}
@@ -300,9 +327,9 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 	r := open(t, dir, Options{})
 	rehits := 0
 	for key, payload := range want {
-		if got, ok := r.Get(key); ok {
+		if got, ok := get(r, key); ok {
 			rehits++
-			if string(got) != payload {
+			if got != payload {
 				t.Fatalf("reopened Get(%s) = %q, want %q or a miss", key, got, payload)
 			}
 		}
