@@ -64,18 +64,22 @@ race-runner:
 
 # The persistence layer under the race detector: the content-addressed
 # store's crash-safety and write-fault suite, measurement records whose
-# payload is missing, null or mistyped (read as corrupt misses), the
-# runner's read-through tier contract, the warm-vs-cold
-# byte-equivalence tests, and the CLI end to end through the store
-# (`asymsim -store D run`, serve, trace). Every test runs in its own
-# t.TempDir, so no state leaks between runs.
+# payload is missing, null, mistyped or short of fields (read as
+# corrupt misses), the record-shape round trip, the runner's
+# read-through tier contract, the warm-vs-cold byte-equivalence tests,
+# and the CLI end to end through the store (`asymsim -store D run`,
+# serve, trace). Every test runs in its own t.TempDir, so no state
+# leaks between runs. Then a bounded fuzz run holds the record decoder
+# to encoding/json on mutated records; a new input is about 1 KB, so
+# minimizing each would take most of the 15 s, and it is capped.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
-	$(GO) test -race -count=1 -run 'TestLoadBadPayload' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestLoadBadPayload|TestMeasurementRoundTrip|FuzzLoadMatchesJSON' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'WriteFaults' ./internal/faults/
 	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
 	$(GO) test -race -count=1 -run 'TestStore|TestRunBatchStore' .
 	$(GO) test -race -count=1 -run 'TestCLI' ./cmd/asymsim/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoadMatchesJSON$$' -fuzztime 15s -fuzzminimizetime 10x ./internal/experiments/
 
 # The real-hardware fence runtime under the race detector: the
 # asymruntime mode/registration suite, the exactly-once deque stress

@@ -128,8 +128,15 @@ type SiteStall struct {
 	Cycles uint64
 }
 
+// costlier reports whether s ranks before o: more stall, or as much at
+// a lower PC.
+func (s SiteStall) costlier(o SiteStall) bool {
+	return s.Cycles > o.Cycles || s.Cycles == o.Cycles && s.PC < o.PC
+}
+
 // TopFenceSites returns the n fence sites with the most attributed stall,
-// most expensive first.
+// most expensive first and tied sites by ascending PC, so the cut is
+// the same on every call.
 func (c *Core) TopFenceSites(n int) []SiteStall {
 	out := make([]SiteStall, 0, len(c.FenceSiteStall))
 	for pc, cyc := range c.FenceSiteStall {
@@ -137,7 +144,7 @@ func (c *Core) TopFenceSites(n int) []SiteStall {
 	}
 	// Insertion sort: profiles are small.
 	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Cycles > out[j-1].Cycles; j-- {
+		for j := i; j > 0 && out[j].costlier(out[j-1]); j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}

@@ -43,6 +43,20 @@ func TestTopFenceSitesOrdering(t *testing.T) {
 	if len(all) != 3 {
 		t.Fatalf("want all 3 sites, got %d", len(all))
 	}
+
+	// Ties rank by ascending PC, so the cut is the same on every call
+	// whatever order the map iterates in.
+	tied := NewCore()
+	for pc := 400; pc < 410; pc++ {
+		tied.FenceSiteStall[pc] = 683
+	}
+	tied.FenceSiteStall[500] = 700
+	for i := 0; i < 20; i++ {
+		top := tied.TopFenceSites(3)
+		if len(top) != 3 || top[0].PC != 500 || top[1].PC != 400 || top[2].PC != 401 {
+			t.Fatalf("call %d: tied top sites %v, want PCs 500, 400, 401", i, top)
+		}
+	}
 }
 
 // Property: TopFenceSites is always sorted descending and never invents

@@ -14,9 +14,11 @@
 //
 // where <aa> is the first byte of the key hash, git-style. The record
 // files are the whole store: there is no index, no size bound and no
-// background work. Get reads the key's file and decodes the envelope and
-// its payload in one json.Unmarshal, straight into the caller's type;
-// Put writes the file before returning.
+// background work. Put writes the file with json.Marshal before
+// returning. Get reads the key's file and decodes it in one strict
+// pass with no reflection (Reader): the store reads the envelope and
+// hands the Reader to the caller's payload decoder, and the record must
+// be exactly what json.Marshal wrote, fields in the writer's order.
 //
 // The design holds two contracts:
 //
@@ -26,8 +28,8 @@
 //     observes a torn record, and a record is on disk once Put returns.
 //     A record that fails to read or decode (a crash mid-rename on a
 //     non-atomic filesystem, bit rot, a schema from a future version, a
-//     foreign key or payload kind, a payload that is missing, null or
-//     not of the caller's type) is corrupt: it is counted, removed and
+//     foreign key or payload kind, a payload the caller's decoder
+//     rejects, trailing bytes) is corrupt: it is counted, removed and
 //     read as a miss, and the next Put regenerates it by re-simulating.
 //     Open empties tmp/ and reads nothing else: writers create no other
 //     files, so the fan directories hold only records. Temporary files
@@ -62,8 +64,8 @@ import (
 const Schema = "asymfence-store/v1"
 
 // Envelope is the on-disk record format: a versioned wrapper around a
-// payload of type T. Put writes an Envelope[any]; Get reads an
-// Envelope[*T], so a missing or null payload decodes as nil.
+// payload of type T. Put writes an Envelope[any] with json.Marshal;
+// Decode reads one back field by field, in this order.
 type Envelope[T any] struct {
 	// Schema is the envelope format tag (Schema).
 	Schema string `json:"schema"`
@@ -196,35 +198,53 @@ func (s *Store) objectPath(key string) string {
 	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
 }
 
-// Get returns the payload stored under key, decoded into a T, or
-// ok=false on a miss. The envelope and the payload are decoded in one
-// json.Unmarshal. A record that fails to read or decode — truncated,
-// corrupt, wrong kind, wrong key, a payload missing, null or not a T —
+// Get reads key's record and hands its payload to decode, reporting
+// whether the record hit. A record that fails to read or Decode —
+// truncated, corrupt, wrong kind, wrong key, a payload decode rejects —
 // counts as corrupt and a miss, and is removed so a later Put
-// regenerates it.
-func Get[T any](s *Store, key string) (*T, bool) {
+// regenerates it. After a miss, whatever decode stored means nothing.
+func (s *Store) Get(key string, decode func(*Reader)) bool {
 	if s == nil {
-		return nil, false
+		return false
 	}
 	path := s.objectPath(key)
 	b, err := os.ReadFile(path)
 	if err != nil {
 		s.misses.Add(1)
 		s.mx.misses.Inc()
-		return nil, false
+		return false
 	}
-	var env Envelope[*T]
-	if err := json.Unmarshal(b, &env); err != nil || env.Schema != Schema || env.Kind != s.kind || env.Key != key || env.Payload == nil {
+	if !Decode(b, key, s.kind, decode) {
 		os.Remove(path)
 		s.corrupt.Add(1)
 		s.mx.corrupt.Inc()
 		s.misses.Add(1)
 		s.mx.misses.Inc()
-		return nil, false
+		return false
 	}
 	s.hits.Add(1)
 	s.mx.hits.Inc()
-	return env.Payload, true
+	return true
+}
+
+// Decode reads record bytes b in one pass: an envelope with Schema, key
+// and kind and its fields in the order Put writes them, then the
+// payload, which decode reads from the Reader it is handed. It reports
+// whether the whole record decoded with no byte left over.
+func Decode(b []byte, key, kind string, decode func(*Reader)) bool {
+	r := &Reader{b: b}
+	r.Open('{')
+	r.Field("schema").expect(Schema)
+	r.Field("key").expect(key)
+	r.Field("kind").expect(kind)
+	r.Field("build").Open('{')
+	r.Field("Version").unquote()
+	r.Field("Revision").unquote()
+	r.Field("GoVersion").unquote()
+	r.Close('}')
+	decode(r.Field("payload"))
+	r.Close('}')
+	return !r.bad && r.i == len(b)
 }
 
 // Put stores payload, encoded as JSON inside the envelope, under key and

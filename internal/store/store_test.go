@@ -1,6 +1,7 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -29,13 +30,18 @@ func open(t *testing.T, dir string, o Options) *Store {
 // object returns the on-disk path of key's record.
 func object(s *Store, key string) string { return s.objectPath(key) }
 
-// get reads key's payload back as its raw JSON bytes.
+// get reads key's payload, which the tests write as {"v":N}, back as
+// its JSON text.
 func get(s *Store, key string) (string, bool) {
-	p, ok := Get[json.RawMessage](s, key)
-	if !ok {
+	var v int64
+	if !s.Get(key, func(r *Reader) {
+		r.Open('{')
+		v = r.Field("v").Int(64)
+		r.Close('}')
+	}) {
 		return "", false
 	}
-	return string(*p), true
+	return fmt.Sprintf(`{"v":%d}`, v), true
 }
 
 // onlyRecords fails the test unless every fan directory under dir holds
@@ -71,7 +77,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if _, ok := get(s, "missing"); ok {
 		t.Fatal("Get on empty store reported a hit")
 	}
-	payload := json.RawMessage(`{"cycles":12345}`)
+	payload := json.RawMessage(`{"v":12345}`)
 	s.Put("cilk:fib@WS+/p8", payload)
 
 	got, ok := get(s, "cilk:fib@WS+/p8")
@@ -170,6 +176,53 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	s2.Put("truncated", json.RawMessage(`{"v":22}`))
 	if got, ok := get(s2, "truncated"); !ok || got != `{"v":22}` {
 		t.Fatalf("regenerated record = %q, %v", got, ok)
+	}
+}
+
+// TestRecordNotAsWrittenIsCorrupt rewrites a record into forms
+// json.Unmarshal reads but Put never writes. Get reads only the
+// writer's form, so each is a corrupt miss and its file is removed,
+// for the next Put to write it again as the writer does.
+func TestRecordNotAsWrittenIsCorrupt(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		rewrite func([]byte) ([]byte, error)
+	}{
+		{"trailing newline", func(b []byte) ([]byte, error) { return append(b, '\n'), nil }},
+		{"indented", func(b []byte) ([]byte, error) {
+			var out bytes.Buffer
+			err := json.Indent(&out, b, "", "  ")
+			return out.Bytes(), err
+		}},
+		{"reordered", func(b []byte) ([]byte, error) {
+			var env map[string]json.RawMessage
+			if err := json.Unmarshal(b, &env); err != nil {
+				return nil, err
+			}
+			return json.Marshal(env)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := open(t, t.TempDir(), Options{})
+			s.Put("k", json.RawMessage(`{"v":1}`))
+			path := object(s, "k")
+			b, err := os.ReadFile(path)
+			if err == nil {
+				b, err = tc.rewrite(b)
+			}
+			if err == nil {
+				err = os.WriteFile(path, b, 0o666)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, ok := get(s, "k"); ok {
+				t.Fatalf("rewritten record served as a hit: %q", got)
+			}
+			if _, err := os.Stat(path); s.Stats().Corrupt != 1 || !os.IsNotExist(err) {
+				t.Fatalf("stats %+v, file %v; want 1 corrupt and the file removed", s.Stats(), err)
+			}
+		})
 	}
 }
 
