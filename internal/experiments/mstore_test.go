@@ -253,6 +253,22 @@ func FuzzLoadMatchesJSON(f *testing.F) {
 	})
 }
 
+// TestLoadAllocs bounds a warm Load's allocations at the 14 it makes
+// with the store reading into a reused buffer, 8 of them the decode's
+// (BenchmarkDecode). Reading with os.ReadFile, whose file handle and
+// fresh buffer are allocated per record, made it 18.
+func TestLoadAllocs(t *testing.T) {
+	st, _, _ := record(t, "k", measurement(t))
+	allocs := testing.AllocsPerRun(200, func() {
+		if _, ok := st.Load("k"); !ok {
+			t.Fatal("miss")
+		}
+	})
+	if allocs > 14 {
+		t.Fatalf("a warm Load makes %v allocations, want at most 14", allocs)
+	}
+}
+
 // BenchmarkLoad is the store tier's read path, the whole of a warm
 // regeneration's per-job cost: one Load of a real ~1 KB measurement
 // record (open, read and decode the file). B/op and allocs/op are one

@@ -283,21 +283,7 @@ func (s *Session[V]) Run(ctx context.Context, specs []Spec) ([]V, error) {
 						continue
 					}
 					jobStart := time.Now()
-					var (
-						v   V
-						src source
-						err error
-					)
-					// Per-job labels so profile samples attribute to
-					// the (workload, design, cores) being simulated,
-					// not just the pool slot.
-					pprof.Do(ctx, pprof.Labels(
-						"workload", specs[i].Group+":"+specs[i].App,
-						"design", specs[i].Design.String(),
-						"cores", strconv.Itoa(specs[i].Cores),
-					), func(ctx context.Context) {
-						v, src, err = s.one(ctx, specs[i])
-					})
+					v, src, err := s.one(ctx, specs[i])
 					s.mx.jobLatency.Observe(time.Since(jobStart).Nanoseconds())
 					results[i], errs[i] = v, err
 					done := completed.Add(1)
@@ -387,7 +373,18 @@ func (s *Session[V]) one(ctx context.Context, sp Spec) (v V, src source, err err
 				s.mx.storeMisses.Inc()
 			}
 
-			e.val, e.err = s.exec(ctx, sp)
+			// Per-job labels so profile samples attribute to the
+			// (workload, design, cores) being simulated, not just the
+			// pool slot. Only a simulation is labeled: a cache or store
+			// hit takes microseconds, and labels on every job were 9 %
+			// of a store-warm regeneration's CPU samples.
+			pprof.Do(ctx, pprof.Labels(
+				"workload", sp.Group+":"+sp.App,
+				"design", sp.Design.String(),
+				"cores", strconv.Itoa(sp.Cores),
+			), func(ctx context.Context) {
+				e.val, e.err = s.exec(ctx, sp)
+			})
 			s.sims.Add(1)
 			if e.err != nil && isCancel(e.err) {
 				// A canceled run is not a result: forget the slot so a

@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
+	"strconv"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -99,6 +101,53 @@ func TestCrossRunMemoization(t *testing.T) {
 	cache.Flush()
 	if cache.Len() != 0 {
 		t.Errorf("cache.Len() after Flush = %d, want 0", cache.Len())
+	}
+}
+
+// TestSimulatedJobsCarryProfilerLabels: exec, the simulation, runs
+// under the spec's workload, design and cores profiler labels beside
+// the worker's, which is what `asymsim serve`'s /debug/pprof attributes
+// CPU samples by. A batch the cache or the tier serves whole never
+// reaches exec, so those hits need no labels.
+func TestSimulatedJobsCarryProfilerLabels(t *testing.T) {
+	var calls atomic.Int64
+	exec := func(ctx context.Context, sp Spec) (string, error) {
+		calls.Add(1)
+		for _, l := range [][2]string{
+			{"workload", sp.Group + ":" + sp.App},
+			{"design", sp.Design.String()},
+			{"cores", strconv.Itoa(sp.Cores)},
+			{"subsystem", "runner"},
+		} {
+			if got, ok := pprof.Label(ctx, l[0]); !ok || got != l[1] {
+				t.Errorf("%s: profiler label %s = %q, %v; want %q", sp, l[0], got, ok, l[1])
+			}
+		}
+		return sp.Key(), nil
+	}
+	specs := []Spec{
+		{Group: "cilk", App: "fib", Design: fence.WSPlus, Cores: 8, Scale: 0.25},
+		{Group: "ustm", App: "List", Design: fence.SPlus, Cores: 4, Horizon: 3000},
+		{Group: "stamp", App: "kmeans", Design: fence.Wee, Cores: 16, Scale: 0.5},
+	}
+	run := func(s *Session[string]) {
+		t.Helper()
+		if _, err := s.Run(context.Background(), specs); err != nil {
+			t.Fatalf("Run: %v", err)
+		}
+	}
+	cache, tier := NewCache[string](), newMapTier()
+	cold := NewSession(cache, exec, Options[string]{Workers: 2, Tier: tier})
+	run(cold)
+	if n := calls.Load(); n != int64(len(specs)) {
+		t.Fatalf("cold batch: exec ran %d times, want %d", n, len(specs))
+	}
+
+	// Every job a cache hit, then every job a store hit.
+	run(cold)
+	run(NewSession(NewCache[string](), exec, Options[string]{Workers: 2, Tier: tier}))
+	if n := calls.Load(); n != int64(len(specs)) {
+		t.Fatalf("warm batches reached exec %d times, want 0", n-int64(len(specs)))
 	}
 }
 

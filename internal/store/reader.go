@@ -175,7 +175,8 @@ func (r *Reader) run() bool {
 	return r.i > start
 }
 
-// Str reads a string.
+// Str reads a string. It returns a copy: Get reads every record into
+// a buffer that later Gets reuse.
 func (r *Reader) Str() string {
 	return string(r.unquote())
 }

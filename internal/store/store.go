@@ -15,10 +15,12 @@
 // where <aa> is the first byte of the key hash, git-style. The record
 // files are the whole store: there is no index, no size bound and no
 // background work. Put writes the file with json.Marshal before
-// returning. Get reads the key's file and decodes it in one strict
-// pass with no reflection (Reader): the store reads the envelope and
-// hands the Reader to the caller's payload decoder, and the record must
-// be exactly what json.Marshal wrote, fields in the writer's order.
+// returning. Get reads the key's file with four system calls (open,
+// two reads, close) into a buffer reused across Gets, and decodes it in
+// one strict pass with no reflection (Reader): the store reads the
+// envelope and hands the Reader to the caller's payload decoder, and
+// the record must be exactly what json.Marshal wrote, fields in the
+// writer's order.
 //
 // The design holds two contracts:
 //
@@ -31,15 +33,17 @@
 //     foreign key or payload kind, a payload the caller's decoder
 //     rejects, trailing bytes) is corrupt: it is counted, removed and
 //     read as a miss, and the next Put regenerates it by re-simulating.
-//     Open empties tmp/ and reads nothing else: writers create no other
-//     files, so the fan directories hold only records. Temporary files
-//     that older binaries left beside the records are not swept; Get
-//     never reads them.
+//     Open removes the files in tmp/ older than staleTemp, which only a
+//     crashed writer leaves, and reads nothing else: writers create no
+//     other files, so the fan directories hold only records. Temporary
+//     files that older binaries left beside the records are not swept;
+//     Get never reads them.
 //
 //   - Cache semantics. A failed write is counted and costs only a later
 //     miss. Concurrent opens of one directory are safe: writes are
 //     atomic and idempotent (equal keys produce equal payloads for
-//     deterministic simulations).
+//     deterministic simulations), and Open leaves a temp file younger
+//     than staleTemp to the writer still renaming it.
 //
 // See OBSERVABILITY.md for the store metrics and DESIGN.md for where
 // the tier sits in the engine stack.
@@ -52,7 +56,10 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 
 	"asymfence/internal/buildinfo"
 	"asymfence/internal/metrics"
@@ -98,10 +105,16 @@ type Options struct {
 	WriteFile func(path string, data []byte) error
 }
 
+// staleTemp is the age past which Open takes a file in tmp/ for a
+// crashed writer's leftover and removes it. A live writer's temp file
+// exists only for one ~1 KB write and a rename, far less than this.
+const staleTemp = time.Hour
+
 // WriteFileAtomic writes data to the record file path with the store's
 // crash-safety discipline: a temporary file in the store's tmp
 // directory, then a rename, so a reader never observes a torn file and
-// a crash leaves at worst a "tmp-*" leftover that the next Open sweeps.
+// a crash leaves at worst a "tmp-*" leftover that a later Open sweeps
+// once it is stale. On any error it removes its temporary file.
 // path must be a record path, <dir>/objects/<aa>/<name>: the temporary
 // file goes in <dir>/tmp, in the same tree as the record.
 func WriteFileAtomic(path string, data []byte) error {
@@ -109,16 +122,17 @@ func WriteFileAtomic(path string, data []byte) error {
 	if err != nil {
 		return err
 	}
-	_, werr := tmp.Write(data)
-	cerr := tmp.Close()
-	if werr != nil || cerr != nil {
-		os.Remove(tmp.Name())
-		if werr != nil {
-			return werr
-		}
-		return cerr
+	_, err = tmp.Write(data)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	return os.Rename(tmp.Name(), path)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+	}
+	return err
 }
 
 // Stats is a point-in-time traffic snapshot of one handle.
@@ -164,7 +178,9 @@ type Store struct {
 
 // Open opens (creating if necessary) the store rooted at dir and
 // removes the temporary files a crashed writer left in its tmp
-// directory. It reads no record and lists no other directory.
+// directory: those older than staleTemp, so that a Put another handle
+// or process is making meanwhile keeps its file. It reads no record and
+// lists no other directory.
 func Open(dir string, o Options) (*Store, error) {
 	if o.Kind == "" {
 		o.Kind = "raw/v1"
@@ -181,7 +197,9 @@ func Open(dir string, o Options) (*Store, error) {
 		return nil, fmt.Errorf("store: scanning %s: %w", tmp, err)
 	}
 	for _, f := range leftovers {
-		os.Remove(filepath.Join(tmp, f.Name()))
+		if info, err := f.Info(); err == nil && time.Since(info.ModTime()) > staleTemp {
+			os.Remove(filepath.Join(tmp, f.Name()))
+		}
 	}
 	return &Store{dir: dir, kind: o.Kind, writeFile: o.WriteFile, mx: newStoreMetrics(o.Metrics)}, nil
 }
@@ -198,17 +216,61 @@ func (s *Store) objectPath(key string) string {
 	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
 }
 
+// readBufs hold the buffers Get reads records into. A record is about
+// 1 KB; readFile grows a buffer that is too small, and the pool keeps
+// the grown one.
+var readBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, 4<<10)
+	return &b
+}}
+
+// readFile appends the contents of the file at path to b. It makes the
+// four system calls a record needs, open, read until read returns 0,
+// and close, where os.ReadFile makes ten (it also switches the
+// descriptor's blocking mode twice, tries to register it with the
+// poller and stats it). It retries open and read on EINTR, as os does.
+func readFile(path string, b []byte) ([]byte, error) {
+	fd, err := syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	for err == syscall.EINTR {
+		fd, err = syscall.Open(path, syscall.O_RDONLY|syscall.O_CLOEXEC, 0)
+	}
+	if err != nil {
+		return b, err
+	}
+	defer syscall.Close(fd)
+	for {
+		if len(b) == cap(b) {
+			b = append(b, 0)[:len(b)]
+		}
+		n, err := syscall.Read(fd, b[len(b):cap(b)])
+		if err == syscall.EINTR {
+			continue
+		}
+		if err != nil || n == 0 {
+			return b, err
+		}
+		b = b[:len(b)+n]
+	}
+}
+
 // Get reads key's record and hands its payload to decode, reporting
-// whether the record hit. A record that fails to read or Decode —
-// truncated, corrupt, wrong kind, wrong key, a payload decode rejects —
-// counts as corrupt and a miss, and is removed so a later Put
-// regenerates it. After a miss, whatever decode stored means nothing.
+// whether the record hit. It reads the file with four system calls
+// (readFile) into a buffer that later Gets reuse, so neither decode nor
+// the Reader may keep a reference into it (Str copies). A file that
+// cannot be opened or read (none there, or a directory) is a plain
+// miss. A record that fails to Decode — empty, truncated, corrupt,
+// wrong kind, wrong key, a payload decode rejects — counts as corrupt
+// and a miss, and is removed so a later Put regenerates it. After a
+// miss, whatever decode stored means nothing.
 func (s *Store) Get(key string, decode func(*Reader)) bool {
 	if s == nil {
 		return false
 	}
 	path := s.objectPath(key)
-	b, err := os.ReadFile(path)
+	buf := readBufs.Get().(*[]byte)
+	defer readBufs.Put(buf)
+	b, err := readFile(path, (*buf)[:0])
+	*buf = b
 	if err != nil {
 		s.misses.Add(1)
 		s.mx.misses.Inc()

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"asymfence/internal/faults"
 	"asymfence/internal/metrics"
@@ -179,15 +180,17 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	}
 }
 
-// TestRecordNotAsWrittenIsCorrupt rewrites a record into forms
-// json.Unmarshal reads but Put never writes. Get reads only the
-// writer's form, so each is a corrupt miss and its file is removed,
-// for the next Put to write it again as the writer does.
+// TestRecordNotAsWrittenIsCorrupt rewrites a record into forms Put
+// never writes: an empty file, which reads without error, and forms
+// json.Unmarshal reads. Get reads only the writer's form, so each is a
+// corrupt miss and its file is removed, for the next Put to write it
+// again as the writer does.
 func TestRecordNotAsWrittenIsCorrupt(t *testing.T) {
 	for _, tc := range []struct {
 		name    string
 		rewrite func([]byte) ([]byte, error)
 	}{
+		{"empty", func([]byte) ([]byte, error) { return nil, nil }},
 		{"trailing newline", func(b []byte) ([]byte, error) { return append(b, '\n'), nil }},
 		{"indented", func(b []byte) ([]byte, error) {
 			var out bytes.Buffer
@@ -236,15 +239,26 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A crashed writer leaves a temp file behind in tmp/, where writers
-	// create them; Open must sweep it.
+	// create them; once it is stale, Open must sweep it. A fresh one may
+	// be a live writer's, about to be renamed: Open must keep it.
 	tmp := filepath.Join(dir, "tmp")
-	if err := os.WriteFile(filepath.Join(tmp, "tmp-12345"), []byte("partial"), 0o666); err != nil {
+	crashed, live := filepath.Join(tmp, "tmp-12345"), filepath.Join(tmp, "tmp-67890")
+	for _, f := range []string{crashed, live} {
+		if err := os.WriteFile(f, []byte("partial"), 0o666); err != nil {
+			t.Fatal(err)
+		}
+	}
+	old := time.Now().Add(-2 * staleTemp)
+	if err := os.Chtimes(crashed, old, old); err != nil {
 		t.Fatal(err)
 	}
 
 	r := open(t, dir, Options{})
-	if _, err := os.Stat(filepath.Join(tmp, "tmp-12345")); !os.IsNotExist(err) {
-		t.Fatal("leftover temp file survived Open")
+	if _, err := os.Stat(crashed); !os.IsNotExist(err) {
+		t.Fatal("stale leftover temp file survived Open")
+	}
+	if _, err := os.Stat(live); err != nil {
+		t.Fatalf("fresh temp file did not survive Open: %v", err)
 	}
 	// Open reads no record: the damaged one stays until a Get finds it.
 	if st, n := r.Stats(), records(t, dir); st.Corrupt != 0 || n != 2 {
@@ -258,6 +272,119 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 	}
 	if st, n := r.Stats(), records(t, dir); st.Corrupt != 1 || n != 1 {
 		t.Fatalf("after Get: stats %+v, %d record files; want 1 corrupt, 1 file", st, n)
+	}
+}
+
+// TestPutsRacingOpensAllLand: Opens of the directory on one goroutine
+// while a handle Puts on another must not sweep the temp file of a Put
+// between its write and its rename. Every Put lands.
+func TestPutsRacingOpensAllLand(t *testing.T) {
+	const puts = 500
+	dir := t.TempDir()
+	s := open(t, dir, Options{})
+	stop := make(chan struct{})
+	opened := make(chan int)
+	go func() {
+		n := 0
+		for ; ; n++ {
+			select {
+			case <-stop:
+				opened <- n
+				return
+			default:
+			}
+			if _, err := Open(dir, Options{}); err != nil {
+				t.Error(err)
+			}
+		}
+	}()
+	for i := 0; i < puts; i++ {
+		s.Put(fmt.Sprintf("key-%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
+	}
+	close(stop)
+	n := <-opened
+	if st := s.Stats(); st.WriteErrors != 0 || st.Writes != puts {
+		t.Fatalf("%d Puts racing %d Opens: stats %+v; want every Put written", puts, n, st)
+	}
+	if n := records(t, dir); n != puts {
+		t.Fatalf("%d record files on disk, want %d", n, puts)
+	}
+}
+
+// TestWriteFileAtomicFailedRenameLeavesNoTemp: a rename that fails
+// (here, into a fan directory that does not exist) returns its error
+// and removes the temp file, which a later Open would not sweep until
+// it went stale.
+func TestWriteFileAtomicFailedRenameLeavesNoTemp(t *testing.T) {
+	dir := t.TempDir()
+	open(t, dir, Options{})
+	if err := WriteFileAtomic(filepath.Join(dir, "objects", "zz", "zz.json"), []byte("{}")); err == nil {
+		t.Fatal("WriteFileAtomic into a missing fan directory succeeded")
+	}
+	if left, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(left) != 0 {
+		t.Fatalf("tmp/ after a failed rename holds %v (%v); want nothing", left, err)
+	}
+}
+
+// TestLargeRecordRoundTrips: a record larger than a read buffer's
+// initial size is read whole, and so is a small one read after it into
+// the grown buffer.
+func TestLargeRecordRoundTrips(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	long := strings.Repeat("k", 64<<10)
+	s.Put(long, json.RawMessage(`{"v":7}`))
+	s.Put("short", json.RawMessage(`{"v":8}`))
+	if got, ok := get(s, long); !ok || got != `{"v":7}` {
+		t.Fatalf("Get of a %d-byte record = %q, %v; want a hit", len(long), got, ok)
+	}
+	if got, ok := get(s, "short"); !ok || got != `{"v":8}` {
+		t.Fatalf("Get after the large record = %q, %v; want a hit", got, ok)
+	}
+}
+
+// TestDirectoryAtRecordPathIsMiss: a directory where a record's file
+// belongs cannot be read, so it is a plain miss, neither corrupt nor
+// removed.
+func TestDirectoryAtRecordPathIsMiss(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	path := object(s, "k")
+	if err := os.MkdirAll(path, 0o777); err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := get(s, "k"); ok {
+		t.Fatalf("directory served as a hit: %q", got)
+	}
+	if st := s.Stats(); st.Misses != 1 || st.Corrupt != 0 {
+		t.Fatalf("stats %+v; want 1 miss, 0 corrupt", st)
+	}
+	if info, err := os.Stat(path); err != nil || !info.IsDir() {
+		t.Fatalf("directory at the record path: %v, %v; want it kept", info, err)
+	}
+}
+
+// TestDecodedStringsOutliveTheReadBuffer: Get reads every record into a
+// reused buffer, so a string a hit decoded must not change when later
+// Gets read other records into the same buffer.
+func TestDecodedStringsOutliveTheReadBuffer(t *testing.T) {
+	s := open(t, t.TempDir(), Options{})
+	name := func(i int) string { return strings.Repeat(string(rune('a'+i)), 32) }
+	for i := 0; i < 4; i++ {
+		s.Put(fmt.Sprint(i), json.RawMessage(fmt.Sprintf(`{"s":%q}`, name(i))))
+	}
+	got := make([]string, 4)
+	for i := range got {
+		if !s.Get(fmt.Sprint(i), func(r *Reader) {
+			r.Open('{')
+			got[i] = r.Field("s").Str()
+			r.Close('}')
+		}) {
+			t.Fatalf("Get(%d) missed", i)
+		}
+	}
+	for i, g := range got {
+		if g != name(i) {
+			t.Fatalf("string decoded from record %d reads %q after later Gets; want %q", i, g, name(i))
+		}
 	}
 }
 

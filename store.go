@@ -27,11 +27,12 @@ type StoreOptions = experiments.MeasurementStoreOptions
 type StoreStats = store.Stats
 
 // OpenStore opens (creating if necessary) the persistent measurement
-// store rooted at dir. Opening reads no record; it only empties the
-// store's tmp directory of files a crashed writer left behind.
-// Concurrent opens of one directory — including from other processes —
-// are safe. Close is a no-op kept so callers can treat the handle as a
-// resource.
+// store rooted at dir. Opening reads no record; it only removes the
+// files a crashed writer left in the store's tmp directory, those over
+// an hour old, so a record another handle is writing meanwhile keeps
+// its temporary file. Concurrent opens of one directory — including
+// from other processes — are safe. Close is a no-op kept so callers can
+// treat the handle as a resource.
 func OpenStore(dir string, opts StoreOptions) (*MeasurementStore, error) {
 	return experiments.OpenMeasurementStore(dir, opts)
 }
