@@ -67,22 +67,6 @@ func cpuModel() string {
 	return ""
 }
 
-// modeFromString maps a -modes entry to an asymruntime.Mode; ok is
-// false for unrecognized values so a typo fails loudly instead of
-// silently running in auto mode.
-func modeFromString(s string) (asymruntime.Mode, bool) {
-	switch s {
-	case "auto", "":
-		return asymruntime.ModeAuto, true
-	case "membarrier":
-		return asymruntime.ModeMembarrier, true
-	case "fallback":
-		return asymruntime.ModeFallback, true
-	default:
-		return asymruntime.ModeAuto, false
-	}
-}
-
 // conformConfig records the resolved campaign shape.
 type conformConfig struct {
 	Seeds      int      `json:"seeds"`
@@ -138,7 +122,8 @@ func conformCmd(ctx context.Context, args []string) int {
 	var modes []asymruntime.Mode
 	if *modeFlag != "" {
 		for _, s := range strings.Split(*modeFlag, ",") {
-			m, ok := modeFromString(strings.TrimSpace(s))
+			// A typo fails loudly instead of running in auto mode.
+			m, ok := asymruntime.ParseMode(strings.TrimSpace(s))
 			if !ok {
 				fmt.Fprintf(os.Stderr, "asymsim conform: unknown mode %q\n", s)
 				return 2

@@ -162,13 +162,6 @@ type ConformReport struct {
 	Violation *ConformViolation `json:"violation,omitempty"`
 }
 
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // conformModes resolves the hardware mode list against host support.
 func conformModes(req []asymruntime.Mode) []asymruntime.Mode {
 	if len(req) == 0 {
@@ -318,7 +311,7 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 			}
 			res, err := litmusrun.Run(g.Programs, g.Shared, litmusrun.Config{
 				Iterations: opts.Iterations,
-				Seed:       splitmix64(seed ^ uint64(mi)<<32),
+				Seed:       faults.SplitMix64(seed ^ uint64(mi)<<32),
 			})
 			rep.HWIterations += res.Iterations
 			if err != nil {
@@ -385,7 +378,7 @@ func conformSimRun(ctx context.Context, seed uint64, variant int, d fence.Design
 	pv.MarkRegion(g.Shared)
 	var inj *faults.Injector
 	if variant > 0 {
-		inj = faults.New(splitmix64(seed^uint64(variant)), faults.Default())
+		inj = faults.New(faults.SplitMix64(seed^uint64(variant)), faults.Default())
 	}
 	m, err := sim.New(sim.Config{
 		NCores:  g.NCores,
@@ -452,7 +445,7 @@ func hwEscapesStrong(seed, modeIdx uint64, cand []*isa.Program, shared mem.Regio
 	}
 	res, err := litmusrun.Run(cand, shared, litmusrun.Config{
 		Iterations: opts.Iterations,
-		Seed:       splitmix64(seed ^ modeIdx<<32),
+		Seed:       faults.SplitMix64(seed ^ modeIdx<<32),
 	})
 	if err != nil {
 		return false

@@ -64,3 +64,18 @@ func TestSessionMetrics(t *testing.T) {
 		t.Errorf("timing workers = %d, want 2", got)
 	}
 }
+
+// TestJobLatencyBounds: the job-latency buckets rise strictly from 10µs
+// to 100s with no two neighbours more than 1.26× apart, so a p50 over
+// store hits is not interpolated across a decade.
+func TestJobLatencyBounds(t *testing.T) {
+	b := jobLatencyBounds
+	if b[0] != 10_000 || b[len(b)-1] != 100_000_000_000 {
+		t.Fatalf("bounds run from %d to %d ns, want 1e4 to 1e11", b[0], b[len(b)-1])
+	}
+	for i := 1; i < len(b); i++ {
+		if b[i] <= b[i-1] || float64(b[i]) > 1.26*float64(b[i-1]) {
+			t.Errorf("bounds %d and %d ns: want a rise of at most 1.26x", b[i-1], b[i])
+		}
+	}
+}

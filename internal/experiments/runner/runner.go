@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"runtime"
 	"runtime/pprof"
 	"strconv"
@@ -159,10 +160,18 @@ type Options[V any] struct {
 	Metrics *metrics.Scope
 }
 
-// jobLatencyBounds bucket job wall-clock latencies from 1ms to ~100s.
-var jobLatencyBounds = []int64{
-	1e6, 1e7, 1e8, 1e9, 1e10, 1e11, // 1ms, 10ms, 100ms, 1s, 10s, 100s
-}
+// jobLatencyBounds bucket job wall-clock latencies from 10µs to 100s,
+// ten log-spaced bounds per decade (10^(k/10) ns, each about 1.26× the
+// one before), so a quantile read from the histogram is placed within
+// one such step from store hits to long simulations, not inside a
+// decade.
+var jobLatencyBounds = func() []int64 {
+	b := make([]int64, 71) // 10^4 .. 10^11 ns
+	for k := range b {
+		b[k] = int64(math.Round(math.Pow(10, 4+float64(k)/10)))
+	}
+	return b
+}()
 
 // sessionMetrics holds a Session's metric handles. All handles are
 // nil-safe, so a zero value (metrics off) costs nothing.

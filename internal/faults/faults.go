@@ -71,9 +71,10 @@ func New(seed uint64, cfg Config) *Injector {
 	return &Injector{cfg: cfg, seed: seed}
 }
 
-// splitmix64 is the standard splitmix64 finalizer — a high-quality
-// 64-bit mix used as a stateless hash of (seed, kind, counter).
-func splitmix64(x uint64) uint64 {
+// SplitMix64 is the standard splitmix64 finalizer — a high-quality
+// 64-bit mix used as a stateless hash of (seed, kind, counter), and
+// exported as the repository's one stateless decision hash.
+func SplitMix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15
 	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
 	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
@@ -85,7 +86,7 @@ func (in *Injector) draw(kind uint64, ctr uint64, prob uint64, max int64) (bool,
 	if prob == 0 || max <= 0 {
 		return false, 0
 	}
-	h := splitmix64(in.seed ^ kind ^ splitmix64(ctr^kind))
+	h := SplitMix64(in.seed ^ kind ^ SplitMix64(ctr^kind))
 	if h%prob != 0 {
 		return false, 0
 	}

@@ -67,7 +67,7 @@ func drawAtomic(seed, kind, ctr, prob uint64, max int64) (bool, int64) {
 	if prob == 0 {
 		return false, 0
 	}
-	h := splitmix64(seed ^ kind ^ splitmix64(ctr^kind))
+	h := SplitMix64(seed ^ kind ^ SplitMix64(ctr^kind))
 	if h%prob != 0 {
 		return false, 0
 	}

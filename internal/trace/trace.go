@@ -294,16 +294,6 @@ func (t *Tracer) Events() []Event {
 	return out
 }
 
-// Reset empties the buffer, keeping the configuration.
-func (t *Tracer) Reset() {
-	if t == nil {
-		return
-	}
-	t.evs = t.evs[:0]
-	t.start = 0
-	t.dropped = 0
-}
-
 // ParseMask turns a comma-separated class list ("fence,dir,noc"; "all")
 // into a Mask. Unknown class names report ok=false.
 func ParseMask(s string) (Mask, bool) {

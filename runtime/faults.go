@@ -3,6 +3,8 @@ package asymruntime
 import (
 	"fmt"
 	"sync/atomic"
+
+	"asymfence/internal/faults"
 )
 
 // Syscall fault seam. Every membarrier syscall the runtime issues goes
@@ -14,10 +16,11 @@ import (
 // a fixed seed yields the same multiset of faults even though the
 // goroutine that observes each one may vary run to run.
 //
-// The seam exists so torture tests (and `asymsim conform -torture`)
-// can prove the degradation story on real schedules: membarrier
-// returning EINTR mid-run, turning persistently unavailable mid-run,
-// or being denied at probe/registration time, all while thedeque/tlrw
+// The seam exists so the torture tests of runtime/thedeque and
+// runtime/tlrw, each with its own FaultConfig, can prove the
+// degradation story on real schedules: membarrier returning EINTR
+// mid-run, turning persistently unavailable mid-run, or being denied at
+// probe/registration time, all while the deque's and the lock's
 // invariants are asserted under -race.
 
 // FaultConfig selects syscall-fault rates for the membarrier seam. A
@@ -39,12 +42,6 @@ type FaultConfig struct {
 	// DenyRegister makes registration fail while installed (kernels
 	// where QUERY succeeds but the register command is filtered).
 	DenyRegister bool
-}
-
-// DefaultFaults is the torture mix: roughly 1 in 5 fence calls EINTRed
-// and a persistent failure after 25 successful calls.
-func DefaultFaults() FaultConfig {
-	return FaultConfig{EINTRProb: 5, FailAfter: 25}
 }
 
 // FaultInjector draws deterministic syscall-fault decisions. Construct
@@ -69,8 +66,8 @@ func (f *FaultInjector) FenceCalls() uint64 { return f.fenceCtr.Load() }
 var installedFaults atomic.Pointer[FaultInjector]
 
 // InjectFaults installs a syscall fault injector (nil uninstalls).
-// Intended for tests and the conform torture harness; do not leave an
-// injector installed around production fences.
+// Intended for tests; do not leave an injector installed around
+// production fences.
 func InjectFaults(f *FaultInjector) { installedFaults.Store(f) }
 
 // injectedFault is an error produced by the seam rather than the
@@ -100,15 +97,6 @@ func transientFault(err error) bool {
 	return errnoIsEINTR(err)
 }
 
-// splitmix64 is the standard stateless 64-bit mix (same finalizer as
-// internal/faults) hashing (seed, counter) into one decision.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // fenceFault draws one fence-call decision; nil means the real syscall
 // proceeds.
 func (f *FaultInjector) fenceFault() error {
@@ -116,7 +104,7 @@ func (f *FaultInjector) fenceFault() error {
 	if f.cfg.FailAfter > 0 && n > f.cfg.FailAfter {
 		return errInjectedFail
 	}
-	if f.cfg.EINTRProb > 0 && splitmix64(f.seed^splitmix64(n))%f.cfg.EINTRProb == 0 {
+	if f.cfg.EINTRProb > 0 && faults.SplitMix64(f.seed^faults.SplitMix64(n))%f.cfg.EINTRProb == 0 {
 		return errInjectedEINTR
 	}
 	return nil

@@ -12,8 +12,8 @@ import (
 // conform program shape: c2 is litmus seed 1 (2 cores × 8 ops, the
 // default shape) and c4 is seed 4 (4 cores × 5 ops, the shape of every
 // fourth conform seed). One op is one Run of 128 iterations with the
-// yield and GOMAXPROCS jitter on, and us/iter is the wall time per
-// iteration. It is the sweep's profiling target.
+// seeded yields on, at the benchmark's GOMAXPROCS (-cpu), and us/iter is
+// the wall time per iteration. It is the sweep's profiling target.
 func BenchmarkRun(b *testing.B) {
 	const iters = 128
 	for _, m := range testableModes() {

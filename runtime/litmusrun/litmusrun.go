@@ -29,13 +29,13 @@
 // final state outside that closure is a conformance violation: either
 // the runtime's fence pairing or the simulator's oracle is wrong.
 //
-// Schedule diversity comes from seeded, deterministic-decision jitter:
-// randomized goroutine yields before memory operations and a
-// per-iteration GOMAXPROCS choice. The decisions are a pure function of
-// (seed, iteration, thread, draw counter); what the Go scheduler does
-// with the yields is of course nondeterministic — that is the point.
-// Iterations run grouped by their GOMAXPROCS choice, ascending within a
-// group, so GOMAXPROCS (which stops the world) changes once per group.
+// Schedule diversity comes from seeded, deterministic-decision yields:
+// a randomized goroutine yield before about one memory operation in
+// four. The decisions are a pure function of (seed, iteration, thread,
+// draw counter); what the Go scheduler does with the yields is of
+// course nondeterministic — that is the point. Iterations run in index
+// order at whatever GOMAXPROCS the caller runs under; Run touches no
+// process-wide scheduler state.
 package litmusrun
 
 import (
@@ -48,6 +48,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"asymfence/internal/faults"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
 	"asymfence/internal/tso"
@@ -60,14 +61,12 @@ type Config struct {
 	// Iterations is how many times the program group is executed
 	// (default 256). Each iteration contributes one outcome.
 	Iterations int
-	// Seed drives the yield and GOMAXPROCS jitter streams (default 1).
+	// Seed drives the threads' yield streams (default 1): iteration it
+	// runs under Seed + it·0x100000001b3.
 	Seed uint64
 	// MaxSteps bounds one thread's executed instructions per iteration
 	// (default 1_000_000); past it the run fails with ErrRunaway.
 	MaxSteps int
-	// NoProcsJitter pins GOMAXPROCS to its current value instead of
-	// sweeping it across iterations.
-	NoProcsJitter bool
 }
 
 // Result is the observation summary of one Run.
@@ -81,16 +80,6 @@ type Result struct {
 // ErrRunaway reports a thread that exceeded Config.MaxSteps — only
 // possible with backward branches, which the generator never emits.
 var ErrRunaway = errors.New("litmusrun: runaway execution (backward branch loop?)")
-
-// splitmix64 is the standard stateless 64-bit mix; decisions hash
-// (seed, iteration, thread, counter) through it, same pattern as
-// internal/faults.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
 
 // image is the memory a Run's iterations share, reset before each: the
 // shared region as word-indexed atomic cells plus a lazy map for any
@@ -162,53 +151,14 @@ type jitter struct {
 // interleavings on a small machine.
 func (j *jitter) maybeYield() {
 	j.ctr++
-	if splitmix64(j.seed^j.ctr)%4 == 0 {
+	if faults.SplitMix64(j.seed^j.ctr)%4 == 0 {
 		runtime.Gosched()
 	}
 }
 
-// procChoices are the GOMAXPROCS values the sweep draws from.
-var procChoices = []int{1, 2, 4}
-
-// procsFor returns iteration it's GOMAXPROCS choice under seed.
-func procsFor(seed uint64, it int) int {
-	return procChoices[int(splitmix64(seed^uint64(it)*0x9e3779b97f4a7c15)%3)]
-}
-
-// sweep calls run for every iteration. Unless NoProcsJitter, it runs
-// them grouped by procsFor (in procChoices order, ascending within a
-// group), sets GOMAXPROCS once per non-empty group and restores it on
-// return; otherwise in order under the current setting.
-func sweep(cfg Config, run func(it int) error) error {
-	choices := procChoices
-	if cfg.NoProcsJitter {
-		choices = []int{0} // GOMAXPROCS(0) only reads the setting
-	} else {
-		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
-	}
-	for _, procs := range choices {
-		first := true
-		for it := 0; it < cfg.Iterations; it++ {
-			if procs != 0 && procsFor(cfg.Seed, it) != procs {
-				continue
-			}
-			if first {
-				runtime.GOMAXPROCS(procs)
-				first = false
-			}
-			if err := run(it); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// Run executes the program group Iterations times and returns the set
-// of observed final states. Run mutates GOMAXPROCS while active (unless
-// NoProcsJitter) and restores it before returning; do not call it
-// concurrently with itself or with latency-sensitive code. Every worker
-// goroutine Run starts has exited when it returns, on error too.
+// Run executes the program group Iterations times, in iteration order,
+// and returns the set of observed final states. Every worker goroutine
+// Run starts has exited when it returns, on error too.
 func Run(progs []*isa.Program, shared mem.Region, cfg Config) (Result, error) {
 	if len(progs) == 0 {
 		return Result{}, errors.New("litmusrun: no programs")
@@ -225,15 +175,14 @@ func Run(progs []*isa.Program, shared mem.Region, cfg Config) (Result, error) {
 	c := newCrew(progs, shared, cfg.MaxSteps)
 	defer c.stop()
 	res := Result{Outcomes: litmus.NewOutcomeSet()}
-	err := sweep(cfg, func(it int) error {
+	for it := 0; it < cfg.Iterations; it++ {
 		if err := c.run(cfg.Seed + uint64(it)*0x100000001b3); err != nil {
-			return err
+			return res, err
 		}
 		c.record(res.Outcomes)
 		res.Iterations++
-		return nil
-	})
-	return res, err
+	}
+	return res, nil
 }
 
 // crew runs a program group on one worker goroutine per thread, kept
@@ -285,7 +234,7 @@ func newCrew(progs []*isa.Program, shared mem.Region, maxSteps int) *crew {
 func (c *crew) work(t int) {
 	defer c.exited.Done()
 	for seed := range c.start[t] {
-		jit := jitter{seed: splitmix64(seed ^ uint64(t))}
+		jit := jitter{seed: faults.SplitMix64(seed ^ uint64(t))}
 		c.errs[t] = exec(c.progs[t], t, &c.regs[t], c.img, &jit, c.maxSteps)
 		c.done <- struct{}{}
 	}

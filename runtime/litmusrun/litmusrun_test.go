@@ -3,7 +3,8 @@ package litmusrun
 import (
 	"errors"
 	"runtime"
-	"slices"
+	"runtime/debug"
+	"runtime/metrics"
 	"sync/atomic"
 	"testing"
 
@@ -146,66 +147,35 @@ func TestExtraWordsObserved(t *testing.T) {
 	}
 }
 
-// TestSweepGroupsByProcs: Run's sweep runs every iteration exactly
-// once, under its own GOMAXPROCS choice, grouped by that choice in
-// procChoices order and ascending within a group, and restores
-// GOMAXPROCS; with NoProcsJitter it runs them in order and leaves
-// GOMAXPROCS alone.
-func TestSweepGroupsByProcs(t *testing.T) {
+// TestRunStopsNoWorld: Run leaves the scheduler's settings alone, so
+// it adds no stop-the-world pause. With the collector off, every pause
+// the runtime counts as other than the collector's during a Run would
+// be Run's own (a GOMAXPROCS switch is one).
+func TestRunStopsNoWorld(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
-	for _, seed := range []uint64{1, 7, 0x9e3779b97f4a7c15} {
-		cfg := Config{Iterations: 256, Seed: seed}
-		var order []int
-		err := sweep(cfg, func(it int) error {
-			if got, want := runtime.GOMAXPROCS(0), procsFor(seed, it); got != want {
-				t.Errorf("seed %d iteration %d ran at GOMAXPROCS %d, its choice is %d", seed, it, got, want)
-			}
-			order = append(order, it)
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	sample := []metrics.Sample{{Name: "/sched/pauses/total/other:seconds"}}
+	pauses := func() uint64 {
+		metrics.Read(sample) // the metric exists since Go 1.22, go.mod's floor
+		var n uint64
+		for _, c := range sample[0].Value.Float64Histogram().Counts {
+			n += c
 		}
-		if got := runtime.GOMAXPROCS(0); got != 3 {
-			t.Errorf("seed %d: GOMAXPROCS %d after the sweep, want 3 restored", seed, got)
-		}
-		// The expected order: each choice's iterations, ascending.
-		var want []int
-		for _, p := range procChoices {
-			n := len(want)
-			for it := 0; it < cfg.Iterations; it++ {
-				if procsFor(seed, it) == p {
-					want = append(want, it)
-				}
-			}
-			if len(want) == n {
-				t.Errorf("seed %d: no iteration chose GOMAXPROCS %d", seed, p)
-			}
-		}
-		if !slices.Equal(order, want) {
-			t.Errorf("seed %d: iterations ran in the order %v, want %v", seed, order, want)
-		}
+		return n
 	}
-
-	var order []int
-	_ = sweep(Config{Iterations: 5, Seed: 1, NoProcsJitter: true}, func(it int) error {
-		if got := runtime.GOMAXPROCS(0); got != 3 {
-			t.Errorf("NoProcsJitter: iteration %d ran at GOMAXPROCS %d, want 3", it, got)
-		}
-		order = append(order, it)
-		return nil
-	})
-	if !slices.Equal(order, []int{0, 1, 2, 3, 4}) {
-		t.Errorf("NoProcsJitter: iterations ran in the order %v", order)
-	}
-
 	shared := mem.Region{Base: 0x1000, Size: mem.LineSize}
-	res, err := Run(sb(shared.Base, isa.SFence), shared, Config{Iterations: 40, Seed: 5})
-	if err != nil || res.Iterations != 40 {
+	progs := sb(shared.Base, isa.SFence)
+	before := pauses()
+	res, err := Run(progs, shared, Config{Iterations: 256, Seed: 5})
+	after := pauses()
+	if err != nil || res.Iterations != 256 {
 		t.Fatalf("Run: %d iterations, err %v", res.Iterations, err)
 	}
+	if after != before {
+		t.Errorf("Run stopped the world %d times", after-before)
+	}
 	if got := runtime.GOMAXPROCS(0); got != 3 {
-		t.Errorf("GOMAXPROCS %d after Run, want 3 restored", got)
+		t.Errorf("GOMAXPROCS %d after Run, want 3 untouched", got)
 	}
 }
 
@@ -218,7 +188,7 @@ func TestRunawayDetected(t *testing.T) {
 	b.Halt()
 	_, err := Run([]*isa.Program{b.MustBuild()},
 		mem.Region{Base: 0x1000, Size: mem.LineSize},
-		Config{Iterations: 1, MaxSteps: 1000, NoProcsJitter: true})
+		Config{Iterations: 1, MaxSteps: 1000})
 	if !errors.Is(err, ErrRunaway) {
 		t.Fatalf("err = %v, want ErrRunaway", err)
 	}
@@ -248,7 +218,7 @@ func TestRunAllocationsFlat(t *testing.T) {
 	progs := []*isa.Program{build("t0", shared.Base), build("t1", shared.Base+mem.WordSize)}
 	allocs := func(iters int) float64 {
 		return testing.AllocsPerRun(5, func() {
-			res, err := Run(progs, shared, Config{Iterations: iters, NoProcsJitter: true})
+			res, err := Run(progs, shared, Config{Iterations: iters})
 			if err != nil || len(res.Outcomes) != 1 {
 				t.Fatalf("%d iterations: %d outcomes, err %v", iters, len(res.Outcomes), err)
 			}
@@ -262,8 +232,7 @@ func TestRunAllocationsFlat(t *testing.T) {
 }
 
 // TestWorkersExit: no worker goroutine outlives its Run, after a clean
-// 4-thread sweep across GOMAXPROCS groups and after a runaway last
-// thread.
+// 4-thread Run and after a runaway last thread.
 func TestWorkersExit(t *testing.T) {
 	// A worker that has signalled its exit may still be unwinding.
 	settled := func(what string, n int) {

@@ -77,6 +77,22 @@ func (m Mode) String() string {
 	}
 }
 
+// ParseMode maps a mode's spelling back to the Mode: "membarrier",
+// "fallback", and "auto" or the empty string for ModeAuto. ok is false
+// for any other spelling.
+func ParseMode(s string) (m Mode, ok bool) {
+	switch s {
+	case "", "auto":
+		return ModeAuto, true
+	case "membarrier":
+		return ModeMembarrier, true
+	case "fallback":
+		return ModeFallback, true
+	default:
+		return ModeAuto, false
+	}
+}
+
 // ErrUnsupported is returned by Use(ModeMembarrier) when the membarrier
 // syscall is unavailable on this platform, kernel or seccomp profile.
 var ErrUnsupported = errors.New("asymruntime: membarrier private expedited unsupported on this platform")
@@ -119,23 +135,12 @@ var (
 )
 
 func init() {
-	requested = envMode(os.Getenv("ASYMFENCE_MODE"))
+	// An unrecognized ASYMFENCE_MODE means auto, which ParseMode
+	// returns alongside its false.
+	requested, _ = ParseMode(os.Getenv("ASYMFENCE_MODE"))
 	if requested == ModeFallback {
 		activePath.Store(pathFallback)
 		statFallbackActive.Add(1)
-	}
-}
-
-// envMode parses an ASYMFENCE_MODE value; anything unrecognized
-// (including empty) means ModeAuto.
-func envMode(v string) Mode {
-	switch v {
-	case "membarrier":
-		return ModeMembarrier
-	case "fallback":
-		return ModeFallback
-	default:
-		return ModeAuto
 	}
 }
 

@@ -29,25 +29,33 @@ func testableModes() []Mode {
 	return ms
 }
 
+// TestEnvModeParsing: ParseMode, which reads ASYMFENCE_MODE and
+// asymsim conform's -modes, accepts the three spellings and the empty
+// string, and rejects any other as auto with ok false.
 func TestEnvModeParsing(t *testing.T) {
-	cases := map[string]Mode{
-		"":           ModeAuto,
-		"auto":       ModeAuto,
-		"membarrier": ModeMembarrier,
-		"fallback":   ModeFallback,
-		"bogus":      ModeAuto,
+	cases := []struct {
+		in   string
+		want Mode
+		ok   bool
+	}{
+		{"", ModeAuto, true},
+		{"auto", ModeAuto, true},
+		{"membarrier", ModeMembarrier, true},
+		{"fallback", ModeFallback, true},
+		{"bogus", ModeAuto, false},
+		{"Fallback", ModeAuto, false},
 	}
-	for in, want := range cases {
-		if got := envMode(in); got != want {
-			t.Errorf("envMode(%q) = %v, want %v", in, got, want)
+	for _, c := range cases {
+		if got, ok := ParseMode(c.in); got != c.want || ok != c.ok {
+			t.Errorf("ParseMode(%q) = %v, %v; want %v, %v", c.in, got, ok, c.want, c.ok)
 		}
 	}
 }
 
 func TestModeStrings(t *testing.T) {
 	for _, m := range []Mode{ModeAuto, ModeMembarrier, ModeFallback} {
-		if envMode(m.String()) != m {
-			t.Errorf("mode %d does not round-trip through %q", m, m.String())
+		if got, ok := ParseMode(m.String()); got != m || !ok {
+			t.Errorf("mode %d does not round-trip through %q: %v, %v", m, m.String(), got, ok)
 		}
 	}
 }
