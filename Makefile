@@ -67,11 +67,12 @@ race-runner:
 # payload is missing, null, mistyped or short of fields (read as
 # corrupt misses), the record-shape round trip, the runner's
 # read-through tier contract, the warm-vs-cold byte-equivalence tests,
-# and the CLI end to end through the store (`asymsim -store D run`,
-# serve, trace). Every test runs in its own t.TempDir, so no state
-# leaks between runs. Then a bounded fuzz run holds the record decoder
-# to encoding/json on mutated records; a new input is about 1 KB, so
-# minimizing each would take most of the 15 s, and it is capped.
+# and the CLI end to end (`asymsim -store D run` cold then warm, trace
+# reproducibility, usage errors). Every test runs in its own
+# t.TempDir, so no state leaks between runs. Then a bounded fuzz run
+# holds the record decoder to encoding/json on mutated records; a new
+# input is about 1 KB, so minimizing each would take most of the 15 s,
+# and it is capped.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
 	$(GO) test -race -count=1 -run 'TestLoadBadPayload|TestMeasurementRoundTrip|FuzzLoadMatchesJSON' ./internal/experiments/
@@ -110,10 +111,10 @@ check-conform:
 	$(GO) run ./cmd/asymsim conform -quick -q
 
 # Quick end-to-end sanity: the headline experiment at reduced scale on
-# a parallel worker pool, plus the quick cross-domain conformance sweep.
+# a parallel worker pool. The quick conformance sweep runs once, in
+# check-conform.
 smoke:
 	$(GO) run ./cmd/asymsim -scale 0.1 -horizon 20000 -j 4 headline
-	$(GO) run ./cmd/asymsim conform -quick -q
 
 # The runtime invariant oracle under the race detector: the litmus
 # suite and seeds 1-100 of the random litmus generator with all

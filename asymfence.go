@@ -32,7 +32,6 @@
 package asymfence
 
 import (
-	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -105,12 +104,6 @@ type Config struct {
 	WarmRegions []mem.Region
 	// MaxCycles bounds Run (default 10M).
 	MaxCycles int64
-	// ROBSize / WriteBufferSize / BSCapacity override Table 2 defaults.
-	ROBSize, WriteBufferSize, BSCapacity int
-	// BSBloom enables the Bypass Set's Bloom-filter front end.
-	BSBloom bool
-	// WPlusTimeout overrides the W+ deadlock-suspicion timeout.
-	WPlusTimeout int64
 	// Metrics, when non-nil, receives the run's machine counters
 	// (write-buffer occupancy, fence mix, NoC traffic, ...) under the
 	// "machine" scope. Nil disables collection at zero cost.
@@ -137,15 +130,8 @@ type DeadlockError = sim.DeadlockError
 // NewMachine builds a machine running programs[i] on core i.
 func NewMachine(cfg Config, programs []*Program, store *Store) (*Machine, error) {
 	sc := sim.Config{
-		NCores: cfg.Cores,
-		Design: cfg.Design,
-		Core: cpu.Config{
-			ROBSize:      cfg.ROBSize,
-			WBSize:       cfg.WriteBufferSize,
-			BSCapacity:   cfg.BSCapacity,
-			BSBloom:      cfg.BSBloom,
-			WPlusTimeout: cfg.WPlusTimeout,
-		},
+		NCores:      cfg.Cores,
+		Design:      cfg.Design,
 		MaxCycles:   cfg.MaxCycles,
 		Privacy:     cfg.Privacy,
 		WarmRegions: cfg.WarmRegions,

@@ -71,8 +71,8 @@ func TestCLIRunStore(t *testing.T) {
 	}
 }
 
-// TestCLISubcommands drives trace, serve and the experiment path end
-// to end at a tiny scale.
+// TestCLISubcommands drives trace and the experiment path end to end
+// at a tiny scale, and holds their command lines' usage errors.
 func TestCLISubcommands(t *testing.T) {
 	t.Run("trace is reproducible", func(t *testing.T) {
 		args := []string{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05", "-format", "jsonl"}
@@ -84,30 +84,21 @@ func TestCLISubcommands(t *testing.T) {
 			t.Fatal("two identical trace runs produced different output")
 		}
 	})
-	t.Run("serve prints the experiment's tables", func(t *testing.T) {
-		shape := []string{"-q", "-cores", "4", "-horizon", "5000", "fig9"}
-		want, stderr, code := asymsim(t, shape...)
-		if code != 0 || !strings.Contains(want, "Fig. 9") {
-			t.Fatalf("fig9 exited %d:\n%s%s", code, want, stderr)
-		}
-		got, stderr, code := asymsim(t, append([]string{"serve", "-listen", "127.0.0.1:0"}, shape...)...)
-		if code != 0 {
-			t.Fatalf("serve exited %d:\n%s", code, stderr)
-		}
-		if got != want {
-			t.Errorf("serve stdout differs from fig9:\n--- fig9\n%s\n--- serve\n%s", want, got)
-		}
-	})
 	t.Run("bad core count is a usage error", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-cores", "3", "fig9"},
 			{"-cores", "3", "run", "cilk:fib"},
-			{"serve", "-listen", "127.0.0.1:0", "-cores", "3", "fig9"},
 			{"trace", "cilk:fib", "-cores", "3"},
 		} {
 			if stdout, _, code := asymsim(t, args...); code != 2 || stdout != "" {
 				t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
 			}
+		}
+	})
+	t.Run("removed serve subcommand is a usage error", func(t *testing.T) {
+		args := []string{"serve", "-listen", "127.0.0.1:0", "fig9"}
+		if stdout, _, code := asymsim(t, args...); code != 2 || stdout != "" {
+			t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
 		}
 	})
 }

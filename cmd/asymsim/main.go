@@ -8,7 +8,6 @@
 //	asymsim -version                       print build provenance
 //	asymsim [flags] run <group>:<app>      one workload under every design
 //	asymsim trace <group>:<app> [flags]    traced run (Perfetto/JSONL export)
-//	asymsim serve [flags] <experiment>     run with a live observability server
 //	asymsim conform [flags]                cross-domain litmus conformance sweep
 //
 // where <experiment> is one of fig8, fig9, fig10, fig11, fig12, table4,
@@ -52,23 +51,20 @@
 // Every subcommand accepts -metrics out.json: the run's machine and
 // harness counters are collected into a metrics registry and written as
 // a deterministic JSON snapshot on exit ("-" writes to stdout; see
-// OBSERVABILITY.md for the schema). The serve subcommand additionally
-// exposes the registry live over HTTP — /metrics in JSON or Prometheus
-// text format, /debug/pprof for the Go profiler, /progress for the
-// running batch — while an experiment executes:
+// OBSERVABILITY.md for the schema). That snapshot is the one metrics
+// output; stderr is the one progress channel.
 //
-//	asymsim serve -listen :6060 all
-//	curl localhost:6060/metrics?format=json
-//
-// Experiments, run and serve share one command line and one job path:
-// every simulation goes through the same asymfence.RunConfig, so -j,
-// -q, -metrics and -store dir (the persistent content-addressed
-// measurement store) apply to all three. Warm configurations load from
-// disk instead of re-simulating, across process restarts, with
-// byte-identical output; serve adds only -listen and -hold.
+// Experiments and run share one command line and one job path: every
+// simulation goes through the same asymfence.RunConfig, so -j, -q,
+// -metrics and -store dir (the persistent content-addressed measurement
+// store) apply to both. Warm configurations load from disk instead of
+// re-simulating, across process restarts, with byte-identical output.
 //
 // Performance is measured by the separate benchmark module in bench/
-// (bash bench/run.sh; see bench/README.md).
+// (bash bench/run.sh; see bench/README.md). To profile a whole
+// regeneration, run the root package's figure benchmarks
+// (BenchmarkFig8CilkApps ... BenchmarkHeadlineAverages) under go test
+// -cpuprofile; see PERFORMANCE.md.
 package main
 
 import (
@@ -76,7 +72,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -97,27 +92,20 @@ func main() {
 			os.Exit(traceCmd(ctx, os.Args[2:]))
 		case "conform":
 			os.Exit(conformCmd(ctx, os.Args[2:]))
-		case "serve":
-			os.Exit(serveCmd(ctx, os.Args[2:]))
 		}
 	}
-	c := newExperimentCmd("asymsim", "usage: asymsim [flags] <experiment>\n"+
-		"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
-		"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
-		"       asymsim serve [flags] <experiment>    (asymsim serve -h for flags)\n"+
-		"       asymsim conform [flags]               (asymsim conform -h for flags)\n")
+	c := newExperimentCmd()
 	if code, done := c.parse(os.Args[1:]); done {
 		os.Exit(code)
 	}
-	os.Exit(c.run(ctx, newCLIMetrics(*c.metricsOut), nil))
+	os.Exit(c.run(ctx))
 }
 
 // experimentCmd is the experiment path, `asymsim [flags] <experiment>`
-// or `asymsim [flags] run <group>:<app>`: its flags, and the one
-// run/print/summary sequence the bare command and serve both use.
+// or `asymsim [flags] run <group>:<app>`: its flags, and its one
+// run/print/summary sequence.
 type experimentCmd struct {
-	name string // message prefix
-	fs   *flag.FlagSet
+	fs *flag.FlagSet
 
 	cores                *int
 	scale                *float64
@@ -133,12 +121,10 @@ type experimentCmd struct {
 	target func(ctx context.Context, cfg asymfence.RunConfig) error
 }
 
-// newExperimentCmd registers the experiment flags on a new flag set
-// whose usage message starts with usage.
-func newExperimentCmd(name, usage string) *experimentCmd {
-	fs := flag.NewFlagSet(name, flag.ExitOnError)
+// newExperimentCmd registers the experiment flags on a new flag set.
+func newExperimentCmd() *experimentCmd {
+	fs := flag.NewFlagSet("asymsim", flag.ExitOnError)
 	c := &experimentCmd{
-		name:       name,
 		fs:         fs,
 		cores:      fs.Int("cores", 8, "core count (power of two; Table 2 default is 8)"),
 		scale:      fs.Float64("scale", 1.0, "execution-time run scale (1.0 = full)"),
@@ -153,7 +139,11 @@ func newExperimentCmd(name, usage string) *experimentCmd {
 		storeDir:   fs.String("store", "", "persistent measurement store directory (warm configs load from disk instead of re-simulating)"),
 	}
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "%s\nexperiments: %v\n\nflags:\n", usage, asymfence.ExperimentIDs)
+		fmt.Fprintf(os.Stderr, "usage: asymsim [flags] <experiment>\n"+
+			"       asymsim [flags] run <group>:<app>     (e.g. run cilk:fib, run ustm:List)\n"+
+			"       asymsim trace <group>:<app> [flags]   (asymsim trace -h for flags)\n"+
+			"       asymsim conform [flags]               (asymsim conform -h for flags)\n"+
+			"experiments: %v\n\nflags:\n", asymfence.ExperimentIDs)
 		fs.PrintDefaults()
 	}
 	return c
@@ -172,7 +162,7 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 	// Reject a nonsensical machine shape before any experiment starts
 	// (same typed validation the simulator applies on Run).
 	if err := (sim.Config{NCores: *c.cores}).Validate(); err != nil {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+		fmt.Fprintln(os.Stderr, "asymsim:", err)
 		return 2, true
 	}
 	if *c.list {
@@ -186,7 +176,7 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 		c.id = "run " + c.fs.Arg(1)
 		jobs, err := runJobs(c.fs.Arg(1), *c.cores, *c.scale, *c.horizon)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+			fmt.Fprintln(os.Stderr, "asymsim:", err)
 			return 2, true
 		}
 		c.target = func(ctx context.Context, cfg asymfence.RunConfig) error {
@@ -200,8 +190,8 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 		c.id = c.fs.Arg(0)
 		exp, ok := asymfence.LookupExperiment(c.id)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "%s: unknown experiment %q (valid: %v; see -list)\n",
-				c.name, c.id, asymfence.ExperimentIDs)
+			fmt.Fprintf(os.Stderr, "asymsim: unknown experiment %q (valid: %v; see -list)\n",
+				c.id, asymfence.ExperimentIDs)
 			return 2, true
 		}
 		c.target = func(ctx context.Context, cfg asymfence.RunConfig) error {
@@ -225,31 +215,25 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 }
 
 // run executes the parsed target: it opens the store, runs every job
-// through one RunConfig (progress to stderr unless -q, and to tee when
-// non-nil; counters into reg when non-nil), then writes the -metrics
-// snapshot and a job summary line to stderr. It returns the exit code.
-func (c *experimentCmd) run(ctx context.Context, reg *asymfence.MetricsRegistry, tee io.Writer) int {
+// through one RunConfig (progress to stderr unless -q; counters into a
+// registry when -metrics is set), then writes the -metrics snapshot and
+// a job summary line to stderr. It returns the exit code.
+func (c *experimentCmd) run(ctx context.Context) int {
 	fail := func(err error) int {
-		fmt.Fprintf(os.Stderr, "%s: %v\n", c.name, err)
+		fmt.Fprintln(os.Stderr, "asymsim:", err)
 		if errors.Is(err, context.Canceled) {
 			return 130
 		}
 		return 1
 	}
+	reg := newCLIMetrics(*c.metricsOut)
 	var stats asymfence.RunStats
 	cfg := asymfence.RunConfig{Jobs: *c.jobs, Stats: &stats, Metrics: reg}
 	if *c.seq {
 		cfg.Jobs = 1
 	}
-	var progress []io.Writer
 	if !*c.quiet {
-		progress = append(progress, os.Stderr)
-	}
-	if tee != nil {
-		progress = append(progress, tee)
-	}
-	if len(progress) > 0 {
-		cfg.Progress = io.MultiWriter(progress...)
+		cfg.Progress = os.Stderr
 	}
 	if *c.storeDir != "" {
 		st, err := asymfence.OpenStore(*c.storeDir, asymfence.StoreOptions{Metrics: reg})
@@ -265,7 +249,7 @@ func (c *experimentCmd) run(ctx context.Context, reg *asymfence.MetricsRegistry,
 	if err := writeMetrics(reg, *c.metricsOut); err != nil {
 		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "%s: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
-		c.name, c.id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "asymsim: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",
+		c.id, stats.Jobs, stats.Simulated, stats.CacheHits, stats.StoreHits, time.Since(start).Round(time.Millisecond))
 	return 0
 }

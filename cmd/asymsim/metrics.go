@@ -10,18 +10,13 @@ import (
 )
 
 // newCLIMetrics returns a fresh metrics registry for one CLI invocation
-// when path (the -metrics flag) is non-empty, nil otherwise.
+// when path (the -metrics flag) is non-empty, nil otherwise. It carries
+// the binary's build provenance as snapshot metadata, so an out.json
+// identifies the asymsim that produced it.
 func newCLIMetrics(path string) *asymfence.MetricsRegistry {
 	if path == "" {
 		return nil
 	}
-	return newRegistry()
-}
-
-// newRegistry returns a metrics registry carrying the binary's build
-// provenance as snapshot metadata, so an out.json identifies the
-// asymsim that produced it.
-func newRegistry() *asymfence.MetricsRegistry {
 	reg := asymfence.NewMetricsRegistry()
 	bi := buildinfo.Get()
 	reg.SetMeta("version", bi.Version)

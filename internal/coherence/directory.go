@@ -376,9 +376,6 @@ func (d *Directory) storageLatency(l mem.Line) int64 {
 		lat = d.l2Lat
 	} else {
 		d.Stats.MemFetches++
-		if DebugMemFetch != nil {
-			DebugMemFetch(uint32(l))
-		}
 		d.l2.Install(d.l2Line(l), cache.Shared)
 		lat = d.memLat + d.l2Lat
 	}
@@ -387,9 +384,6 @@ func (d *Directory) storageLatency(l mem.Line) int64 {
 	}
 	return lat
 }
-
-// DebugMemFetch, when set, observes every off-chip fetch (test hook).
-var DebugMemFetch func(line uint32)
 
 func (d *Directory) startGetS(now int64, dl *dirLine, m Msg) {
 	d.Stats.GetSReqs++

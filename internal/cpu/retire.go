@@ -10,10 +10,6 @@ import (
 	"asymfence/internal/trace"
 )
 
-// DebugDemote, when set, is called on every BS-confinement demotion
-// (core, line, loadPC, fenceModule) — test diagnostics hook.
-var DebugDemote func(core int, line uint32, pc, module int)
-
 // DebugBrokenFence, when true, deliberately breaks SFence: it retires
 // without waiting for the write buffer to drain. Test-only — it exists
 // to prove the TSO checker catches a fence implementation that skips its
@@ -180,9 +176,6 @@ func (c *Core) retireLoad(now int64, e *robEntry) (bool, blockReason) {
 		if f.module < 0 {
 			f.module = c.home(line)
 		} else if c.home(line) != f.module {
-			if DebugDemote != nil {
-				DebugDemote(c.cfg.ID, uint32(line), e.pc, f.module)
-			}
 			f.demoted = true
 			c.st.DemotedWFences++
 			c.st.SFences++

@@ -5,6 +5,7 @@ import (
 	"fmt"
 
 	"asymfence/internal/fence"
+	"asymfence/internal/noc"
 )
 
 // Quick/full experiment parameters. The paper simulates an 8-core mesh by
@@ -219,7 +220,7 @@ func (e *Engine) Table4(ctx context.Context, ncores int, scale Scale, horizon in
 				bsSum += m.Agg.BSLinesSum
 				bsN += m.Agg.BSLinesSamples
 				bytes += m.NoC.Bytes
-				retryBytes += m.NoC.BytesByCat[1] // noc.CatRetry
+				retryBytes += m.NoC.BytesIn(noc.CatRetry)
 			}
 			fi := float64(instr)
 			if fi == 0 {

@@ -275,8 +275,8 @@ func (s *Session[V]) Run(ctx context.Context, specs []Spec) ([]V, error) {
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		// Label the worker goroutines so CPU profiles (`asymsim serve`
-		// exposes /debug/pprof) attribute samples to the pool.
+		// Label the worker goroutines so CPU profiles attribute samples
+		// to the pool.
 		go pprof.Do(ctx, pprof.Labels("subsystem", "runner", "worker", strconv.Itoa(w)),
 			func(ctx context.Context) {
 				defer wg.Done()

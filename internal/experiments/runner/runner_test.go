@@ -106,9 +106,10 @@ func TestCrossRunMemoization(t *testing.T) {
 
 // TestSimulatedJobsCarryProfilerLabels: exec, the simulation, runs
 // under the spec's workload, design and cores profiler labels beside
-// the worker's, which is what `asymsim serve`'s /debug/pprof attributes
-// CPU samples by. A batch the cache or the tier serves whole never
-// reaches exec, so those hits need no labels.
+// the worker's, which is what a CPU profile of a regeneration (go test
+// -cpuprofile on the root figure benchmarks) attributes samples by. A
+// batch the cache or the tier serves whole never reaches exec, so
+// those hits need no labels.
 func TestSimulatedJobsCarryProfilerLabels(t *testing.T) {
 	var calls atomic.Int64
 	exec := func(ctx context.Context, sp Spec) (string, error) {

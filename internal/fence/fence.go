@@ -47,10 +47,6 @@ var AllDesigns = []Design{SPlus, WSPlus, SWPlus, WPlus, Wee}
 // UsesBS reports whether the design has a Bypass Set at all.
 func (d Design) UsesBS() bool { return d != SPlus }
 
-// WordGranular reports whether the Bypass Set records word-level masks
-// (needed by SW+'s Conditional Order).
-func (d Design) WordGranular() bool { return d == SWPlus }
-
 // DefaultBSCapacity is the Bypass Set size (Table 2: up to 32 entries per
 // core, 4 B per entry).
 const DefaultBSCapacity = 32

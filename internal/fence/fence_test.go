@@ -24,9 +24,6 @@ func TestDesignNamesAndProperties(t *testing.T) {
 			t.Errorf("%v should use a Bypass Set", d)
 		}
 	}
-	if !SWPlus.WordGranular() || WSPlus.WordGranular() {
-		t.Error("only SW+ records word-granular info")
-	}
 }
 
 func TestBypassSetInsertMatch(t *testing.T) {

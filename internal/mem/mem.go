@@ -121,11 +121,6 @@ func (al *Allocator) Alloc(name string, size, align Addr) Addr {
 	return base
 }
 
-// AllocWords reserves n words aligned to a word boundary.
-func (al *Allocator) AllocWords(name string, n int) Addr {
-	return al.Alloc(name, Addr(n)*WordSize, WordSize)
-}
-
 // AllocLines reserves n whole cache lines aligned to a line boundary.
 // Workloads use this when they need to control false sharing.
 func (al *Allocator) AllocLines(name string, n int) Addr {

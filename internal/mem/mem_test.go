@@ -104,7 +104,7 @@ func TestStoreUnalignedPanics(t *testing.T) {
 
 func TestAllocator(t *testing.T) {
 	al := NewAllocator(0x1000)
-	a := al.AllocWords("a", 3)
+	a := al.Alloc("a", 3*WordSize, WordSize)
 	b := al.AllocLines("b", 2)
 	if a != 0x1000 {
 		t.Fatalf("first allocation at %#x", a)
@@ -126,13 +126,13 @@ func TestAllocator(t *testing.T) {
 
 func TestAllocatorDuplicatePanics(t *testing.T) {
 	al := NewAllocator(0)
-	al.AllocWords("x", 1)
+	al.Alloc("x", WordSize, WordSize)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("duplicate symbol did not panic")
 		}
 	}()
-	al.AllocWords("x", 1)
+	al.Alloc("x", WordSize, WordSize)
 }
 
 func TestPrivacy(t *testing.T) {

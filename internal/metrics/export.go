@@ -12,9 +12,9 @@ import (
 // SchemaJSON identifies the JSON snapshot layout.
 const SchemaJSON = "asymfence-metrics/v1"
 
-// The exporters never iterate live maps while rendering: they first take
-// a point-in-time snapshot under the registry lock, sort it by name, and
-// then write fields in a fixed order — so identical registry contents
+// The exporter never iterates live maps while rendering: it first takes
+// a point-in-time snapshot under the registry lock, sorts it by name, and
+// then writes fields in a fixed order — so identical registry contents
 // produce byte-identical output (the determinism tests assert it), and
 // rendering never blocks instrument updates for long.
 
@@ -142,71 +142,4 @@ func writeSection(bw *bufio.Writer, section string, items []item, timing bool) {
 		bw.WriteString("\n  ")
 	}
 	bw.WriteByte('}')
-}
-
-// promPrefix namespaces every exported Prometheus metric.
-const promPrefix = "asymfence_"
-
-// WriteProm renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4): counters and gauges as single samples,
-// histograms with cumulative le-labeled buckets plus _sum and _count,
-// and the meta pairs as labels of an asymfence_build_info gauge. Names
-// are sanitized (dots and dashes become underscores) and prefixed with
-// "asymfence_"; output is sorted by name, so it is deterministic too.
-func (r *Registry) WriteProm(w io.Writer) error {
-	items, meta := r.freeze()
-	bw := bufio.NewWriter(w)
-	if len(meta) > 0 {
-		fmt.Fprintf(bw, "# TYPE %sbuild_info gauge\n%sbuild_info{", promPrefix, promPrefix)
-		for i, m := range meta {
-			if i > 0 {
-				bw.WriteByte(',')
-			}
-			fmt.Fprintf(bw, "%s=%q", promName(m.k), m.v)
-		}
-		bw.WriteString("} 1\n")
-	}
-	for i := range items {
-		it := &items[i]
-		name := promPrefix + promName(it.name)
-		switch it.kind {
-		case kindCounter:
-			fmt.Fprintf(bw, "# TYPE %s counter\n%s %d\n", name, name, it.v)
-		case kindGauge:
-			fmt.Fprintf(bw, "# TYPE %s gauge\n%s %d\n", name, name, it.v)
-		case kindHist:
-			fmt.Fprintf(bw, "# TYPE %s histogram\n", name)
-			cum := int64(0)
-			for j, n := range it.counts {
-				cum += n
-				if j < len(it.bounds) {
-					fmt.Fprintf(bw, "%s_bucket{le=\"%d\"} %d\n", name, it.bounds[j], cum)
-				} else {
-					fmt.Fprintf(bw, "%s_bucket{le=\"+Inf\"} %d\n", name, cum)
-				}
-			}
-			fmt.Fprintf(bw, "%s_sum %d\n%s_count %d\n", name, it.sum, name, it.n)
-		}
-	}
-	return bw.Flush()
-}
-
-// promName sanitizes a dotted metric name into the Prometheus charset.
-func promName(s string) string {
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c == '_':
-			b.WriteByte(c)
-		case c >= '0' && c <= '9':
-			if i == 0 {
-				b.WriteByte('_')
-			}
-			b.WriteByte(c)
-		default:
-			b.WriteByte('_')
-		}
-	}
-	return b.String()
 }

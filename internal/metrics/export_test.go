@@ -6,11 +6,10 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden snapshot files")
+var update = flag.Bool("update", false, "rewrite the golden snapshot file")
 
 // golden compares got against testdata/name, rewriting it under -update.
 func golden(t *testing.T, name string, got []byte) {
@@ -67,64 +66,5 @@ func TestJSONGolden(t *testing.T) {
 	}
 	if _, ok := doc.Metrics["engine.timing.singleflight_waits"]; ok {
 		t.Error("timing metric leaked into the deterministic section")
-	}
-}
-
-// TestPromGolden pins the Prometheus text exposition rendering.
-func TestPromGolden(t *testing.T) {
-	r := populate()
-	r.SetMeta("version", "v0.0.0-test")
-	var b bytes.Buffer
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	golden(t, "snapshot.prom", b.Bytes())
-
-	out := b.String()
-	for _, want := range []string{
-		"# TYPE asymfence_machine_cycles counter",
-		"asymfence_machine_cycles 1200",
-		"# TYPE asymfence_machine_noc_inflight_peak gauge",
-		"# TYPE asymfence_machine_wb_occupancy histogram",
-		`asymfence_machine_wb_occupancy_bucket{le="+Inf"} 2`,
-		"asymfence_machine_wb_occupancy_sum 12",
-		"asymfence_machine_wb_occupancy_count 2",
-		`asymfence_build_info{version="v0.0.0-test"} 1`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("prometheus output missing %q:\n%s", want, out)
-		}
-	}
-}
-
-// TestPromBucketsCumulative asserts the le buckets accumulate (the
-// Prometheus histogram contract, unlike the JSON per-bucket counts).
-func TestPromBucketsCumulative(t *testing.T) {
-	r := NewRegistry()
-	h := r.Scope("m").Histogram("h", 1, 2)
-	h.Observe(1)
-	h.Observe(2)
-	h.Observe(3)
-	var b bytes.Buffer
-	if err := r.WriteProm(&b); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		`asymfence_m_h_bucket{le="1"} 1`,
-		`asymfence_m_h_bucket{le="2"} 2`,
-		`asymfence_m_h_bucket{le="+Inf"} 3`,
-	} {
-		if !strings.Contains(b.String(), want) {
-			t.Errorf("missing %q in:\n%s", want, b.String())
-		}
-	}
-}
-
-func TestPromNameSanitization(t *testing.T) {
-	if got := promName("engine.worker-busy.0"); got != "engine_worker_busy_0" {
-		t.Errorf("promName = %q", got)
-	}
-	if got := promName("0abc"); got != "_0abc" {
-		t.Errorf("promName leading digit = %q", got)
 	}
 }

@@ -1,7 +1,7 @@
 // Package metrics is the machine-wide metrics registry: a
 // dependency-free, deterministic collection of named counters, gauges
 // and fixed-bucket histograms shared by the simulator, the experiment
-// engine and the asymsim CLI (its -metrics snapshots and `serve`).
+// engine and the asymsim CLI (its -metrics snapshots).
 //
 // The design follows the same two contracts as internal/trace:
 //
@@ -13,10 +13,11 @@
 //
 //   - Output must be deterministic. Snapshots render metrics in sorted
 //     name order with integer values only, so two identical runs produce
-//     byte-identical JSON and Prometheus text. Wall-clock and
-//     scheduling-dependent metrics are segregated: anything registered
-//     under a Timing scope lands in the snapshot's separate "timing"
-//     section, which the determinism tests exclude.
+//     byte-identical JSON (schema asymfence-metrics/v1, the one output
+//     format). Wall-clock and scheduling-dependent metrics are
+//     segregated: anything registered under a Timing scope lands in the
+//     snapshot's separate "timing" section, which the determinism tests
+//     exclude.
 //
 // Names are hierarchical dot-separated paths ("machine.wb.occupancy",
 // "engine.cache.hits") built through nested Scopes. Handles are atomic,

@@ -120,15 +120,4 @@ func TestSnapshotDeterminism(t *testing.T) {
 	if !bytes.Equal(a, b) {
 		t.Fatalf("identical registries rendered different JSON:\n%s\n---\n%s", a, b)
 	}
-	var pa, pb bytes.Buffer
-	if err := populate().WriteProm(&pa); err != nil {
-		t.Fatal(err)
-	}
-	if err := populate().WriteProm(&pb); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(pa.Bytes(), pb.Bytes()) {
-		t.Fatalf("identical registries rendered different Prometheus text:\n%s\n---\n%s",
-			pa.String(), pb.String())
-	}
 }

@@ -153,20 +153,3 @@ func (c *Core) TopFenceSites(n int) []SiteStall {
 	}
 	return out
 }
-
-// MeanBSLines returns the average Bypass Set occupancy sampled at weak
-// fence completion.
-func (c *Core) MeanBSLines() float64 {
-	if c.BSLinesSamples == 0 {
-		return 0
-	}
-	return float64(c.BSLinesSum) / float64(c.BSLinesSamples)
-}
-
-// Per1000Instrs scales a count to the paper's per-1000-instructions unit.
-func (c *Core) Per1000Instrs(count uint64) float64 {
-	if c.RetiredInstrs == 0 {
-		return 0
-	}
-	return 1000 * float64(count) / float64(c.RetiredInstrs)
-}

@@ -80,28 +80,6 @@ func TestTopFenceSitesQuick(t *testing.T) {
 	}
 }
 
-func TestPer1000Instrs(t *testing.T) {
-	c := NewCore()
-	if c.Per1000Instrs(5) != 0 {
-		t.Fatal("division by zero retired instructions")
-	}
-	c.RetiredInstrs = 2000
-	if got := c.Per1000Instrs(4); got != 2 {
-		t.Fatalf("per-1000 = %v", got)
-	}
-}
-
-func TestMeanBSLines(t *testing.T) {
-	c := NewCore()
-	if c.MeanBSLines() != 0 {
-		t.Fatal("empty mean not zero")
-	}
-	c.BSLinesSum, c.BSLinesSamples = 9, 3
-	if c.MeanBSLines() != 3 {
-		t.Fatalf("mean = %v", c.MeanBSLines())
-	}
-}
-
 func TestTotalCyclesExcludesIdle(t *testing.T) {
 	c := NewCore()
 	c.BusyCycles, c.FenceStallCycles, c.OtherStallCycles, c.IdleCycles = 1, 2, 3, 100

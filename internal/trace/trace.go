@@ -233,9 +233,6 @@ func (t *Tracer) Recorder() *Recorder {
 	return t.rec
 }
 
-// Enabled reports whether the tracer records anything at all.
-func (t *Tracer) Enabled() bool { return t != nil }
-
 // Emit records one event. It is safe (and free) to call on a nil
 // tracer; this is the fast path every component sits on. The flight
 // recorder (if attached) sees the event before the mask check.

@@ -398,8 +398,8 @@ func ReadStats() Stats {
 // scope (runtime.heavy.membarrier, runtime.heavy.fallback,
 // runtime.fallback.activations, runtime.heavy.eintr_retries and
 // runtime.degradations counters; runtime.registered and
-// runtime.supported gauges), the same deterministic JSON/Prometheus
-// surface every other subsystem reports through (OBSERVABILITY.md).
+// runtime.supported gauges), the same deterministic JSON snapshot
+// every other subsystem reports through (OBSERVABILITY.md).
 // Nil-safe: a nil registry is ignored.
 func Export(reg *metrics.Registry) {
 	if reg == nil {
