@@ -19,10 +19,12 @@ vet:
 	$(GO) vet ./...
 
 # Documentation lint (tools/doccheck): package docs everywhere, doc
-# comments on every exported identifier in internal packages.
+# comments on every exported identifier in the runtime and internal
+# packages and in the root package asymfence, the public API that
+# bench/, cmd/ and examples/ call.
 doccheck:
 	$(GO) run ./tools/doccheck ./runtime/... ./internal/... ./cmd/... ./examples/... .
-	$(GO) run ./tools/doccheck -exported ./runtime/... ./internal/...
+	$(GO) run ./tools/doccheck -exported ./runtime/... ./internal/... .
 
 build:
 	$(GO) build ./...
@@ -63,24 +65,27 @@ race-runner:
 	$(GO) test -race -count=1 ./internal/experiments/runner/
 
 # The persistence layer under the race detector: the content-addressed
-# store's crash-safety and write-fault suite, measurement records whose
-# payload is missing, null, mistyped or short of fields (read as
-# corrupt misses), the record-shape round trip, the runner's
+# store's crash-safety, record-layout and write-fault suite, measurement
+# records damaged every way a disk can (each bit flipped, each
+# truncation, a byte appended) or re-checksummed with a payload that is
+# missing, short, long or edited (all read as corrupt misses), the
+# record-shape round trip and the pinned payload encoding, the runner's
 # read-through tier contract, the warm-vs-cold byte-equivalence tests,
 # and the CLI end to end (`asymsim -store D run` cold then warm, trace
-# reproducibility, usage errors). Every test runs in its own
+# reproducibility, usage and output errors). Every test runs in its own
 # t.TempDir, so no state leaks between runs. Then a bounded fuzz run
-# holds the record decoder to encoding/json on mutated records; a new
-# input is about 1 KB, so minimizing each would take most of the 15 s,
-# and it is capped.
+# feeds Load mutated records, re-checksummed too so that they reach the
+# decoder: it must never panic, and a hit must be what Store writes; a
+# new input is about 600 bytes, and minimizing each would take most of
+# the 15 s, so it is capped.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
-	$(GO) test -race -count=1 -run 'TestLoadBadPayload|TestMeasurementRoundTrip|FuzzLoadMatchesJSON' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestLoadBadPayload|TestDamagedRecord|TestMeasurement|FuzzLoad' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'WriteFaults' ./internal/faults/
 	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
 	$(GO) test -race -count=1 -run 'TestStore|TestRunBatchStore' .
 	$(GO) test -race -count=1 -run 'TestCLI' ./cmd/asymsim/
-	$(GO) test -run '^$$' -fuzz '^FuzzLoadMatchesJSON$$' -fuzztime 15s -fuzzminimizetime 10x ./internal/experiments/
+	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 15s -fuzzminimizetime 10x ./internal/experiments/
 
 # The real-hardware fence runtime under the race detector: the
 # asymruntime mode/registration suite, the exactly-once deque stress

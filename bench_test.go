@@ -155,24 +155,6 @@ func runUSTMMachine(b *testing.B, design fence.Design, core cpu.Config, horizon 
 	return res, res.Agg()
 }
 
-// BenchmarkAblationBSBloom compares Bypass Set matching with and without
-// the Bloom-filter front end (DESIGN.md §6): the filter removes most
-// comparisons without changing any outcome.
-func BenchmarkAblationBSBloom(b *testing.B) {
-	for _, bloom := range []bool{false, true} {
-		name := "plain-list"
-		if bloom {
-			name = "bloom-front-end"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, agg := runUSTMMachine(b, fence.WPlus, cpu.Config{BSBloom: bloom}, benchHorizon)
-				b.ReportMetric(float64(agg.Events[stats.EvCommit]), "commits")
-			}
-		})
-	}
-}
-
 // BenchmarkAblationWPlusTimeout sweeps the W+ deadlock timeout (DESIGN.md
 // §6): shorter timeouts break genuine deadlocks faster but risk rolling
 // back transient bouncing; longer ones stretch every genuine deadlock.

@@ -52,7 +52,7 @@ func TestCLIRunStore(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("cold run exited %d:\n%s", code, coldErr)
 	}
-	records, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.json"))
+	records, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.rec"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,14 +84,35 @@ func TestCLISubcommands(t *testing.T) {
 			t.Fatal("two identical trace runs produced different output")
 		}
 	})
+	// Go exits 2 on a panic too, so a usage error must also leave no
+	// "panic:" on stderr.
 	t.Run("bad core count is a usage error", func(t *testing.T) {
 		for _, args := range [][]string{
 			{"-cores", "3", "fig9"},
 			{"-cores", "3", "run", "cilk:fib"},
 			{"trace", "cilk:fib", "-cores", "3"},
+			{"conform", "-cores", "3"},
+			{"conform", "-cores", "-2"},
+			{"conform", "-ops", "-3"},
 		} {
-			if stdout, _, code := asymsim(t, args...); code != 2 || stdout != "" {
-				t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
+			stdout, stderr, code := asymsim(t, args...)
+			if code != 2 || stdout != "" || strings.Contains(stderr, "panic:") {
+				t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2, no output and no panic:\n%s", args, code, stdout, stderr)
+			}
+		}
+	})
+	t.Run("output into a missing directory is an error", func(t *testing.T) {
+		missing := filepath.Join(t.TempDir(), "missing")
+		for _, tc := range []struct {
+			path string
+			args []string
+		}{
+			{filepath.Join(missing, "m.json"), []string{"-q", "-cores", "4", "-scale", "0.05", "-metrics", filepath.Join(missing, "m.json"), "run", "cilk:fib"}},
+			{filepath.Join(missing, "r.json"), []string{"conform", "-quick", "-q", "-seeds", "1", "-report", filepath.Join(missing, "r.json")}},
+			{filepath.Join(missing, "t.json"), []string{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05", "-trace-out", filepath.Join(missing, "t.json")}},
+		} {
+			if _, stderr, code := asymsim(t, tc.args...); code != 1 || !strings.Contains(stderr, tc.path) {
+				t.Errorf("asymsim %v: exit %d, stderr %q; want exit 1 naming %s", tc.args, code, stderr, tc.path)
 			}
 		}
 	})

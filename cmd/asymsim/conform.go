@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"encoding/json"
 	"errors"
@@ -143,6 +142,11 @@ func conformCmd(ctx context.Context, args []string) int {
 		Iterations: *iters,
 		Modes:      modes,
 	}
+	if err := opts.Validate(); err != nil {
+		fmt.Fprintln(os.Stderr, "asymsim conform:", err)
+		fs.Usage()
+		return 2
+	}
 	if !*quiet {
 		opts.Progress = os.Stderr
 	}
@@ -156,7 +160,7 @@ func conformCmd(ctx context.Context, args []string) int {
 		}
 		return 1
 	}
-	if err := writeMetrics(reg, *metricsOut); err != nil {
+	if err := writeOutput(*metricsOut, reg.WriteJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim conform:", err)
 		return 1
 	}
@@ -222,23 +226,8 @@ func writeConformReport(rep *asymfence.ConformReport, opts asymfence.ConformOpti
 	if err != nil {
 		return err
 	}
-	b = append(b, '\n')
-	if path == "-" {
-		_, err := os.Stdout.Write(b)
+	return writeOutput(path, func(w io.Writer) error {
+		_, err := w.Write(append(b, '\n'))
 		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	if _, err := bw.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
+	})
 }

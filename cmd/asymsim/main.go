@@ -246,7 +246,7 @@ func (c *experimentCmd) run(ctx context.Context) int {
 	if err := c.target(ctx, cfg); err != nil {
 		return fail(err)
 	}
-	if err := writeMetrics(reg, *c.metricsOut); err != nil {
+	if err := writeOutput(*c.metricsOut, reg.WriteJSON); err != nil {
 		return fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "asymsim: %s: %d jobs (%d simulated, %d cache hits, %d store hits) in %s\n",

@@ -3,6 +3,7 @@ package main
 import (
 	"bufio"
 	"fmt"
+	"io"
 	"os"
 
 	"asymfence"
@@ -10,9 +11,10 @@ import (
 )
 
 // newCLIMetrics returns a fresh metrics registry for one CLI invocation
-// when path (the -metrics flag) is non-empty, nil otherwise. It carries
-// the binary's build provenance as snapshot metadata, so an out.json
-// identifies the asymsim that produced it.
+// when path (the -metrics flag) is non-empty, nil otherwise, so that
+// writeOutput(path, reg.WriteJSON) never calls a nil registry. It
+// carries the binary's build provenance as snapshot metadata, so an
+// out.json identifies the asymsim that produced it.
 func newCLIMetrics(path string) *asymfence.MetricsRegistry {
 	if path == "" {
 		return nil
@@ -25,30 +27,34 @@ func newCLIMetrics(path string) *asymfence.MetricsRegistry {
 	return reg
 }
 
-// writeMetrics writes reg's JSON snapshot to path ("-" means stdout).
-// A nil registry (the -metrics flag was empty) is a no-op.
-func writeMetrics(reg *asymfence.MetricsRegistry, path string) error {
-	if reg == nil || path == "" {
+// writeOutput writes what write produces to path, the value of an
+// output flag (-metrics, conform -report, trace -trace-out): "" writes
+// nothing, "-" writes to stdout, and anything else creates or truncates
+// that file. The output is buffered, and every error, from creating,
+// writing, flushing or closing, is returned and names path.
+func writeOutput(path string, write func(io.Writer) error) error {
+	if path == "" {
 		return nil
 	}
-	if path == "-" {
-		_, err := os.Stdout.Write(reg.JSON())
-		return err
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
+	f := os.Stdout
+	if path != "-" {
+		var err error
+		if f, err = os.Create(path); err != nil {
+			return err
+		}
 	}
 	bw := bufio.NewWriter(f)
-	err = reg.WriteJSON(bw)
+	err := write(bw)
 	if err == nil {
 		err = bw.Flush()
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
+	if f != os.Stdout {
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
 	}
 	if err != nil {
-		return fmt.Errorf("writing metrics snapshot: %w", err)
+		return fmt.Errorf("writing %s: %w", path, err)
 	}
 	return nil
 }

@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"context"
 	"flag"
 	"fmt"
@@ -82,30 +81,19 @@ func traceCmd(ctx context.Context, args []string) int {
 		return 1
 	}
 
-	w := os.Stdout
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "asymsim trace:", err)
-			return 1
-		}
-		defer f.Close()
-		w = f
-	}
-	bw := bufio.NewWriter(w)
+	write := res.WriteChrome
 	if *format == "jsonl" {
-		err = res.WriteJSONL(bw)
-	} else {
-		err = res.WriteChrome(bw)
+		write = res.WriteJSONL
 	}
-	if err == nil {
-		err = bw.Flush()
+	path := *out
+	if path == "" {
+		path = "-" // the default: stdout
 	}
-	if err != nil {
+	if err := writeOutput(path, write); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim trace:", err)
 		return 1
 	}
-	if err := writeMetrics(reg, *metricsOut); err != nil {
+	if err := writeOutput(*metricsOut, reg.WriteJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim trace:", err)
 		return 1
 	}

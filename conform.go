@@ -79,8 +79,6 @@ type ConformOptions struct {
 	// invariant oracle only, never against an incomplete closure
 	// (default tso.DefaultMaxStates).
 	MaxStates int
-	// Designs selects the simulated designs (default fence.AllDesigns).
-	Designs []fence.Design
 	// Modes selects the hardware fence modes (default fallback plus
 	// membarrier when the host supports it). Unsupported modes are
 	// skipped, not errors, so one config runs everywhere.
@@ -180,12 +178,31 @@ func conformModes(req []asymruntime.Mode) []asymruntime.Mode {
 	return out
 }
 
+// Validate reports a campaign shape RunConform refuses to generate: a
+// nonzero Cores that the simulator cannot build (sim.Config.Validate),
+// or a negative OpsPerCore.
+func (o ConformOptions) Validate() error {
+	if o.Cores != 0 {
+		if err := (sim.Config{NCores: o.Cores}).Validate(); err != nil {
+			return err
+		}
+	}
+	if o.OpsPerCore < 0 {
+		return fmt.Errorf("operations per core must not be negative, got %d", o.OpsPerCore)
+	}
+	return nil
+}
+
 // RunConform runs the cross-domain conformance campaign. It stops at
 // the first violation (minimized, attached to the report); a non-nil
-// error reports an infrastructure failure, not a violation. The
-// hardware sweep pins the global fence mode per litmusrun call and
-// leaves the runtime in auto mode on return.
+// error reports an invalid shape (Validate, with no report) or an
+// infrastructure failure, not a violation. The hardware sweep pins the
+// global fence mode per litmusrun call and leaves the runtime in auto
+// mode on return.
 func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, err
+	}
 	if opts.Seeds == 0 {
 		opts.Seeds = 25
 	}
@@ -200,10 +217,6 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 	}
 	if opts.MaxStates <= 0 {
 		opts.MaxStates = tso.DefaultMaxStates
-	}
-	designs := opts.Designs
-	if len(designs) == 0 {
-		designs = fence.AllDesigns
 	}
 	modes := conformModes(opts.Modes)
 	defer func() { _ = asymruntime.Use(asymruntime.ModeAuto) }()
@@ -254,7 +267,7 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 		if opts.Progress != nil {
 			simAll = litmus.NewOutcomeSet()
 		}
-		for _, d := range designs {
+		for _, d := range fence.AllDesigns {
 			closure := relaxed
 			if simSemantics(d) == tso.Strong {
 				closure = strong
@@ -297,7 +310,7 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 			rep.Seeds = s + 1
 			if opts.Progress != nil {
 				fmt.Fprintf(opts.Progress, "conform: seed %d ok under the oracle only (%d cores, closure over the %d-state cap, %d sim runs)\n",
-					seed, g.NCores, opts.MaxStates, len(designs)*opts.Schedules)
+					seed, g.NCores, opts.MaxStates, len(fence.AllDesigns)*opts.Schedules)
 			}
 			continue
 		}
@@ -335,7 +348,7 @@ func RunConform(ctx context.Context, opts ConformOptions) (*ConformReport, error
 		rep.Seeds = s + 1
 		if opts.Progress != nil {
 			fmt.Fprintf(opts.Progress, "conform: seed %d ok (%d cores, strong=%d relaxed=%d, %d sim runs, hw=%d/%d, sim=%d/%d)\n",
-				seed, g.NCores, sr.Strong, sr.Relaxed, len(designs)*opts.Schedules, len(hw), sr.Strong, len(simAll), sr.Relaxed)
+				seed, g.NCores, sr.Strong, sr.Relaxed, len(fence.AllDesigns)*opts.Schedules, len(hw), sr.Strong, len(simAll), sr.Relaxed)
 		}
 	}
 	return rep, nil

@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"asymfence/internal/cpu"
-	"asymfence/internal/fence"
 	asymruntime "asymfence/runtime"
 )
 
@@ -142,7 +141,6 @@ func TestConformOracleOnlySeeds(t *testing.T) {
 		cpu.DebugBrokenFence = true
 		defer func() { cpu.DebugBrokenFence = false }()
 		opts.Seeds = 50
-		opts.Designs = []fence.Design{fence.SPlus}
 		rep, err := RunConform(context.Background(), opts)
 		if err != nil {
 			t.Fatal(err)
@@ -225,6 +223,18 @@ func TestConformMetricsScope(t *testing.T) {
 	}
 	if sc.Counter("sim.runs").Value() == 0 || sc.Counter("hw.iterations").Value() == 0 {
 		t.Fatal("conform counters not exported")
+	}
+}
+
+// TestConformRejectsBadShape: a core count the simulator cannot build,
+// or a negative operation count, is an error before any program is
+// generated, with no report, so a library caller cannot crash the
+// generator with either.
+func TestConformRejectsBadShape(t *testing.T) {
+	for _, opts := range []ConformOptions{{Cores: 3}, {Cores: -2}, {Cores: 128}, {OpsPerCore: -3}} {
+		if rep, err := RunConform(context.Background(), opts); err == nil || rep != nil {
+			t.Errorf("RunConform(%+v) = %v, %v; want an error and no report", opts, rep, err)
+		}
 	}
 }
 

@@ -4,9 +4,11 @@
 // fence designs of the paper (S+, WS+, SW+, W+, Wee).
 //
 // Execution is functional+timing combined: instructions are fetched in
-// program order (with perfect branch prediction — fetch stalls only when a
-// branch operand depends on an unperformed load), execute when their
-// dataflow operands are ready, and retire in order up to four per cycle.
+// program order (a branch whose operands are known is evaluated at
+// fetch; any other is predicted backward-taken/forward-not-taken and
+// fetch goes on down the predicted path, the wrong path squashed once
+// the operands resolve), execute when their dataflow operands are
+// ready, and retire in order up to four per cycle.
 // Loads may perform speculatively deep in the ROB; under the weak-fence
 // designs, post-fence loads may also *retire and complete* before the
 // fence completes, entering the Bypass Set.
@@ -38,6 +40,8 @@ const (
 	l1HitLatency = 2         // L1 round trip, cycles
 	mshrs        = 8         // outstanding load misses
 	retryBackoff = 10        // cycles before re-issuing a nacked write
+	robEntries   = 140       // reorder buffer entries
+	wbEntries    = 64        // write buffer entries
 )
 
 // Config holds one core's microarchitectural parameters. Zero values are
@@ -47,11 +51,7 @@ type Config struct {
 	NCores int
 	Design fence.Design
 
-	ROBSize int // reorder buffer entries (default 140)
-	WBSize  int // write buffer entries (default 64)
-
-	BSCapacity int  // Bypass Set entries (default 32)
-	BSBloom    bool // Bloom-filter front end on the BS
+	BSCapacity int // Bypass Set entries (default 32)
 
 	// WPlusTimeout is the deadlock-suspicion timeout of the W+ design:
 	// cycles of simultaneous bouncing/being-bounced before rollback.
@@ -96,12 +96,6 @@ type Config struct {
 const DefaultWPlusTimeout = 150
 
 func (c *Config) applyDefaults() {
-	if c.ROBSize == 0 {
-		c.ROBSize = 140
-	}
-	if c.WBSize == 0 {
-		c.WBSize = 64
-	}
 	if c.BSCapacity == 0 {
 		c.BSCapacity = fence.DefaultBSCapacity
 	}
@@ -371,8 +365,8 @@ const (
 // New builds a core executing prog on the given machine fabric.
 func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store) *Core {
 	cfg.applyDefaults()
-	robCap, wbCap := robBound(prog, cfg.ROBSize), cfg.WBSize
-	if robCap < cfg.ROBSize {
+	robCap, wbCap := robBound(prog, robEntries), wbEntries
+	if robCap < robEntries {
 		wbCap = min(wbCap, robCap) // a loop-free program buffers each store at most once
 	}
 	c := &Core{
@@ -385,7 +379,7 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		chk:        cfg.Checker,
 		flt:        cfg.Faults,
 		l1:         cache.New(l1Bytes, l1Assoc),
-		bs:         fence.NewBypassSet(cfg.BSCapacity, cfg.BSBloom),
+		bs:         fence.NewBypassSet(cfg.BSCapacity),
 		robCap:     robCap,
 		robBuf:     make([]*robEntry, 2*robCap),
 		sqBuf:      make([]*robEntry, 2*robCap),

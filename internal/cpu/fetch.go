@@ -5,15 +5,14 @@ import (
 	"asymfence/internal/mem"
 )
 
-// fetch brings up to fetchWidth instructions into the ROB. Branches are
-// evaluated functionally at fetch (perfect prediction); when a branch
-// operand depends on an unperformed load, fetch stalls until it resolves.
+// fetch brings up to fetchWidth instructions into the ROB, following
+// each branch down its evaluated or predicted path (fetchBranch).
 func (c *Core) fetch(now int64) {
 	if c.fetchEnd || c.draining {
 		return
 	}
 	for n := 0; n < fetchWidth; n++ {
-		if c.robSlots >= c.cfg.ROBSize {
+		if c.robSlots >= robEntries {
 			return
 		}
 		if c.pc < 0 || c.pc >= len(c.prog.Instrs) {
@@ -22,9 +21,7 @@ func (c *Core) fetch(now int64) {
 		}
 		in := c.prog.Instrs[c.pc]
 		if in.IsBranch() {
-			if !c.fetchBranch(now, in) {
-				return // operand unresolved; retry next cycle
-			}
+			c.fetchBranch(now, in)
 			continue
 		}
 		if !c.fetchOne(now, in) {
@@ -40,9 +37,10 @@ func (c *Core) fetch(now int64) {
 // fetchBranch handles a branch at fetch. Branches whose operands are
 // known are evaluated exactly; otherwise the outcome is predicted with
 // the backward-taken/forward-not-taken heuristic and fetch continues down
-// the predicted path. Mispredictions are detected when the operands
-// resolve and squash the younger instructions (verifyBranches).
-func (c *Core) fetchBranch(now int64, in isa.Instr) bool {
+// the predicted path. A misprediction is found when the operands
+// resolve (operandReady), and redirectMispredict squashes the younger
+// instructions and redirects fetch.
+func (c *Core) fetchBranch(now int64, in isa.Instr) {
 	s1 := c.readReg(in.Src1)
 	s2 := c.readReg(in.Src2)
 	c.seq++
@@ -54,7 +52,7 @@ func (c *Core) fetchBranch(now int64, in isa.Instr) bool {
 		e.ready = maxi64(now, maxi64(s1.ready, s2.ready)) + 1
 		c.pushROB(e)
 		c.advancePC(in, taken)
-		return true
+		return
 	}
 	// Predict: backward branches (loops) taken, forward branches
 	// (conflict/validation checks) not taken.
@@ -62,7 +60,6 @@ func (c *Core) fetchBranch(now int64, in isa.Instr) bool {
 	e.predTaken = in.Target <= e.pc
 	c.pushROB(e)
 	c.advancePC(in, e.predTaken)
-	return true
 }
 
 func (c *Core) advancePC(in isa.Instr, taken bool) {
@@ -106,8 +103,8 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		if cycles > 1<<20 {
 			cycles = 1 << 20
 		}
-		slots := workSlots(cycles, c.cfg.ROBSize)
-		if c.robSlots+slots > c.cfg.ROBSize {
+		slots := workSlots(cycles, robEntries)
+		if c.robSlots+slots > robEntries {
 			return false
 		}
 		c.seq++
@@ -126,7 +123,7 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 	// Immediate-form Work must be admission-checked before the entry is
 	// taken from the pool.
 	if in.Op == isa.Work {
-		if slots := workSlots(int64(in.Imm), c.cfg.ROBSize); c.robSlots+slots > c.cfg.ROBSize {
+		if slots := workSlots(int64(in.Imm), robEntries); c.robSlots+slots > robEntries {
 			return false
 		}
 	}
@@ -145,7 +142,7 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 		e.ready = now
 
 	case isa.Work:
-		e.slots = workSlots(int64(in.Imm), c.cfg.ROBSize)
+		e.slots = workSlots(int64(in.Imm), robEntries)
 		start := maxi64(now, c.workFree)
 		e.prevWork = c.workFree
 		e.ready = start + int64(in.Imm)

@@ -47,7 +47,7 @@ func stepChecked(t *testing.T, d fence.Design, store *mem.Store, progs ...*isa.P
 // the pool and the ROB together hold exactly the core's robBound
 // entries, and that no producer reference or wakeup list names an entry
 // that left the ROB. Every program but Bakery's is loop-free, so its
-// pool is sized by its length; Bakery's spin loops keep ROBSize.
+// pool is sized by its length; Bakery's spin loops keep all 140 ROB entries.
 func TestQueuesTrackROB(t *testing.T) {
 	idle := litmus.Idle()
 	for _, d := range fence.AllDesigns {
@@ -104,7 +104,7 @@ func TestQueuesTrackROB(t *testing.T) {
 }
 
 // TestRobBound: a program whose branches all jump forward is bounded by
-// its length, anything else, or anything longer, by ROBSize.
+// its length, anything else, or anything longer, by the ROB's 140 entries.
 func TestRobBound(t *testing.T) {
 	const robSize = 140
 	build := func(n int, emit func(b *isa.Builder)) *isa.Program {

@@ -106,7 +106,7 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 		if !e.addrOK || !e.dataOK || now < maxi64(e.addrReady, e.dataReady) {
 			return false, rExec
 		}
-		if len(c.wb) >= c.cfg.WBSize {
+		if len(c.wb) >= wbEntries {
 			return false, rExec
 		}
 		c.wb = pushWindow(c.wb, c.wbBuf, wbEntry{addr: e.addr, val: e.dataVal, seq: e.seq})

@@ -1,26 +1,18 @@
 package experiments
 
 import (
-	"strconv"
-
-	"asymfence/internal/coherence"
-	"asymfence/internal/fence"
 	"asymfence/internal/metrics"
-	"asymfence/internal/noc"
 	"asymfence/internal/stats"
 	"asymfence/internal/store"
 )
 
 // MeasurementKind is the payload format tag measurement records carry
-// in the on-disk store. Records are written with json.Marshal and read
-// back by decode (at the end of this file), which reads every field of
-// Measurement, stats.Core, coherence.DirStats and noc.Stats in
-// declaration order. A field added to any of them must be added to
-// decode too, or every record reads as corrupt; TestMeasurementRoundTrip
-// fills every field by reflection and fails until it is. Bump the kind
-// when the shape changes incompatibly: old records then read as misses
-// and regenerate.
-const MeasurementKind = "measurement/v1"
+// in the on-disk store: it names the layout Measurement.fields (at the
+// end of this file) lists. Bump it whenever that list changes, so that
+// records of the old layout read as misses and regenerate instead of
+// decoding into the wrong fields; TestMeasurementEncodingPinned fails
+// until it is.
+const MeasurementKind = "measurement/v2"
 
 // MeasurementStoreOptions configure OpenMeasurementStore.
 type MeasurementStoreOptions struct {
@@ -31,8 +23,8 @@ type MeasurementStoreOptions struct {
 }
 
 // MeasurementStore is the persistent measurement tier: a content-
-// addressed on-disk store (internal/store) holding one versioned JSON
-// record per canonical simulation key, shared across processes. It
+// addressed on-disk store (internal/store) holding one checksummed
+// binary record per canonical simulation key, shared across processes. It
 // implements runner.Tier[*Measurement], so an Engine wired with one
 // serves warm configurations without simulating — in any process, not
 // just the one that first measured them.
@@ -61,21 +53,22 @@ func (ms *MeasurementStore) Load(key string) (*Measurement, bool) {
 	if ms == nil {
 		return nil, false
 	}
-	m := new(Measurement)
-	if !ms.s.Get(key, m.decode) {
+	m := &Measurement{Agg: new(stats.Core)}
+	if !ms.s.Get(key, m.fields) {
 		return nil, false
 	}
 	return m, true
 }
 
 // Store persists a measurement under its canonical spec key, returning
-// once the record is on disk or the write has failed. It implements
+// once the record is on disk or the write has failed. A measurement
+// without Agg, which no simulation makes, is not stored. It implements
 // runner.Tier.
 func (ms *MeasurementStore) Store(key string, m *Measurement) {
-	if ms == nil || m == nil {
+	if ms == nil || m == nil || m.Agg == nil {
 		return
 	}
-	ms.s.Put(key, m)
+	ms.s.Put(key, m.fields)
 }
 
 // Stats returns the underlying store's traffic snapshot.
@@ -90,102 +83,43 @@ func (ms *MeasurementStore) Stats() store.Stats {
 // returns, so there is nothing to flush and Close always succeeds.
 func (ms *MeasurementStore) Close() error { return nil }
 
-// decode reads a measurement/v1 payload.
-func (m *Measurement) decode(r *store.Reader) {
-	r.Open('{')
-	m.Group = r.Field("Group").Str()
-	m.App = r.Field("App").Str()
-	m.Design = fence.Design(r.Field("Design").Uint(8))
-	m.Cycles = r.Field("Cycles").Int(64)
-	m.Commits = r.Field("Commits").Uint(64)
-	m.Horizon = r.Field("Horizon").Int(64)
-	m.Busy = r.Field("Busy").Float()
-	m.FenceStall = r.Field("FenceStall").Float()
-	m.OtherStall = r.Field("OtherStall").Float()
-	m.Agg = decodeCore(r.Field("Agg"))
-	m.Dir = decodeDir(r.Field("Dir"))
-	m.NoC = decodeNoC(r.Field("NoC"))
-	r.Close('}')
-}
-
-func decodeCore(r *store.Reader) *stats.Core {
-	c := new(stats.Core)
-	r.Open('{')
-	c.BusyCycles = r.Field("BusyCycles").Uint(64)
-	c.FenceStallCycles = r.Field("FenceStallCycles").Uint(64)
-	c.OtherStallCycles = r.Field("OtherStallCycles").Uint(64)
-	c.IdleCycles = r.Field("IdleCycles").Uint(64)
-	c.RetiredInstrs = r.Field("RetiredInstrs").Uint(64)
-	c.SFences = r.Field("SFences").Uint(64)
-	c.WFences = r.Field("WFences").Uint(64)
-	c.DemotedWFences = r.Field("DemotedWFences").Uint(64)
-	c.BouncedWrites = r.Field("BouncedWrites").Uint(64)
-	c.BounceRetries = r.Field("BounceRetries").Uint(64)
-	c.BouncesGiven = r.Field("BouncesGiven").Uint(64)
-	c.Squashes = r.Field("Squashes").Uint(64)
-	c.Mispredicts = r.Field("Mispredicts").Uint(64)
-	c.Recoveries = r.Field("Recoveries").Uint(64)
-	c.OrderOps = r.Field("OrderOps").Uint(64)
-	c.CondOrderOps = r.Field("CondOrderOps").Uint(64)
-	c.BSLinesSum = r.Field("BSLinesSum").Uint(64)
-	c.BSLinesSamples = r.Field("BSLinesSamples").Uint(64)
-	c.Events = decodeCounts[int32](r.Field("Events"), 32)
-	c.FenceSiteStall = decodeCounts[int](r.Field("FenceSiteStall"), strconv.IntSize)
-	c.HaltCycle = r.Field("HaltCycle").Int(64)
-	r.Close('}')
-	return c
-}
-
-// decodeCounts reads a map from integer keys of the given bit size to
-// counts. A key written twice fails the record.
-func decodeCounts[K int32 | int](r *store.Reader, bits int) map[K]uint64 {
-	m := make(map[K]uint64)
-	r.Open('{')
-	for r.More('}') {
-		k := K(r.Key(bits))
-		n := len(m)
-		if m[k] = r.Uint(64); len(m) == n {
-			r.Fail()
-		}
+// fields lists a measurement's fields in record order for c to write or
+// read: Store runs it with a store.Writer and Load with a store.Reader,
+// so the two directions cannot disagree, and nothing else fixes the
+// layout. A field added to Measurement, stats.Core, coherence.DirStats
+// or noc.Stats must be listed here (TestMeasurementRoundTrip fails until
+// it is) and MeasurementKind bumped.
+func (m *Measurement) fields(c store.Codec) {
+	a, d, n := m.Agg, &m.Dir, &m.NoC
+	c.Str(&m.Group)
+	c.Str(&m.App)
+	c.Byte((*uint8)(&m.Design))
+	c.Int(&m.Cycles)
+	c.Uint(&m.Commits)
+	c.Int(&m.Horizon)
+	c.Float(&m.Busy)
+	c.Float(&m.FenceStall)
+	c.Float(&m.OtherStall)
+	for _, v := range []*uint64{
+		&a.BusyCycles, &a.FenceStallCycles, &a.OtherStallCycles, &a.IdleCycles,
+		&a.RetiredInstrs, &a.SFences, &a.WFences, &a.DemotedWFences,
+		&a.BouncedWrites, &a.BounceRetries, &a.BouncesGiven, &a.Squashes,
+		&a.Mispredicts, &a.Recoveries, &a.OrderOps, &a.CondOrderOps,
+		&a.BSLinesSum, &a.BSLinesSamples,
+		&d.GetSReqs, &d.GetMReqs, &d.Writebacks, &d.BouncedWrites,
+		&d.OrderOps, &d.CondOrderFails, &d.CondOrderOks, &d.MemFetches,
+		&d.L2Hits, &d.GRTDeposits, &d.GRTRemovals,
+		&n.Packets, &n.Bytes,
+	} {
+		c.Uint(v)
 	}
-	r.Close('}')
-	return m
-}
-
-func decodeDir(r *store.Reader) coherence.DirStats {
-	var d coherence.DirStats
-	r.Open('{')
-	d.GetSReqs = r.Field("GetSReqs").Uint(64)
-	d.GetMReqs = r.Field("GetMReqs").Uint(64)
-	d.Writebacks = r.Field("Writebacks").Uint(64)
-	d.BouncedWrites = r.Field("BouncedWrites").Uint(64)
-	d.OrderOps = r.Field("OrderOps").Uint(64)
-	d.CondOrderFails = r.Field("CondOrderFails").Uint(64)
-	d.CondOrderOks = r.Field("CondOrderOks").Uint(64)
-	d.MemFetches = r.Field("MemFetches").Uint(64)
-	d.L2Hits = r.Field("L2Hits").Uint(64)
-	d.GRTDeposits = r.Field("GRTDeposits").Uint(64)
-	d.GRTRemovals = r.Field("GRTRemovals").Uint(64)
-	r.Close('}')
-	return d
-}
-
-func decodeNoC(r *store.Reader) noc.Stats {
-	var s noc.Stats
-	r.Open('{')
-	s.Packets = r.Field("Packets").Uint(64)
-	s.Bytes = r.Field("Bytes").Uint(64)
-	decodeArray(r.Field("BytesByCat"), s.BytesByCat[:])
-	decodeArray(r.Field("PacketsByCat"), s.PacketsByCat[:])
-	r.Close('}')
-	return s
-}
-
-// decodeArray reads a fixed-size array of counts; its length must match.
-func decodeArray(r *store.Reader, a []uint64) {
-	r.Open('[')
-	for i := range a {
-		a[i] = r.Elem().Uint(64)
+	for i := range n.BytesByCat {
+		c.Uint(&n.BytesByCat[i])
 	}
-	r.Close(']')
+	for i := range n.PacketsByCat {
+		c.Uint(&n.PacketsByCat[i])
+	}
+	store.Counts(c, &a.Events)
+	store.Counts(c, &a.FenceSiteStall)
+	c.Int(&a.HaltCycle)
 }

@@ -34,10 +34,10 @@ type Config struct {
 	WBStallMax int64
 }
 
-// Default returns a moderately aggressive fault mix used by the fuzz
-// harness: roughly 1 in 8 packets jittered up to 12 cycles, 1 in 6
-// directory accesses stretched up to 20 cycles, and 1 in 10 drain
-// attempts stalled up to 15 cycles.
+// Default returns a moderately aggressive fault mix, the one RunConform's
+// fault-injected simulator schedules use: roughly 1 in 8 packets
+// jittered up to 12 cycles, 1 in 6 directory accesses stretched up to
+// 20 cycles, and 1 in 10 drain attempts stalled up to 15 cycles.
 func Default() Config {
 	return Config{
 		NoCJitterProb: 8, NoCJitterMax: 12,

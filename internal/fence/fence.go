@@ -64,35 +64,22 @@ type Entry struct {
 	FenceSeq uint64
 }
 
-// BypassSet is the per-core hardware list in the cache controller, with an
-// optional Bloom-filter front end to cut comparisons (paper §3.2).
-// Comparisons against incoming coherence transactions are at line
-// granularity; WordMask only refines true- vs false-sharing for SW+.
+// BypassSet is the per-core hardware list in the cache controller
+// (paper §3.2). Comparisons against incoming coherence transactions are
+// at line granularity; WordMask only refines true- vs false-sharing for
+// SW+.
 type BypassSet struct {
 	capacity int
-	useBloom bool
 	entries  []Entry
-	bloom    uint64
-
-	// Stats.
-	Lookups, BloomFiltered, LineMatches uint64
-	PeakOccupancy                       int
 }
 
 // NewBypassSet builds a Bypass Set with the given capacity (0 means the
-// Table 2 default of 32) and Bloom front end enabled or not.
-func NewBypassSet(capacity int, useBloom bool) *BypassSet {
+// Table 2 default of 32).
+func NewBypassSet(capacity int) *BypassSet {
 	if capacity <= 0 {
 		capacity = DefaultBSCapacity
 	}
-	return &BypassSet{capacity: capacity, useBloom: useBloom}
-}
-
-func bloomBit(l mem.Line) uint64 {
-	x := uint64(l) / mem.LineSize
-	x ^= x >> 7
-	x *= 0x9e3779b97f4a7c15
-	return 1 << (x >> 58)
+	return &BypassSet{capacity: capacity}
 }
 
 // Len returns the number of entries.
@@ -119,10 +106,6 @@ func (b *BypassSet) Insert(l mem.Line, wordMask uint8, fenceSeq uint64) bool {
 		return false
 	}
 	b.entries = append(b.entries, Entry{Line: l, WordMask: wordMask, FenceSeq: fenceSeq})
-	b.bloom |= bloomBit(l)
-	if len(b.entries) > b.PeakOccupancy {
-		b.PeakOccupancy = len(b.entries)
-	}
 	return true
 }
 
@@ -131,25 +114,17 @@ func (b *BypassSet) Insert(l mem.Line, wordMask uint8, fenceSeq uint64) bool {
 // paper §3.2 and Fig. 4a). It returns whether the line matched and the
 // union of matched word masks, which SW+ uses to report true sharing.
 func (b *BypassSet) Match(l mem.Line) (hit bool, words uint8) {
-	b.Lookups++
-	if b.useBloom && b.bloom&bloomBit(l) == 0 {
-		b.BloomFiltered++
-		return false, 0
-	}
 	for i := range b.entries {
 		if b.entries[i].Line == l {
 			hit = true
 			words |= b.entries[i].WordMask
 		}
 	}
-	if hit {
-		b.LineMatches++
-	}
 	return hit, words
 }
 
-// Contains reports whether a line is present without touching statistics
-// (used on dirty evictions to decide keep-as-sharer writebacks, §5.1).
+// Contains reports whether a line is present (used on dirty evictions
+// to decide keep-as-sharer writebacks, §5.1).
 func (b *BypassSet) Contains(l mem.Line) bool {
 	for i := range b.entries {
 		if b.entries[i].Line == l {
@@ -160,7 +135,7 @@ func (b *BypassSet) Contains(l mem.Line) bool {
 }
 
 // CompleteFence drops every entry whose protecting fence is fenceSeq or
-// older, then rebuilds the Bloom filter.
+// older.
 func (b *BypassSet) CompleteFence(fenceSeq uint64) {
 	out := b.entries[:0]
 	for _, e := range b.entries {
@@ -169,20 +144,11 @@ func (b *BypassSet) CompleteFence(fenceSeq uint64) {
 		}
 	}
 	b.entries = out
-	b.rebuildBloom()
 }
 
 // Clear empties the set (W+ rollback recovery).
 func (b *BypassSet) Clear() {
 	b.entries = b.entries[:0]
-	b.bloom = 0
-}
-
-func (b *BypassSet) rebuildBloom() {
-	b.bloom = 0
-	for _, e := range b.entries {
-		b.bloom |= bloomBit(e.Line)
-	}
 }
 
 // Lines returns a snapshot of the resident line addresses (test hook).

@@ -2,7 +2,6 @@ package fence
 
 import (
 	"testing"
-	"testing/quick"
 
 	"asymfence/internal/mem"
 )
@@ -27,7 +26,7 @@ func TestDesignNamesAndProperties(t *testing.T) {
 }
 
 func TestBypassSetInsertMatch(t *testing.T) {
-	bs := NewBypassSet(4, false)
+	bs := NewBypassSet(4)
 	if !bs.Insert(line(1), 0b0001, 10) {
 		t.Fatal("insert into empty set failed")
 	}
@@ -49,7 +48,7 @@ func TestBypassSetInsertMatch(t *testing.T) {
 }
 
 func TestBypassSetCapacity(t *testing.T) {
-	bs := NewBypassSet(2, false)
+	bs := NewBypassSet(2)
 	bs.Insert(line(1), 1, 1)
 	bs.Insert(line(2), 1, 1)
 	if bs.Insert(line(3), 1, 1) {
@@ -65,7 +64,7 @@ func TestBypassSetCapacity(t *testing.T) {
 }
 
 func TestBypassSetCompleteFence(t *testing.T) {
-	bs := NewBypassSet(8, false)
+	bs := NewBypassSet(8)
 	bs.Insert(line(1), 1, 5)
 	bs.Insert(line(2), 1, 7)
 	bs.Insert(line(3), 1, 9)
@@ -85,56 +84,16 @@ func TestBypassSetCompleteFence(t *testing.T) {
 	}
 }
 
-// Property: with the Bloom front end enabled, Match never differs from
-// the plain list on hit/miss (no false negatives; false positives only
-// skip the filter, not change the result).
-func TestBloomEquivalenceQuick(t *testing.T) {
-	f := func(ins []uint8, probes []uint8) bool {
-		plain := NewBypassSet(32, false)
-		bloom := NewBypassSet(32, true)
-		for _, i := range ins {
-			plain.Insert(line(int(i)), 1, 1)
-			bloom.Insert(line(int(i)), 1, 1)
-		}
-		for _, p := range probes {
-			h1, w1 := plain.Match(line(int(p)))
-			h2, w2 := bloom.Match(line(int(p)))
-			if h1 != h2 || w1 != w2 {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestBloomFiltersMisses(t *testing.T) {
-	bs := NewBypassSet(32, true)
-	bs.Insert(line(1), 1, 1)
-	for i := 2; i < 200; i++ {
-		bs.Match(line(i))
-	}
-	if bs.BloomFiltered == 0 {
-		t.Fatal("bloom filter never filtered anything")
-	}
-}
-
 func TestContains(t *testing.T) {
-	bs := NewBypassSet(8, false)
+	bs := NewBypassSet(8)
 	bs.Insert(line(4), 1, 1)
 	if !bs.Contains(line(4)) || bs.Contains(line(5)) {
 		t.Fatal("Contains wrong")
 	}
-	// Contains must not touch lookup statistics.
-	if bs.Lookups != 0 {
-		t.Fatal("Contains counted as a lookup")
-	}
 }
 
 func TestLinesSnapshot(t *testing.T) {
-	bs := NewBypassSet(8, false)
+	bs := NewBypassSet(8)
 	bs.Insert(line(1), 1, 1)
 	bs.Insert(line(2), 1, 1)
 	ls := bs.Lines()

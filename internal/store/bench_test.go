@@ -1,7 +1,6 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"testing"
 )
@@ -16,7 +15,8 @@ func BenchmarkOpen(b *testing.B) {
 		b.Fatal(err)
 	}
 	for i := 0; i < 416; i++ {
-		s.Put(fmt.Sprintf("key-%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
+		v := int64(i)
+		s.Put(fmt.Sprintf("key-%d", i), func(c Codec) { c.Int(&v) })
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -4,23 +4,26 @@
 // directory.
 //
 // Records are addressed by an opaque content key (the canonical
-// simulation-spec key, for the engine) and stored one per file as a
-// versioned JSON envelope carrying the key, a caller-chosen payload
-// kind, the writing binary's build provenance and the payload itself.
-// The layout under the store directory is
+// simulation-spec key, for the engine) and stored one per file in a
+// fixed binary layout: a header of strings (Schema, the key, a
+// caller-chosen payload kind, and the writing binary's version,
+// revision and Go version), the payload, and a CRC-32C (Castagnoli) of
+// every earlier byte as the last four bytes. Integers and float bits
+// are fixed-width little-endian words, strings a 32-bit length and
+// their bytes (record.go). The payload is a field list the caller names
+// once, in one function of a Codec: Put runs it with a Writer and Get
+// with a Reader, so no struct's declaration order is part of the
+// format. The layout under the store directory is
 //
-//	objects/<aa>/<sha256(key)>.json   one envelope per record
-//	tmp/tmp-*                         records being written
+//	objects/<aa>/<sha256(key)>.rec   one record
+//	tmp/tmp-*                        records being written
 //
 // where <aa> is the first byte of the key hash, git-style. The record
 // files are the whole store: there is no index, no size bound and no
-// background work. Put writes the file with json.Marshal before
-// returning. Get reads the key's file with four system calls (open,
-// two reads, close) into a buffer reused across Gets, and decodes it in
-// one strict pass with no reflection (Reader): the store reads the
-// envelope and hands the Reader to the caller's payload decoder, and
-// the record must be exactly what json.Marshal wrote, fields in the
-// writer's order.
+// background work. Put writes the file before returning. Get reads the
+// key's file with four system calls (open, two reads, close) into a
+// buffer reused across Gets, checks the checksum, and decodes the
+// record in one bounds-checked pass.
 //
 // The design holds two contracts:
 //
@@ -29,15 +32,16 @@
 //     same tree), so a reader — in this process or another — never
 //     observes a torn record, and a record is on disk once Put returns.
 //     A record that fails to read or decode (a crash mid-rename on a
-//     non-atomic filesystem, bit rot, a schema from a future version, a
-//     foreign key or payload kind, a payload the caller's decoder
-//     rejects, trailing bytes) is corrupt: it is counted, removed and
-//     read as a miss, and the next Put regenerates it by re-simulating.
-//     Open removes the files in tmp/ older than staleTemp, which only a
-//     crashed writer leaves, and reads nothing else: writers create no
-//     other files, so the fan directories hold only records. Temporary
-//     files that older binaries left beside the records are not swept;
-//     Get never reads them.
+//     non-atomic filesystem, bit rot, a truncated or extended file, a
+//     schema from a future version, a foreign key or payload kind, a
+//     payload the caller's field list does not read to its last byte)
+//     is corrupt: it is counted, removed and read as a miss, and the
+//     next Put regenerates it by re-simulating. Open removes the files
+//     in tmp/ older than staleTemp, which only a crashed writer leaves,
+//     and reads nothing else: writers create no other files, so the fan
+//     directories hold only records. Files other binaries left beside
+//     the records (temporary files, or the ".json" records of the
+//     earlier format) are neither read nor removed.
 //
 //   - Cache semantics. A failed write is counted and costs only a later
 //     miss. Concurrent opens of one directory are safe: writes are
@@ -52,7 +56,6 @@ package store
 import (
 	"crypto/sha256"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -61,37 +64,20 @@ import (
 	"syscall"
 	"time"
 
-	"asymfence/internal/buildinfo"
 	"asymfence/internal/metrics"
 )
 
-// Schema is the record envelope's format tag. Envelopes with any other
-// schema value are ignored (and removed) on read, so a future format
-// can change shape without poisoning old binaries.
-const Schema = "asymfence-store/v1"
-
-// Envelope is the on-disk record format: a versioned wrapper around a
-// payload of type T. Put writes an Envelope[any] with json.Marshal;
-// Decode reads one back field by field, in this order.
-type Envelope[T any] struct {
-	// Schema is the envelope format tag (Schema).
-	Schema string `json:"schema"`
-	// Key is the record's full content key (the filename holds only its
-	// hash; Get checks the key against this field).
-	Key string `json:"key"`
-	// Kind is the caller-declared payload format tag; Get filters on it
-	// so payload formats can version independently of the envelope.
-	Kind string `json:"kind"`
-	// Build is the provenance of the binary that wrote the record.
-	Build buildinfo.Info `json:"build"`
-	// Payload is the record body, opaque to the store.
-	Payload T `json:"payload"`
-}
+// Schema is the record format tag, every record's first string.
+// Records with any other schema are read as corrupt (and removed), so a
+// future format can change shape without poisoning old binaries; the
+// ".rec" extension keeps this format apart from the ".json" records of
+// the one before it.
+const Schema = "asymfence-store/v2"
 
 // Options configure Open.
 type Options struct {
-	// Kind is the payload format tag written into every envelope and
-	// required of every record read back (empty: "raw/v1").
+	// Kind is the payload format tag written into every record's header
+	// and required of every record read back (empty: "raw/v1").
 	Kind string
 	// Metrics, when non-nil, receives the store's counters (hits,
 	// misses, writes, bytes written, write errors, corrupt records)
@@ -107,7 +93,8 @@ type Options struct {
 
 // staleTemp is the age past which Open takes a file in tmp/ for a
 // crashed writer's leftover and removes it. A live writer's temp file
-// exists only for one ~1 KB write and a rename, far less than this.
+// exists only for one write of about a kilobyte at most and a rename,
+// far less than this.
 const staleTemp = time.Hour
 
 // WriteFileAtomic writes data to the record file path with the store's
@@ -138,9 +125,8 @@ func WriteFileAtomic(path string, data []byte) error {
 // Stats is a point-in-time traffic snapshot of one handle.
 type Stats struct {
 	// Hits/Misses count Get outcomes; Writes counts records persisted;
-	// WriteErrors counts Puts whose encoding or write failed; Corrupt
-	// counts records a Get dropped because they failed to read or
-	// decode, payload included.
+	// WriteErrors counts Puts whose write failed; Corrupt counts records
+	// a Get dropped because they failed to decode, payload included.
 	Hits        int64 `json:"hits"`
 	Misses      int64 `json:"misses"`
 	Writes      int64 `json:"writes"`
@@ -213,12 +199,12 @@ func keyHash(key string) string {
 // objectPath returns the record file path for a key.
 func (s *Store) objectPath(key string) string {
 	hash := keyHash(key)
-	return filepath.Join(s.dir, "objects", hash[:2], hash+".json")
+	return filepath.Join(s.dir, "objects", hash[:2], hash+".rec")
 }
 
-// readBufs hold the buffers Get reads records into. A record is about
-// 1 KB; readFile grows a buffer that is too small, and the pool keeps
-// the grown one.
+// readBufs hold the buffers Get reads records into. A measurement
+// record is 500 bytes to about 1 KB; readFile grows a buffer that is
+// too small, and the pool keeps the grown one.
 var readBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 4<<10)
 	return &b
@@ -253,16 +239,16 @@ func readFile(path string, b []byte) ([]byte, error) {
 	}
 }
 
-// Get reads key's record and hands its payload to decode, reporting
-// whether the record hit. It reads the file with four system calls
-// (readFile) into a buffer that later Gets reuse, so neither decode nor
-// the Reader may keep a reference into it (Str copies). A file that
+// Get reads key's record and runs fields over its payload with a
+// Reader, reporting whether the record hit. It reads the file with four
+// system calls (readFile) into a buffer that later Gets reuse, so
+// fields may keep no reference into it (Reader.Str copies). A file that
 // cannot be opened or read (none there, or a directory) is a plain
-// miss. A record that fails to Decode — empty, truncated, corrupt,
-// wrong kind, wrong key, a payload decode rejects — counts as corrupt
-// and a miss, and is removed so a later Put regenerates it. After a
-// miss, whatever decode stored means nothing.
-func (s *Store) Get(key string, decode func(*Reader)) bool {
+// miss. A record that fails to Decode — empty, truncated, damaged,
+// wrong schema, kind or key, a payload fields does not read exactly —
+// counts as corrupt and a miss, and is removed so a later Put
+// regenerates it. After a miss, whatever fields stored means nothing.
+func (s *Store) Get(key string, fields func(Codec)) bool {
 	if s == nil {
 		return false
 	}
@@ -276,7 +262,7 @@ func (s *Store) Get(key string, decode func(*Reader)) bool {
 		s.mx.misses.Inc()
 		return false
 	}
-	if !Decode(b, key, s.kind, decode) {
+	if !Decode(b, key, s.kind, fields) {
 		os.Remove(path)
 		s.corrupt.Add(1)
 		s.mx.corrupt.Inc()
@@ -289,46 +275,19 @@ func (s *Store) Get(key string, decode func(*Reader)) bool {
 	return true
 }
 
-// Decode reads record bytes b in one pass: an envelope with Schema, key
-// and kind and its fields in the order Put writes them, then the
-// payload, which decode reads from the Reader it is handed. It reports
-// whether the whole record decoded with no byte left over.
-func Decode(b []byte, key, kind string, decode func(*Reader)) bool {
-	r := &Reader{b: b}
-	r.Open('{')
-	r.Field("schema").expect(Schema)
-	r.Field("key").expect(key)
-	r.Field("kind").expect(kind)
-	r.Field("build").Open('{')
-	r.Field("Version").unquote()
-	r.Field("Revision").unquote()
-	r.Field("GoVersion").unquote()
-	r.Close('}')
-	decode(r.Field("payload"))
-	r.Close('}')
-	return !r.bad && r.i == len(b)
-}
-
-// Put stores payload, encoded as JSON inside the envelope, under key and
-// returns once the record is on disk or the write has failed. A failed
-// encoding or write is counted in WriteErrors and leaves the key a
-// miss; the store is a cache, so nothing else is lost.
-func (s *Store) Put(key string, payload any) {
+// Put stores the payload fields writes under key and returns once the
+// record is on disk or the write has failed. A failed write is counted
+// in WriteErrors and leaves the key a miss; the store is a cache, so
+// nothing else is lost.
+func (s *Store) Put(key string, fields func(Codec)) {
 	if s == nil {
 		return
 	}
-	b, err := json.Marshal(&Envelope[any]{
-		Schema:  Schema,
-		Key:     key,
-		Kind:    s.kind,
-		Build:   buildinfo.Get(),
-		Payload: payload,
-	})
+	b := encode(key, s.kind, fields)
+	path := s.objectPath(key)
+	err := os.MkdirAll(filepath.Dir(path), 0o777)
 	if err == nil {
-		path := s.objectPath(key)
-		if err = os.MkdirAll(filepath.Dir(path), 0o777); err == nil {
-			err = s.writeFile(path, b)
-		}
+		err = s.writeFile(path, b)
 	}
 	if err != nil {
 		s.writeErrors.Add(1)

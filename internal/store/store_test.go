@@ -2,10 +2,13 @@ package store
 
 import (
 	"bytes"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -31,22 +34,18 @@ func open(t *testing.T, dir string, o Options) *Store {
 // object returns the on-disk path of key's record.
 func object(s *Store, key string) string { return s.objectPath(key) }
 
-// get reads key's payload, which the tests write as {"v":N}, back as
-// its JSON text.
-func get(s *Store, key string) (string, bool) {
+// put stores v under key, as the one word of the record's payload.
+func put(s *Store, key string, v int64) { s.Put(key, func(c Codec) { c.Int(&v) }) }
+
+// get reads key's payload, one word, back.
+func get(s *Store, key string) (int64, bool) {
 	var v int64
-	if !s.Get(key, func(r *Reader) {
-		r.Open('{')
-		v = r.Field("v").Int(64)
-		r.Close('}')
-	}) {
-		return "", false
-	}
-	return fmt.Sprintf(`{"v":%d}`, v), true
+	ok := s.Get(key, func(c Codec) { c.Int(&v) })
+	return v, ok
 }
 
 // onlyRecords fails the test unless every fan directory under dir holds
-// only ".json" records. Writers create their temporary files in tmp/,
+// only ".rec" records. Writers create their temporary files in tmp/,
 // and that is what lets Open sweep tmp/ alone.
 func onlyRecords(t *testing.T, dir string) {
 	t.Helper()
@@ -55,7 +54,7 @@ func onlyRecords(t *testing.T, dir string) {
 		t.Fatal(err)
 	}
 	for _, f := range files {
-		if filepath.Ext(f) != ".json" {
+		if filepath.Ext(f) != ".rec" {
 			t.Fatalf("fan directory holds %s, which is not a record", f)
 		}
 	}
@@ -64,7 +63,7 @@ func onlyRecords(t *testing.T, dir string) {
 // records counts the record files on disk under dir.
 func records(t *testing.T, dir string) int {
 	t.Helper()
-	files, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.json"))
+	files, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.rec"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,12 +77,11 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if _, ok := get(s, "missing"); ok {
 		t.Fatal("Get on empty store reported a hit")
 	}
-	payload := json.RawMessage(`{"v":12345}`)
-	s.Put("cilk:fib@WS+/p8", payload)
+	put(s, "cilk:fib@WS+/p8", 12345)
 
 	got, ok := get(s, "cilk:fib@WS+/p8")
-	if !ok || got != string(payload) {
-		t.Fatalf("Get after Put = %q, %v; want payload hit", got, ok)
+	if !ok || got != 12345 {
+		t.Fatalf("Get after Put = %d, %v; want payload hit", got, ok)
 	}
 	st := s.Stats()
 	if st.Writes != 1 || st.Hits != 1 || st.Misses != 1 || st.WriteErrors != 0 {
@@ -102,13 +100,13 @@ func TestPutIsOnDiskWhenItReturns(t *testing.T) {
 	s := open(t, dir, Options{})
 	for i := 0; i < 20; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		s.Put(key, json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
+		put(s, key, int64(i))
 		if _, err := os.Stat(object(s, key)); err != nil {
 			t.Fatalf("record %s not on disk after Put returned: %v", key, err)
 		}
 		r := open(t, dir, Options{})
-		if got, ok := get(r, key); !ok || got != fmt.Sprintf(`{"v":%d}`, i) {
-			t.Fatalf("second handle Get(%s) = %q, %v; want a hit", key, got, ok)
+		if got, ok := get(r, key); !ok || got != int64(i) {
+			t.Fatalf("second handle Get(%s) = %d, %v; want a hit", key, got, ok)
 		}
 	}
 }
@@ -117,14 +115,14 @@ func TestReopenPersists(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
 	for i := 0; i < 5; i++ {
-		s.Put(fmt.Sprintf("key-%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
+		put(s, fmt.Sprintf("key-%d", i), int64(i))
 	}
 
 	r := open(t, dir, Options{})
 	for i := 0; i < 5; i++ {
 		got, ok := get(r, fmt.Sprintf("key-%d", i))
-		if !ok || got != fmt.Sprintf(`{"v":%d}`, i) {
-			t.Fatalf("reopened Get(key-%d) = %q, %v", i, got, ok)
+		if !ok || got != int64(i) {
+			t.Fatalf("reopened Get(key-%d) = %d, %v", i, got, ok)
 		}
 	}
 	if n := records(t, dir); n != 5 {
@@ -135,9 +133,9 @@ func TestReopenPersists(t *testing.T) {
 func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
-	s.Put("good", json.RawMessage(`{"v":1}`))
-	s.Put("truncated", json.RawMessage(`{"v":2}`))
-	s.Put("garbage", json.RawMessage(`{"v":3}`))
+	put(s, "good", 1)
+	put(s, "truncated", 2)
+	put(s, "garbage", 3)
 
 	// Truncate one record mid-envelope and overwrite another with junk.
 	tr := object(s, "truncated")
@@ -148,7 +146,7 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	if err := os.WriteFile(tr, b[:len(b)/2], 0o666); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(object(s, "garbage"), []byte("not json at all"), 0o666); err != nil {
+	if err := os.WriteFile(object(s, "garbage"), []byte("not a record at all"), 0o666); err != nil {
 		t.Fatal(err)
 	}
 
@@ -159,8 +157,8 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	if _, ok := get(s, "garbage"); ok {
 		t.Fatal("corrupt record served as a hit")
 	}
-	if got, ok := get(s, "good"); !ok || got != `{"v":1}` {
-		t.Fatalf("intact record lost: %q, %v", got, ok)
+	if got, ok := get(s, "good"); !ok || got != 1 {
+		t.Fatalf("intact record lost: %d, %v", got, ok)
 	}
 	if st := s.Stats(); st.Corrupt != 2 {
 		t.Fatalf("stats after damage = %+v, want 2 corrupt", st)
@@ -174,53 +172,67 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 
 	// Fresh open over a damaged directory also recovers.
 	s2 := open(t, dir, Options{})
-	s2.Put("truncated", json.RawMessage(`{"v":22}`))
-	if got, ok := get(s2, "truncated"); !ok || got != `{"v":22}` {
-		t.Fatalf("regenerated record = %q, %v", got, ok)
+	put(s2, "truncated", 22)
+	if got, ok := get(s2, "truncated"); !ok || got != 22 {
+		t.Fatalf("regenerated record = %d, %v", got, ok)
 	}
 }
 
+// sealed returns body with the checksum Put appends: a record that
+// passes the checksum whatever body holds.
+func sealed(body []byte) []byte {
+	return binary.LittleEndian.AppendUint32(body, crc32.Checksum(body, castagnoli))
+}
+
 // TestRecordNotAsWrittenIsCorrupt rewrites a record into forms Put
-// never writes: an empty file, which reads without error, and forms
-// json.Unmarshal reads. Get reads only the writer's form, so each is a
-// corrupt miss and its file is removed, for the next Put to write it
-// again as the writer does.
+// never writes: an empty file, which reads without error, a byte
+// appended, and edits re-checksummed so that only the layout is wrong:
+// two spaces inserted after the schema, the header's key and kind
+// swapped, the earlier format's schema, a byte past the payload, and a
+// payload cut short. Each is a corrupt miss and its file is removed,
+// for the next Put to write it again.
 func TestRecordNotAsWrittenIsCorrupt(t *testing.T) {
+	header := func(strs ...string) []byte {
+		w := &Writer{}
+		for _, s := range strs {
+			w.str(s)
+		}
+		return w.b
+	}
 	for _, tc := range []struct {
 		name    string
-		rewrite func([]byte) ([]byte, error)
+		rewrite func(body []byte) []byte // body: the record without its checksum
 	}{
-		{"empty", func([]byte) ([]byte, error) { return nil, nil }},
-		{"trailing newline", func(b []byte) ([]byte, error) { return append(b, '\n'), nil }},
-		{"indented", func(b []byte) ([]byte, error) {
-			var out bytes.Buffer
-			err := json.Indent(&out, b, "", "  ")
-			return out.Bytes(), err
+		{"empty", func([]byte) []byte { return nil }},
+		{"trailing newline", func(b []byte) []byte { return append(sealed(b), '\n') }},
+		{"indented", func(b []byte) []byte {
+			h := header(Schema)
+			return sealed(append(append(header(Schema), "  "...), b[len(h):]...))
 		}},
-		{"reordered", func(b []byte) ([]byte, error) {
-			var env map[string]json.RawMessage
-			if err := json.Unmarshal(b, &env); err != nil {
-				return nil, err
-			}
-			return json.Marshal(env)
+		{"reordered", func(b []byte) []byte {
+			h := header(Schema, "k", "test/v1")
+			return sealed(append(header(Schema, "test/v1", "k"), b[len(h):]...))
 		}},
+		{"old schema", func(b []byte) []byte {
+			h := header(Schema)
+			return sealed(append(header("asymfence-store/v1"), b[len(h):]...))
+		}},
+		{"trailing byte", func(b []byte) []byte { return sealed(append(b, 0)) }},
+		{"short payload", func(b []byte) []byte { return sealed(b[:len(b)-1]) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := open(t, t.TempDir(), Options{})
-			s.Put("k", json.RawMessage(`{"v":1}`))
+			put(s, "k", 1)
 			path := object(s, "k")
 			b, err := os.ReadFile(path)
 			if err == nil {
-				b, err = tc.rewrite(b)
-			}
-			if err == nil {
-				err = os.WriteFile(path, b, 0o666)
+				err = os.WriteFile(path, tc.rewrite(b[:len(b)-4]), 0o666)
 			}
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got, ok := get(s, "k"); ok {
-				t.Fatalf("rewritten record served as a hit: %q", got)
+				t.Fatalf("rewritten record served as a hit: %d", got)
 			}
 			if _, err := os.Stat(path); s.Stats().Corrupt != 1 || !os.IsNotExist(err) {
 				t.Fatalf("stats %+v, file %v; want 1 corrupt and the file removed", s.Stats(), err)
@@ -229,11 +241,74 @@ func TestRecordNotAsWrittenIsCorrupt(t *testing.T) {
 	}
 }
 
+// TestEditedLengthsAndKeysAreCorrupt re-checksums a record after edits
+// the writer never makes to its lengths and map keys: a key repeated,
+// out of order or too wide for its type, an entry count or a string
+// length that runs past the end. Each is a corrupt miss, and no length
+// makes Get allocate more than the record holds: a count of 65,536
+// entries, honoured, would make a map of about a megabyte.
+func TestEditedLengthsAndKeysAreCorrupt(t *testing.T) {
+	in := map[int32]uint64{-1: 10, 2: 20}
+	counts := func(m *map[int32]uint64) func(Codec) { return func(c Codec) { Counts(c, m) } }
+	s := open(t, t.TempDir(), Options{})
+	s.Put("k", counts(&in))
+	path := object(s, "k")
+	rec, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out map[int32]uint64
+	if !s.Get("k", counts(&out)) || !maps.Equal(in, out) {
+		t.Fatalf("intact record read back %v; want %v", out, in)
+	}
+	body := rec[:len(rec)-4]
+	header := body[:len(body)-(4+2*16)] // the payload: a count and two entries
+	payload := func(n uint32, kv ...int64) []byte {
+		w := &Writer{b: binary.LittleEndian.AppendUint32(bytes.Clone(header), n)}
+		for _, v := range kv {
+			w.u64(uint64(v))
+		}
+		return sealed(w.b)
+	}
+	if !bytes.Equal(payload(2, -1, 10, 2, 20), rec) {
+		t.Fatal("the test's layout of the payload is not the writer's")
+	}
+	keyPastEnd := bytes.Clone(body)
+	binary.LittleEndian.PutUint32(keyPastEnd[4+len(Schema):], uint32(len(body)))
+	for _, tc := range []struct {
+		name string
+		rec  []byte
+	}{
+		{"key repeated", payload(2, 2, 10, 2, 20)},
+		{"keys out of order", payload(2, 2, 20, -1, 10)},
+		{"key too wide", payload(2, -1, 10, 1<<40, 20)},
+		{"count past the end", payload(1<<16, -1, 10, 2, 20)},
+		{"string past the end", sealed(keyPastEnd)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := os.WriteFile(path, tc.rec, 0o666); err != nil {
+				t.Fatal(err)
+			}
+			corrupt := s.Stats().Corrupt
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			hit := s.Get("k", counts(&out))
+			runtime.ReadMemStats(&after)
+			if hit || s.Stats().Corrupt != corrupt+1 {
+				t.Fatalf("edited record: hit %v (%v), stats %+v; want a corrupt miss", hit, out, s.Stats())
+			}
+			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
+				t.Fatalf("Get of a %d-byte record allocated %d bytes", len(tc.rec), n)
+			}
+		})
+	}
+}
+
 func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{})
-	s.Put("keep", json.RawMessage(`{"v":1}`))
-	s.Put("broken", json.RawMessage(`{"v":2}`))
+	put(s, "keep", 1)
+	put(s, "broken", 2)
 
 	if err := os.Truncate(object(s, "broken"), 7); err != nil {
 		t.Fatal(err)
@@ -264,8 +339,8 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 	if st, n := r.Stats(), records(t, dir); st.Corrupt != 0 || n != 2 {
 		t.Fatalf("after open: stats %+v, %d record files; want 0 corrupt, 2 files", st, n)
 	}
-	if got, ok := get(r, "keep"); !ok || got != `{"v":1}` {
-		t.Fatalf("intact record lost across damaged open: %q, %v", got, ok)
+	if got, ok := get(r, "keep"); !ok || got != 1 {
+		t.Fatalf("intact record lost across damaged open: %d, %v", got, ok)
 	}
 	if _, ok := get(r, "broken"); ok {
 		t.Fatal("truncated record served as a hit")
@@ -299,7 +374,7 @@ func TestPutsRacingOpensAllLand(t *testing.T) {
 		}
 	}()
 	for i := 0; i < puts; i++ {
-		s.Put(fmt.Sprintf("key-%d", i), json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
+		put(s, fmt.Sprintf("key-%d", i), int64(i))
 	}
 	close(stop)
 	n := <-opened
@@ -318,7 +393,7 @@ func TestPutsRacingOpensAllLand(t *testing.T) {
 func TestWriteFileAtomicFailedRenameLeavesNoTemp(t *testing.T) {
 	dir := t.TempDir()
 	open(t, dir, Options{})
-	if err := WriteFileAtomic(filepath.Join(dir, "objects", "zz", "zz.json"), []byte("{}")); err == nil {
+	if err := WriteFileAtomic(filepath.Join(dir, "objects", "zz", "zz.rec"), []byte("{}")); err == nil {
 		t.Fatal("WriteFileAtomic into a missing fan directory succeeded")
 	}
 	if left, err := os.ReadDir(filepath.Join(dir, "tmp")); err != nil || len(left) != 0 {
@@ -332,13 +407,13 @@ func TestWriteFileAtomicFailedRenameLeavesNoTemp(t *testing.T) {
 func TestLargeRecordRoundTrips(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	long := strings.Repeat("k", 64<<10)
-	s.Put(long, json.RawMessage(`{"v":7}`))
-	s.Put("short", json.RawMessage(`{"v":8}`))
-	if got, ok := get(s, long); !ok || got != `{"v":7}` {
-		t.Fatalf("Get of a %d-byte record = %q, %v; want a hit", len(long), got, ok)
+	put(s, long, 7)
+	put(s, "short", 8)
+	if got, ok := get(s, long); !ok || got != 7 {
+		t.Fatalf("Get of a %d-byte record = %d, %v; want a hit", len(long), got, ok)
 	}
-	if got, ok := get(s, "short"); !ok || got != `{"v":8}` {
-		t.Fatalf("Get after the large record = %q, %v; want a hit", got, ok)
+	if got, ok := get(s, "short"); !ok || got != 8 {
+		t.Fatalf("Get after the large record = %d, %v; want a hit", got, ok)
 	}
 }
 
@@ -352,7 +427,7 @@ func TestDirectoryAtRecordPathIsMiss(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, ok := get(s, "k"); ok {
-		t.Fatalf("directory served as a hit: %q", got)
+		t.Fatalf("directory served as a hit: %d", got)
 	}
 	if st := s.Stats(); st.Misses != 1 || st.Corrupt != 0 {
 		t.Fatalf("stats %+v; want 1 miss, 0 corrupt", st)
@@ -369,15 +444,12 @@ func TestDecodedStringsOutliveTheReadBuffer(t *testing.T) {
 	s := open(t, t.TempDir(), Options{})
 	name := func(i int) string { return strings.Repeat(string(rune('a'+i)), 32) }
 	for i := 0; i < 4; i++ {
-		s.Put(fmt.Sprint(i), json.RawMessage(fmt.Sprintf(`{"s":%q}`, name(i))))
+		v := name(i)
+		s.Put(fmt.Sprint(i), func(c Codec) { c.Str(&v) })
 	}
 	got := make([]string, 4)
 	for i := range got {
-		if !s.Get(fmt.Sprint(i), func(r *Reader) {
-			r.Open('{')
-			got[i] = r.Field("s").Str()
-			r.Close('}')
-		}) {
+		if !s.Get(fmt.Sprint(i), func(c Codec) { c.Str(&got[i]) }) {
 			t.Fatalf("Get(%d) missed", i)
 		}
 	}
@@ -391,7 +463,7 @@ func TestDecodedStringsOutliveTheReadBuffer(t *testing.T) {
 func TestKindMismatchIsMiss(t *testing.T) {
 	dir := t.TempDir()
 	s := open(t, dir, Options{Kind: "old/v1"})
-	s.Put("k", json.RawMessage(`{"v":1}`))
+	put(s, "k", 1)
 
 	r := open(t, dir, Options{Kind: "new/v2"})
 	if _, ok := get(r, "k"); ok {
@@ -414,9 +486,9 @@ func TestConcurrentOpenAndUse(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("key-%d", i)
-				s.Put(key, json.RawMessage(fmt.Sprintf(`{"v":%d}`, i)))
-				if v, ok := get(s, key); !ok || v != fmt.Sprintf(`{"v":%d}`, i) {
-					t.Errorf("handle %d: Get(%s) = %q, %v", g, key, v, ok)
+				put(s, key, int64(i))
+				if v, ok := get(s, key); !ok || v != int64(i) {
+					t.Errorf("handle %d: Get(%s) = %d, %v", g, key, v, ok)
 					return
 				}
 			}
@@ -440,7 +512,7 @@ func TestConcurrentOpenAndUse(t *testing.T) {
 
 func TestNilStoreIsInert(t *testing.T) {
 	var s *Store
-	s.Put("k", json.RawMessage(`1`))
+	put(s, "k", 1)
 	if _, ok := get(s, "k"); ok {
 		t.Fatal("nil store reported a hit")
 	}
@@ -452,7 +524,7 @@ func TestNilStoreIsInert(t *testing.T) {
 func TestMetricsAccounting(t *testing.T) {
 	reg := metrics.NewRegistry()
 	s := open(t, t.TempDir(), Options{Metrics: reg.Scope("store")})
-	s.Put("k", json.RawMessage(`{"v":1}`))
+	put(s, "k", 1)
 	get(s, "k")
 	get(s, "absent")
 
@@ -479,12 +551,11 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 	wf := faults.NewWriteFaults(13, faults.DefaultFS())
 	s := open(t, dir, Options{WriteFile: wf.Wrap(WriteFileAtomic)})
 
-	want := map[string]string{}
+	want := map[string]int64{}
 	for i := 0; i < 64; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		payload := fmt.Sprintf(`{"v":%d}`, i)
-		want[key] = payload
-		s.Put(key, json.RawMessage(payload))
+		want[key] = int64(i)
+		put(s, key, int64(i))
 	}
 	if st := s.Stats(); st.WriteErrors == 0 || st.Writes+st.WriteErrors != 64 {
 		t.Fatalf("stats after 64 faulted puts = %+v; want some write errors, every put counted once", st)
@@ -496,7 +567,7 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 		if got, ok := get(s, key); ok {
 			hits++
 			if got != payload {
-				t.Fatalf("live Get(%s) = %q, want %q or a miss", key, got, payload)
+				t.Fatalf("live Get(%s) = %d, want %d or a miss", key, got, payload)
 			}
 		}
 	}
@@ -510,7 +581,7 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 		if got, ok := get(r, key); ok {
 			rehits++
 			if got != payload {
-				t.Fatalf("reopened Get(%s) = %q, want %q or a miss", key, got, payload)
+				t.Fatalf("reopened Get(%s) = %d, want %d or a miss", key, got, payload)
 			}
 		}
 	}
