@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: check fmt vet doccheck build test race race-runner check-store \
 	check-runtime check-conform check-bench check-flaky smoke bench \
-	check-invariants
+	check-invariants loc
 
 check: fmt vet doccheck build test check-bench race-runner check-store check-invariants check-runtime check-conform smoke
 
@@ -140,3 +140,8 @@ bench:
 		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/ \
 		./internal/tso/ ./internal/workloads/litmus/ ./runtime/litmusrun/ \
 		./internal/store/ ./internal/experiments/
+
+# The ROADMAP's tracked size: lines of non-test Go outside bench/, as
+# the total line of wc -l over the tracked files.
+loc:
+	@git ls-files '*.go' | grep -v _test.go | grep -v '^bench/' | xargs wc -l | tail -1

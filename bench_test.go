@@ -14,7 +14,6 @@ import (
 	"fmt"
 	"testing"
 
-	"asymfence/internal/cpu"
 	"asymfence/internal/experiments"
 	"asymfence/internal/fence"
 	"asymfence/internal/mem"
@@ -134,9 +133,10 @@ func BenchmarkHeadlineAverages(b *testing.B) {
 	}
 }
 
-// runUSTMMachine runs one ustm benchmark with explicit per-core overrides
-// (the ablation knobs of DESIGN.md §6).
-func runUSTMMachine(b *testing.B, design fence.Design, core cpu.Config, horizon int64) (*sim.Result, *stats.Core) {
+// runUSTMMachine runs one ustm benchmark with the ablation knobs of
+// DESIGN.md §6 set: the Bypass Set size and the W+ timeout (zero keeps
+// a knob's default).
+func runUSTMMachine(b *testing.B, design fence.Design, bsCapacity int, wplusTimeout, horizon int64) (*sim.Result, *stats.Core) {
 	b.Helper()
 	p, _ := stm.USTMByName("ReadWriteN")
 	p.Iterations = 0
@@ -145,7 +145,7 @@ func runUSTMMachine(b *testing.B, design fence.Design, core cpu.Config, horizon 
 	privacy := mem.NewPrivacy()
 	wl := stm.Build(p, 8, stm.AssignmentFor(design), 7, al, store, privacy)
 	m, err := sim.New(sim.Config{
-		NCores: 8, Design: design, Core: core, Privacy: privacy,
+		NCores: 8, Design: design, BSCapacity: bsCapacity, WPlusTimeout: wplusTimeout, Privacy: privacy,
 		WarmRegions: wl.WarmRegions, MaxCycles: horizon + 1,
 	}, wl.Progs, store)
 	if err != nil {
@@ -162,7 +162,7 @@ func BenchmarkAblationWPlusTimeout(b *testing.B) {
 	for _, timeout := range []int64{75, 150, 600} {
 		b.Run(fmt.Sprintf("timeout-%d", timeout), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, agg := runUSTMMachine(b, fence.WPlus, cpu.Config{WPlusTimeout: timeout}, benchHorizon)
+				_, agg := runUSTMMachine(b, fence.WPlus, 0, timeout, benchHorizon)
 				b.ReportMetric(float64(agg.Events[stats.EvCommit]), "commits")
 				b.ReportMetric(float64(agg.Recoveries), "recoveries")
 			}
@@ -176,7 +176,7 @@ func BenchmarkAblationBSCapacity(b *testing.B) {
 	for _, capy := range []int{4, 8, 32} {
 		b.Run(fmt.Sprintf("bs-%d", capy), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, agg := runUSTMMachine(b, fence.WPlus, cpu.Config{BSCapacity: capy}, benchHorizon)
+				_, agg := runUSTMMachine(b, fence.WPlus, capy, 0, benchHorizon)
 				b.ReportMetric(float64(agg.Events[stats.EvCommit]), "commits")
 			}
 		})

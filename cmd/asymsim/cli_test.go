@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -75,13 +76,71 @@ func TestCLIRunStore(t *testing.T) {
 // at a tiny scale, and holds their command lines' usage errors.
 func TestCLISubcommands(t *testing.T) {
 	t.Run("trace is reproducible", func(t *testing.T) {
-		args := []string{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05", "-format", "jsonl"}
+		args := []string{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05"}
 		a, stderr, code := asymsim(t, args...)
 		if code != 0 || a == "" {
 			t.Fatalf("trace exited %d with %d bytes:\n%s", code, len(a), stderr)
 		}
 		if b, _, _ := asymsim(t, args...); a != b {
 			t.Fatal("two identical trace runs produced different output")
+		}
+		var doc struct {
+			OtherData   map[string]any   `json:"otherData"`
+			TraceEvents []map[string]any `json:"traceEvents"`
+		}
+		if err := json.Unmarshal([]byte(a), &doc); err != nil {
+			t.Fatalf("trace is not one JSON document: %v", err)
+		}
+		var instants, counters float64
+		for _, e := range doc.TraceEvents {
+			switch e["ph"] {
+			case "M":
+			case "C":
+				counters++
+			default:
+				instants++
+			}
+		}
+		// Each interval row is three counter events.
+		if doc.OtherData["events"] != instants || doc.OtherData["samples"] != counters/3 || counters == 0 ||
+			doc.OtherData["dropped"] != 0.0 || doc.OtherData["generator"] == nil {
+			t.Errorf("otherData %v does not count the %v events and %v counter rows", doc.OtherData, instants, counters)
+		}
+	})
+	t.Run("removed -format flag is a usage error", func(t *testing.T) {
+		args := []string{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05", "-format", "jsonl"}
+		if stdout, _, code := asymsim(t, args...); code != 2 || stdout != "" {
+			t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
+		}
+	})
+	// An output given "-" owns stdout: it is the only thing there.
+	t.Run("metrics to stdout is the only stdout output", func(t *testing.T) {
+		for _, tc := range []struct {
+			args  []string
+			prose string // the command's own output, moved to stderr
+		}{
+			{[]string{"-q", "-cores", "4", "-scale", "0.05", "-metrics", "-", "run", "cilk:fib"}, "cilk:fib under each design"},
+			{[]string{"conform", "-quick", "-q", "-seeds", "2", "-metrics", "-"}, "no conformance violations"},
+		} {
+			stdout, stderr, code := asymsim(t, tc.args...)
+			var doc map[string]any
+			if err := json.Unmarshal([]byte(stdout), &doc); code != 0 || err != nil {
+				t.Errorf("asymsim %v: exit %d; stdout is not one JSON document (%v):\n%s", tc.args, code, err, stdout)
+			}
+			if !strings.Contains(stderr, tc.prose) {
+				t.Errorf("asymsim %v: stderr lacks %q:\n%s", tc.args, tc.prose, stderr)
+			}
+		}
+	})
+	t.Run("two outputs on stdout is a usage error", func(t *testing.T) {
+		for _, args := range [][]string{
+			{"conform", "-quick", "-q", "-seeds", "2", "-report", "-", "-metrics", "-"},
+			{"trace", "cilk:fib", "-cores", "4", "-scale", "0.05", "-metrics", "-"},
+		} {
+			stdout, stderr, code := asymsim(t, args...)
+			if code != 2 || stdout != "" || strings.Contains(stderr, "panic:") {
+				t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output:\n%s", args, code, stdout, stderr)
+			}
 		}
 	})
 	// Go exits 2 on a panic too, so a usage error must also leave no

@@ -118,6 +118,13 @@ func conformCmd(ctx context.Context, args []string) int {
 		}
 	}
 
+	// An output given "-" owns stdout; prose moves to stderr.
+	out, ok := textOut(*reportOut, *metricsOut)
+	if !ok {
+		fmt.Fprintln(os.Stderr, "asymsim conform: -report and -metrics cannot both write to stdout")
+		return 2
+	}
+
 	var modes []asymruntime.Mode
 	if *modeFlag != "" {
 		for _, s := range strings.Split(*modeFlag, ",") {
@@ -167,11 +174,6 @@ func conformCmd(ctx context.Context, args []string) int {
 	if err := writeConformReport(rep, opts, *reportOut); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim conform:", err)
 		return 1
-	}
-	// With -report - the JSON owns stdout; prose moves to stderr.
-	out := io.Writer(os.Stdout)
-	if *reportOut == "-" {
-		out = os.Stderr
 	}
 	if rep.Violation != nil {
 		fmt.Fprintln(out, rep.Violation.Error())

@@ -7,7 +7,7 @@
 //	asymsim -list                          list experiment ids
 //	asymsim -version                       print build provenance
 //	asymsim [flags] run <group>:<app>      one workload under every design
-//	asymsim trace <group>:<app> [flags]    traced run (Perfetto/JSONL export)
+//	asymsim trace <group>:<app> [flags]    traced run (Perfetto export)
 //	asymsim conform [flags]                cross-domain litmus conformance sweep
 //
 // where <experiment> is one of fig8, fig9, fig10, fig11, fig12, table4,
@@ -32,10 +32,10 @@
 // (workload, design) run — fence lifecycle, write-buffer bounces,
 // directory transactions, mesh packets — plus per-core interval
 // metrics, and exports Chrome trace_event JSON (open in
-// ui.perfetto.dev) or JSON Lines. See OBSERVABILITY.md for the schema.
+// ui.perfetto.dev). See OBSERVABILITY.md for the schema.
 //
 //	asymsim trace cilk:fib -trace-out /tmp/t.json
-//	asymsim trace ustm:List -design Wee -format jsonl -interval 500
+//	asymsim trace ustm:List -design Wee -interval 500 -events fence,dir
 //
 // The conform subcommand is the one litmus campaign. It cross-checks
 // all three execution domains on generated litmus programs: the
@@ -52,7 +52,10 @@
 // harness counters are collected into a metrics registry and written as
 // a deterministic JSON snapshot on exit ("-" writes to stdout; see
 // OBSERVABILITY.md for the schema). That snapshot is the one metrics
-// output; stderr is the one progress channel.
+// output; stderr is the one progress channel. An output flag given "-"
+// (-metrics, conform -report, or trace's default of stdout) owns
+// stdout: the command's tables and prose then go to stderr, and a
+// command line that sends two outputs to stdout is a usage error.
 //
 // Experiments and run share one command line and one job path: every
 // simulation goes through the same asymfence.RunConfig, so -j, -q,
@@ -72,6 +75,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -115,10 +119,12 @@ type experimentCmd struct {
 	list, version        *bool
 	metricsOut, storeDir *string
 
-	// Set by parse: the target's label for the summary line, and the
-	// function that runs it and prints its output to stdout.
+	// Set by parse: the target's label for the summary line, the
+	// function that runs it and prints its tables, and where they go
+	// (stdout, or stderr when -metrics - owns stdout).
 	id     string
 	target func(ctx context.Context, cfg asymfence.RunConfig) error
+	out    io.Writer
 }
 
 // newExperimentCmd registers the experiment flags on a new flag set.
@@ -165,6 +171,7 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 		fmt.Fprintln(os.Stderr, "asymsim:", err)
 		return 2, true
 	}
+	c.out, _ = textOut(*c.metricsOut) // one output cannot clash
 	if *c.list {
 		for _, e := range asymfence.Experiments() {
 			fmt.Printf("  %-9s %s\n", e.ID, e.Description)
@@ -182,7 +189,7 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 		c.target = func(ctx context.Context, cfg asymfence.RunConfig) error {
 			ms, err := asymfence.RunBatch(ctx, jobs, cfg)
 			if err == nil {
-				printRun(c.fs.Arg(1), *c.cores, ms)
+				printRun(c.out, c.fs.Arg(1), *c.cores, ms)
 			}
 			return err
 		}
@@ -200,9 +207,9 @@ func (c *experimentCmd) parse(args []string) (code int, done bool) {
 			})
 			for _, t := range tables {
 				if *c.md {
-					fmt.Println(t.Markdown())
+					fmt.Fprintln(c.out, t.Markdown())
 				} else {
-					fmt.Println(t.String())
+					fmt.Fprintln(c.out, t.String())
 				}
 			}
 			return err

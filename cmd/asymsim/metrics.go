@@ -27,6 +27,24 @@ func newCLIMetrics(path string) *asymfence.MetricsRegistry {
 	return reg
 }
 
+// textOut returns where a command's own tables and prose go, given the
+// values of its output flags: stdout, unless one of them is "-" and so
+// owns stdout, in which case stderr. ok is false when two outputs claim
+// stdout, a usage error.
+func textOut(paths ...string) (w io.Writer, ok bool) {
+	w = os.Stdout
+	for _, p := range paths {
+		if p != "-" {
+			continue
+		}
+		if w == os.Stderr {
+			return nil, false
+		}
+		w = os.Stderr
+	}
+	return w, true
+}
+
 // writeOutput writes what write produces to path, the value of an
 // output flag (-metrics, conform -report, trace -trace-out): "" writes
 // nothing, "-" writes to stdout, and anything else creates or truncates

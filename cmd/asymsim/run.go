@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"strings"
 
 	"asymfence"
@@ -29,23 +30,23 @@ func runJobs(spec string, cores int, scale float64, horizon int64) ([]asymfence.
 	return jobs, nil
 }
 
-// printRun prints the measurements of runJobs' batch: the cycle
+// printRun prints the measurements of runJobs' batch to w: the cycle
 // breakdown and the fence-site stall profile of each design.
-func printRun(spec string, cores int, ms []*asymfence.WorkloadMeasurement) {
-	fmt.Printf("%s under each design (%d cores):\n\n", spec, cores)
+func printRun(w io.Writer, spec string, cores int, ms []*asymfence.WorkloadMeasurement) {
+	fmt.Fprintf(w, "%s under each design (%d cores):\n\n", spec, cores)
 	for i, d := range runDesigns {
 		m := ms[i]
-		fmt.Printf("%-8s cycles=%-8d txn/Mcyc=%-8.0f busy=%5.1f%%  other=%5.1f%%  fence=%5.1f%%  sf=%d wf=%d recov=%d\n",
+		fmt.Fprintf(w, "%-8s cycles=%-8d txn/Mcyc=%-8.0f busy=%5.1f%%  other=%5.1f%%  fence=%5.1f%%  sf=%d wf=%d recov=%d\n",
 			d, m.Cycles, m.Throughput(), 100*m.Busy, 100*m.OtherStall, 100*m.FenceStall,
 			m.Agg.SFences, m.Agg.WFences, m.Agg.Recoveries)
 		if top := m.Agg.TopFenceSites(3); len(top) > 0 && m.Agg.FenceStallCycles > 0 {
-			fmt.Printf("         top fence-stall sites (pc: cycles):")
+			fmt.Fprintf(w, "         top fence-stall sites (pc: cycles):")
 			for _, site := range top {
-				fmt.Printf("  %d: %d", site.PC, site.Cycles)
+				fmt.Fprintf(w, "  %d: %d", site.PC, site.Cycles)
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 		}
 	}
-	fmt.Println("\n(pc values index the workload's disassembly; the fence-site profile")
-	fmt.Println(" shows which fence — take/steal, read/write/commit barrier — pays the stall)")
+	fmt.Fprintln(w, "\n(pc values index the workload's disassembly; the fence-site profile")
+	fmt.Fprintln(w, " shows which fence — take/steal, read/write/commit barrier — pays the stall)")
 }

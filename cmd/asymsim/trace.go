@@ -12,16 +12,15 @@ import (
 )
 
 // traceCmd handles `asymsim trace <group>:<app>`: one traced run,
-// exported as Chrome trace_event JSON (Perfetto-loadable) or JSONL.
-// The workload spec may come before or after the flags.
+// exported as Chrome trace_event JSON (loadable in Perfetto). The
+// workload spec may come before or after the flags.
 func traceCmd(ctx context.Context, args []string) int {
 	fs := flag.NewFlagSet("asymsim trace", flag.ExitOnError)
 	design := fs.String("design", "WS+", "fence design (S+, WS+, SW+, W+, Wee)")
 	out := fs.String("trace-out", "", "output file (default stdout)")
-	format := fs.String("format", "chrome", "export format: chrome (Perfetto/chrome://tracing) or jsonl")
 	interval := fs.Int64("interval", 1000, "interval-sample period in cycles (negative disables)")
 	events := fs.String("events", "all", "event classes: comma list of fence,wb,cpu,dir,noc, or all")
-	maxEvents := fs.Int("max-events", 0, "bound the event buffer (ring, oldest dropped; 0 = unbounded)")
+	maxEvents := fs.Int("max-events", 0, "bound the event buffer, allocated up front (ring, oldest dropped; 0 = unbounded)")
 	cores := fs.Int("cores", 8, "core count (power of two)")
 	scale := fs.Float64("scale", 0.25, "execution-time run scale")
 	horizon := fs.Int64("horizon", 0, "throughput-run length in cycles (0 = default)")
@@ -64,8 +63,12 @@ func traceCmd(ctx context.Context, args []string) int {
 		fmt.Fprintln(os.Stderr, "asymsim trace:", err)
 		return 2
 	}
-	if *format != "chrome" && *format != "jsonl" {
-		fmt.Fprintf(os.Stderr, "asymsim trace: bad -format %q (chrome or jsonl)\n", *format)
+	path := *out
+	if path == "" {
+		path = "-" // the default: stdout
+	}
+	if _, ok := textOut(path, *metricsOut); !ok {
+		fmt.Fprintln(os.Stderr, "asymsim trace: the trace and -metrics cannot both write to stdout; give -trace-out or -metrics a file")
 		return 2
 	}
 
@@ -81,15 +84,7 @@ func traceCmd(ctx context.Context, args []string) int {
 		return 1
 	}
 
-	write := res.WriteChrome
-	if *format == "jsonl" {
-		write = res.WriteJSONL
-	}
-	path := *out
-	if path == "" {
-		path = "-" // the default: stdout
-	}
-	if err := writeOutput(path, write); err != nil {
+	if err := writeOutput(path, res.WriteChrome); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim trace:", err)
 		return 1
 	}

@@ -24,10 +24,10 @@ type ViolationError struct {
 	Line uint64
 	// Detail is the human-readable statement of the broken invariant.
 	Detail string
-	// Tail is the machine's flight-recorder tail at detection time,
-	// oldest-first. The simulator fills it in even when tracing is off
-	// (the recorder is always on), so every violation report ends with
-	// the events leading up to the failure.
+	// Tail is the last events of the machine's event buffer at
+	// detection time, oldest-first (Tracer.Tail). The simulator fills it
+	// in even when tracing is off, from the flight recorder, so every
+	// violation report ends with the events leading up to the failure.
 	Tail []trace.Event
 }
 

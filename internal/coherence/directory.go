@@ -2,7 +2,6 @@ package coherence
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -85,64 +84,10 @@ const (
 )
 
 type timer struct {
-	cycle int64
-	seq   uint64
-	kind  timerKind
-	dl    *dirLine
-	txn   *txn // tGetMData
-	msg   Msg  // tGetSData: the original request
-}
-
-// timerHeap is a hand-rolled binary min-heap on (cycle, seq), avoiding
-// container/heap's per-operation interface boxing.
-type timerHeap []timer
-
-func (h timerHeap) less(i, j int) bool {
-	if h[i].cycle != h[j].cycle {
-		return h[i].cycle < h[j].cycle
-	}
-	return h[i].seq < h[j].seq
-}
-
-func (h *timerHeap) push(t timer) {
-	*h = append(*h, t)
-	q := *h
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !q.less(i, parent) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-}
-
-func (h *timerHeap) pop() timer {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = timer{}
-	q = q[:n]
-	*h = q
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.less(l, smallest) {
-			smallest = l
-		}
-		if r < n && q.less(r, smallest) {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q[i], q[smallest] = q[smallest], q[i]
-		i = smallest
-	}
-	return top
+	kind timerKind
+	dl   *dirLine
+	txn  *txn // tGetMData
+	msg  Msg  // tGetSData: the original request
 }
 
 // DirStats counts directory-side protocol events.
@@ -210,9 +155,8 @@ type Directory struct {
 
 	l2Lat, memLat int64
 
-	lines    map[mem.Line]*dirLine
-	timers   timerHeap
-	timerSeq uint64
+	lines  map[mem.Line]*dirLine
+	timers noc.Queue[timer]
 
 	tr  *trace.Tracer
 	chk *check.Oracle
@@ -260,13 +204,6 @@ func (d *Directory) entry(l mem.Line) *dirLine {
 	return dl
 }
 
-func (d *Directory) at(now, delay int64, t timer) {
-	d.timerSeq++
-	t.cycle = now + delay
-	t.seq = d.timerSeq
-	d.timers.push(t)
-}
-
 func (d *Directory) send(now int64, dst int, m Msg, cat noc.Category) {
 	if m.Retry {
 		cat = noc.CatRetry
@@ -276,8 +213,8 @@ func (d *Directory) send(now int64, dst int, m Msg, cat noc.Category) {
 
 // Step fires any due internal timers (storage latencies etc).
 func (d *Directory) Step(now int64) {
-	for len(d.timers) > 0 && d.timers[0].cycle <= now {
-		t := d.timers.pop()
+	for d.timers.Next() <= now {
+		t := d.timers.Pop()
 		switch t.kind {
 		case tGetSData:
 			d.fireGetSData(now, t.dl, t.msg)
@@ -289,17 +226,12 @@ func (d *Directory) Step(now int64) {
 
 // NextTimer returns the cycle of the earliest pending timer, or
 // math.MaxInt64 when none is armed (quiescence-aware stepping bound).
-func (d *Directory) NextTimer() int64 {
-	if len(d.timers) == 0 {
-		return math.MaxInt64
-	}
-	return d.timers[0].cycle
-}
+func (d *Directory) NextTimer() int64 { return d.timers.Next() }
 
 // Pending reports whether the module has in-flight work (used by the
 // simulator's quiesce detection).
 func (d *Directory) Pending() bool {
-	if len(d.timers) > 0 {
+	if d.timers.Len() > 0 {
 		return true
 	}
 	for _, dl := range d.lines {
@@ -399,7 +331,7 @@ func (d *Directory) startGetS(now int64, dl *dirLine, m Msg) {
 	t := &txn{kind: txnGetS, req: m.Core, reqID: m.ReqID, line: m.Line}
 	dl.busy = t
 	lat := d.storageLatency(m.Line)
-	d.at(now, lat, timer{kind: tGetSData, dl: dl, msg: m})
+	d.timers.Push(now+lat, timer{kind: tGetSData, dl: dl, msg: m})
 }
 
 // fireGetSData completes a GetS whose data came from this bank (or
@@ -464,7 +396,7 @@ func (d *Directory) startGetM(now int64, dl *dirLine, m Msg) {
 		if dl.sharers&(1<<uint(m.Core)) == 0 {
 			lat = d.storageLatency(m.Line)
 		}
-		d.at(now, lat, timer{kind: tGetMData, dl: dl, txn: t})
+		d.timers.Push(now+lat, timer{kind: tGetMData, dl: dl, txn: t})
 	}
 }
 
@@ -663,7 +595,7 @@ func (d *Directory) PendingCounts() (busy, queued, timers int) {
 		}
 		queued += len(dl.queue)
 	}
-	return busy, queued, len(d.timers)
+	return busy, queued, d.timers.Len()
 }
 
 // DebugState renders the module's in-flight work for deadlock reports:
@@ -684,7 +616,7 @@ func (d *Directory) DebugState() string {
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].line < rows[j].line })
 	var b strings.Builder
-	fmt.Fprintf(&b, "dir bank %d: %d busy line(s), %d timer(s)", d.bank, len(rows), len(d.timers))
+	fmt.Fprintf(&b, "dir bank %d: %d busy line(s), %d timer(s)", d.bank, len(rows), d.timers.Len())
 	for _, r := range rows {
 		fmt.Fprintf(&b, "\n  line %#x: busy=%v queued=%d", uint32(r.line), r.busy, r.queued)
 	}

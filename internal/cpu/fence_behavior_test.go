@@ -3,7 +3,6 @@ package cpu_test
 import (
 	"testing"
 
-	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -75,7 +74,7 @@ func TestBypassSetCapacityStalls(t *testing.T) {
 		idle := isa.NewBuilder("idle").Halt().MustBuild()
 		m, err := sim.New(sim.Config{
 			NCores: 4, Design: fence.WSPlus,
-			Core: cpuConfig(capacity),
+			BSCapacity: capacity,
 		}, []*isa.Program{build(), idle, idle, idle}, mem.NewStore())
 		if err != nil {
 			t.Fatal(err)
@@ -180,8 +179,4 @@ func TestDirtyEvictionKeepSharer(t *testing.T) {
 	if got := m.Store().Load(L); got != 9 {
 		t.Fatalf("final value %d, want 9", got)
 	}
-}
-
-func cpuConfig(bsCapacity int) cpu.Config {
-	return cpu.Config{BSCapacity: bsCapacity}
 }

@@ -87,8 +87,9 @@ func (ms *MeasurementStore) Close() error { return nil }
 // read: Store runs it with a store.Writer and Load with a store.Reader,
 // so the two directions cannot disagree, and nothing else fixes the
 // layout. A field added to Measurement, stats.Core, coherence.DirStats
-// or noc.Stats must be listed here (TestMeasurementRoundTrip fails until
-// it is) and MeasurementKind bumped.
+// or noc.Stats must be listed here, or for a stats.Core counter in
+// stats.Core.Counters (TestMeasurementRoundTrip fails until it is), and
+// MeasurementKind bumped.
 func (m *Measurement) fields(c store.Codec) {
 	a, d, n := m.Agg, &m.Dir, &m.NoC
 	c.Str(&m.Group)
@@ -100,12 +101,10 @@ func (m *Measurement) fields(c store.Codec) {
 	c.Float(&m.Busy)
 	c.Float(&m.FenceStall)
 	c.Float(&m.OtherStall)
+	for _, f := range a.Counters() {
+		c.Uint(f.Val)
+	}
 	for _, v := range []*uint64{
-		&a.BusyCycles, &a.FenceStallCycles, &a.OtherStallCycles, &a.IdleCycles,
-		&a.RetiredInstrs, &a.SFences, &a.WFences, &a.DemotedWFences,
-		&a.BouncedWrites, &a.BounceRetries, &a.BouncesGiven, &a.Squashes,
-		&a.Mispredicts, &a.Recoveries, &a.OrderOps, &a.CondOrderOps,
-		&a.BSLinesSum, &a.BSLinesSamples,
 		&d.GetSReqs, &d.GetMReqs, &d.Writebacks, &d.BouncedWrites,
 		&d.OrderOps, &d.CondOrderFails, &d.CondOrderOks, &d.MemFetches,
 		&d.L2Hits, &d.GRTDeposits, &d.GRTRemovals,

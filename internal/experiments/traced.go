@@ -22,7 +22,8 @@ type TraceOptions struct {
 	Horizon int64
 	// Mask selects the recorded event classes (zero = all).
 	Mask trace.Mask
-	// MaxEvents bounds the event buffer ring-style (zero = unbounded).
+	// MaxEvents bounds the event buffer ring-style, allocated in full
+	// when the run starts (zero = unbounded).
 	MaxEvents int
 	// SampleInterval is the interval-metrics period in cycles
 	// (default 1000; negative disables sampling).
@@ -56,16 +57,10 @@ type TraceRun struct {
 	Dropped uint64
 }
 
-// WriteJSONL writes the trace as JSON Lines (one meta header, then one
-// object per event and per interval row).
-func (t *TraceRun) WriteJSONL(w io.Writer) error {
-	return trace.WriteJSONL(w, t.Events, t.Samples, t.Dropped)
-}
-
 // WriteChrome writes the trace in the Chrome trace_event JSON format,
 // loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
 func (t *TraceRun) WriteChrome(w io.Writer) error {
-	return trace.WriteChrome(w, t.Events, t.Samples)
+	return trace.WriteChrome(w, t.Events, t.Samples, t.Dropped)
 }
 
 // RunTraced executes one (group, app) workload under the given design

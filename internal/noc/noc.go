@@ -11,9 +11,8 @@
 // The mesh is generic over its payload type, so the coherence protocol's
 // messages travel without an interface boxing allocation per send — the
 // fabric is on the simulator's hottest path (see PERFORMANCE.md). For the
-// same reason the per-destination arrival queues are hand-rolled binary
-// heaps rather than container/heap users: the standard library interface
-// costs one interface conversion per push and pop.
+// same reason the per-destination arrival queues are Queues, not
+// container/heap users.
 //
 // Determinism: packets are delivered in (arrival cycle, injection order)
 // order, and point-to-point FIFO is enforced per (src, dst) channel.
@@ -58,46 +57,57 @@ type Packet[P any] struct {
 	Payload  P
 }
 
-type inFlight[P any] struct {
-	arrive int64
-	seq    uint64 // FIFO tie-break for determinism
-	pkt    Packet[P]
+// Queue is a min-heap of values, each due at a cycle, that pops them
+// in (cycle, push order) order: values due the same cycle come out
+// first in, first out. The mesh keeps one per destination for its
+// packets in flight, and each coherence directory one for its storage
+// timers. It is hand-rolled because container/heap's interface costs a
+// conversion per push and pop on the simulator's hottest queue. The
+// zero value is an empty queue.
+type Queue[T any] struct {
+	items []queued[T]
+	seq   uint64 // pushes so far: the FIFO tie-break
 }
 
-// pktHeap is a hand-rolled binary min-heap on (arrive, seq). It avoids
-// container/heap's per-operation interface boxing on the simulator's
-// hottest queue.
-type pktHeap[P any] []inFlight[P]
+type queued[T any] struct {
+	at  int64
+	seq uint64
+	v   T
+}
 
-func (h pktHeap[P]) less(i, j int) bool {
-	if h[i].arrive != h[j].arrive {
-		return h[i].arrive < h[j].arrive
+func (q *Queue[T]) less(i, j int) bool {
+	a, b := &q.items[i], &q.items[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h *pktHeap[P]) push(f inFlight[P]) {
-	*h = append(*h, f)
-	q := *h
-	i := len(q) - 1
+// Push adds v, due at cycle at.
+func (q *Queue[T]) Push(at int64, v T) {
+	q.seq++
+	q.items = append(q.items, queued[T]{at: at, seq: q.seq, v: v})
+	h := q.items
+	i := len(h) - 1
 	for i > 0 {
 		parent := (i - 1) / 2
 		if !q.less(i, parent) {
 			break
 		}
-		q[i], q[parent] = q[parent], q[i]
+		h[i], h[parent] = h[parent], h[i]
 		i = parent
 	}
 }
 
-func (h *pktHeap[P]) pop() inFlight[P] {
-	q := *h
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = inFlight[P]{} // release payload references to the GC
-	q = q[:n]
-	*h = q
+// Pop removes and returns the earliest value. The queue must not be
+// empty.
+func (q *Queue[T]) Pop() T {
+	h := q.items
+	top := h[0].v
+	n := len(h) - 1
+	h[0] = h[n]
+	h[n] = queued[T]{} // release references to the GC
+	q.items = h[:n]
 	i := 0
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -111,11 +121,23 @@ func (h *pktHeap[P]) pop() inFlight[P] {
 		if smallest == i {
 			break
 		}
-		q[i], q[smallest] = q[smallest], q[i]
+		h[i], h[smallest] = h[smallest], h[i]
 		i = smallest
 	}
 	return top
 }
+
+// Next returns the cycle the earliest value is due, or math.MaxInt64
+// when the queue is empty.
+func (q *Queue[T]) Next() int64 {
+	if len(q.items) == 0 {
+		return math.MaxInt64
+	}
+	return q.items[0].at
+}
+
+// Len returns the number of queued values.
+func (q *Queue[T]) Len() int { return len(q.items) }
 
 // Stats accumulates traffic accounting.
 type Stats struct {
@@ -134,7 +156,7 @@ type Mesh[P any] struct {
 	width, height int
 	hopLatency    int64
 	linkBytes     int
-	queues        []pktHeap[P] // one per destination
+	queues        []Queue[Packet[P]] // one per destination
 	// arrivals[d] is the arrival cycle of queues[d]'s head, or
 	// math.MaxInt64 when the queue is empty (see Arrivals).
 	arrivals []int64
@@ -145,7 +167,6 @@ type Mesh[P any] struct {
 	// this (e.g. a data grant must not be overtaken by a subsequent
 	// invalidation from the same home module).
 	lastArrive []int64
-	seq        uint64
 	inFlight   int
 	peak       int // in-flight high-water mark
 	stats      Stats
@@ -164,7 +185,7 @@ func NewMesh[P any](width, height int) *Mesh[P] {
 		height:     height,
 		hopLatency: DefaultHopLatency,
 		linkBytes:  DefaultLinkBytes,
-		queues:     make([]pktHeap[P], width*height),
+		queues:     make([]Queue[Packet[P]], width*height),
 		arrivals:   make([]int64, width*height),
 		lastArrive: make([]int64, width*height*width*height),
 	}
@@ -234,7 +255,6 @@ func (m *Mesh[P]) Send(now int64, p Packet[P]) {
 	m.stats.Bytes += uint64(p.Size)
 	m.stats.PacketsByCat[p.Cat]++
 	m.stats.BytesByCat[p.Cat] += uint64(p.Size)
-	m.seq++
 	m.inFlight++
 	if m.inFlight > m.peak {
 		m.peak = m.inFlight
@@ -249,8 +269,8 @@ func (m *Mesh[P]) Send(now int64, p Packet[P]) {
 	}
 	m.lastArrive[ch] = arrive
 	q := &m.queues[p.Dst]
-	q.push(inFlight[P]{arrive: arrive, seq: m.seq, pkt: p})
-	m.arrivals[p.Dst] = (*q)[0].arrive
+	q.Push(arrive, p)
+	m.arrivals[p.Dst] = q.Next()
 	m.tr.Emit(now, trace.KNoCSend, int32(p.Src), 0, int64(p.Dst), int64(p.Size), int64(p.Cat))
 }
 
@@ -266,16 +286,13 @@ func (m *Mesh[P]) Deliver(now int64, dst int) []Packet[P] {
 // loop's hot path.
 func (m *Mesh[P]) DeliverInto(now int64, dst int, buf []Packet[P]) []Packet[P] {
 	q := &m.queues[dst]
-	for len(*q) > 0 && (*q)[0].arrive <= now {
-		p := q.pop().pkt
+	for q.Next() <= now {
+		p := q.Pop()
 		m.inFlight--
 		m.tr.Emit(now, trace.KNoCDeliver, int32(dst), 0, int64(p.Src), int64(p.Size), int64(p.Cat))
 		buf = append(buf, p)
 	}
-	m.arrivals[dst] = math.MaxInt64
-	if len(*q) > 0 {
-		m.arrivals[dst] = (*q)[0].arrive
-	}
+	m.arrivals[dst] = q.Next()
 	return buf
 }
 

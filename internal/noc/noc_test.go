@@ -2,6 +2,7 @@ package noc
 
 import (
 	"math"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -125,8 +126,8 @@ func TestArrivalsTrackQueueHeads(t *testing.T) {
 		next := int64(none)
 		for d, q := range m.queues {
 			head := int64(none)
-			if len(q) > 0 {
-				head = q[0].arrive
+			if len(q.items) > 0 {
+				head = q.items[0].at
 			}
 			if got[d] != head || got[d] != want[d] {
 				t.Fatalf("%s: node %d reports %d, queue head arrives at %d, want %d", step, d, got[d], head, want[d])
@@ -172,4 +173,35 @@ func TestArrivalsTrackQueueHeads(t *testing.T) {
 	check("deliver delayed early", none, none, 17, none)
 	deliver(17, 2, 1)
 	check("deliver delayed", none, none, none, none)
+}
+
+// TestQueuePopsInCycleThenPushOrder: a Queue pops values in ascending
+// cycle, and values due the same cycle in the order they were pushed,
+// whatever the push order of the cycles.
+func TestQueuePopsInCycleThenPushOrder(t *testing.T) {
+	f := func(cycles []uint8) bool {
+		var q Queue[int]
+		if q.Next() != math.MaxInt64 || q.Len() != 0 {
+			return false
+		}
+		type item struct {
+			at int64
+			i  int
+		}
+		want := make([]item, len(cycles))
+		for i, c := range cycles {
+			q.Push(int64(c%8), i) // few distinct cycles: many ties
+			want[i] = item{int64(c % 8), i}
+		}
+		sort.SliceStable(want, func(a, b int) bool { return want[a].at < want[b].at })
+		for _, w := range want {
+			if q.Next() != w.at || q.Pop() != w.i {
+				return false
+			}
+		}
+		return q.Len() == 0 && q.Next() == math.MaxInt64
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
 }

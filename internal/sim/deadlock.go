@@ -49,9 +49,9 @@ type DeadlockError struct {
 	// WBDepths is every core's write-buffer occupancy, by core id (all
 	// cores, not just the stuck ones).
 	WBDepths []int
-	// Tail is the machine's flight-recorder tail: the last events
-	// before the watchdog fired, oldest-first. It is populated even when
-	// tracing is off (the recorder is always on).
+	// Tail is the last events of the machine's event buffer before the
+	// watchdog fired, oldest-first (Tracer.Tail): every class from the
+	// flight recorder when tracing is off, the traced classes when on.
 	Tail []trace.Event
 }
 
@@ -96,7 +96,7 @@ func (m *Machine) deadlockError() *DeadlockError {
 	e := &DeadlockError{
 		Cycle:       m.cycle,
 		NoCInFlight: m.mesh.InFlight(),
-		Tail:        m.tr.Recorder().Tail(),
+		Tail:        m.tr.Tail(),
 	}
 	for i, c := range m.cores {
 		e.WBDepths = append(e.WBDepths, c.WBDepth())

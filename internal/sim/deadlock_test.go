@@ -2,13 +2,17 @@ package sim_test
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
+	"asymfence/internal/check"
+	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
 	"asymfence/internal/sim"
+	"asymfence/internal/trace"
 	"asymfence/internal/workloads/litmus"
 )
 
@@ -72,5 +76,85 @@ func TestAllWeakSWPlusDeadlockReportsState(t *testing.T) {
 		if de.Tail[i].Cycle < de.Tail[i-1].Cycle {
 			t.Fatalf("tail out of order at %d: %v then %v", i, de.Tail[i-1], de.Tail[i])
 		}
+	}
+}
+
+// TestFailureTailComesFromTheTrace: a machine has one event buffer. An
+// untraced machine's is the flight recorder, so its deadlock report
+// carries the last RecorderDepth events of every class; a traced
+// machine's is its trace, so both failure reports carry exactly the
+// trace's Tail, masked like the trace.
+func TestFailureTailComesFromTheTrace(t *testing.T) {
+	deadlock := func(tr *trace.Tracer) *sim.DeadlockError {
+		t.Helper()
+		al := mem.NewAllocator(dataBase)
+		progs, _ := litmus.SB(al, litmus.Weak, litmus.Weak, 3)
+		m, err := sim.New(sim.Config{
+			NCores: 4, Design: fence.SWPlus, MaxCycles: 500_000, WatchdogCycles: 5_000, Trace: tr,
+		}, []*isa.Program{progs[0], progs[1], litmus.Idle(), litmus.Idle()}, mem.NewStore())
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = m.Run()
+		var de *sim.DeadlockError
+		if !errors.As(err, &de) {
+			t.Fatalf("want a *DeadlockError, got %T: %v", err, err)
+		}
+		return de
+	}
+	classes := func(evs []trace.Event) map[string]bool {
+		seen := map[string]bool{}
+		for _, e := range evs {
+			class, _, _ := strings.Cut(e.Kind.String(), ".")
+			seen[class] = true
+		}
+		return seen
+	}
+
+	untraced := deadlock(nil)
+	if len(untraced.Tail) != trace.RecorderDepth {
+		t.Fatalf("untraced deadlock tail holds %d events, want %d", len(untraced.Tail), trace.RecorderDepth)
+	}
+	if seen := classes(untraced.Tail); !seen["noc"] || !seen["wb"] {
+		t.Errorf("untraced tail lacks a class: saw %v", seen)
+	}
+
+	tr := trace.New(trace.Options{Mask: trace.MaskFence | trace.MaskWB})
+	traced := deadlock(tr)
+	if !reflect.DeepEqual(traced.Tail, tr.Tail()) || len(traced.Tail) == 0 {
+		t.Fatalf("traced deadlock tail (%d events) is not the trace's tail (%d)", len(traced.Tail), len(tr.Tail()))
+	}
+	if seen := classes(traced.Tail); seen["noc"] || seen["dir"] || !seen["wb"] {
+		t.Errorf("traced tail under -events fence,wb holds classes %v", seen)
+	}
+
+	cpu.DebugBrokenFence = true
+	defer func() { cpu.DebugBrokenFence = false }()
+	al := mem.NewAllocator(dataBase)
+	x := al.AllocLines("x", 1)
+	b := isa.NewBuilder("broken")
+	b.Li(2, 7)
+	b.Li(1, int32(x))
+	b.St(2, 1, 0)
+	b.SFence()
+	b.Ld(10, 1, 0)
+	b.Halt()
+	tr = trace.New(trace.Options{Mask: trace.MaskNoC})
+	m, err := sim.New(sim.Config{
+		NCores: 2, Design: fence.SPlus, Checker: check.New(check.Options{TSO: true}), Trace: tr,
+	}, []*isa.Program{b.MustBuild(), litmus.Idle()}, mem.NewStore())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = m.Run()
+	var v *check.ViolationError
+	if !errors.As(err, &v) {
+		t.Fatalf("want a *check.ViolationError, got %T: %v", err, err)
+	}
+	if !reflect.DeepEqual(v.Tail, tr.Tail()) || len(v.Tail) == 0 {
+		t.Fatalf("violation tail (%d events) is not the trace's tail (%d)", len(v.Tail), len(tr.Tail()))
+	}
+	if seen := classes(v.Tail); len(seen) != 1 || !seen["noc"] {
+		t.Errorf("violation tail under -events noc holds classes %v", seen)
 	}
 }

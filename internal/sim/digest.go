@@ -49,12 +49,10 @@ func (r *Result) canonical() string {
 }
 
 func writeCoreStats(b *strings.Builder, c *stats.Core) {
-	fmt.Fprintf(b, "busy=%d fence=%d other=%d idle=%d retired=%d ",
-		c.BusyCycles, c.FenceStallCycles, c.OtherStallCycles, c.IdleCycles, c.RetiredInstrs)
-	fmt.Fprintf(b, "sf=%d wf=%d demoted=%d bw=%d br=%d bg=%d sq=%d mp=%d rec=%d oo=%d coo=%d bss=%d bsn=%d halt=%d",
-		c.SFences, c.WFences, c.DemotedWFences, c.BouncedWrites, c.BounceRetries,
-		c.BouncesGiven, c.Squashes, c.Mispredicts, c.Recoveries,
-		c.OrderOps, c.CondOrderOps, c.BSLinesSum, c.BSLinesSamples, c.HaltCycle)
+	for _, f := range c.Counters() {
+		fmt.Fprintf(b, "%s=%d ", f.Name, *f.Val)
+	}
+	fmt.Fprintf(b, "halt=%d", c.HaltCycle)
 	writeSortedI32(b, " events", c.Events)
 	writeSortedInt(b, " sites", c.FenceSiteStall)
 	b.WriteByte('\n')

@@ -178,7 +178,7 @@ func TestDeterminism(t *testing.T) {
 	// Each run traces every event class and samples intervals; two
 	// identical runs must agree not just on the aggregates but on the
 	// byte-exact serialized event stream.
-	run := func() (int64, uint64, []byte, []byte) {
+	run := func() (int64, uint64, []byte) {
 		al := mem.NewAllocator(dataBase)
 		progs, _ := litmus.Bakery(al, 4, 4, []bool{true, true, true, true}, true)
 		tr := trace.New(trace.Options{})
@@ -193,25 +193,19 @@ func TestDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		var jsonl, chrome bytes.Buffer
-		if err := trace.WriteJSONL(&jsonl, tr.Events(), res.Intervals, tr.Dropped()); err != nil {
-			t.Fatal(err)
-		}
-		if err := trace.WriteChrome(&chrome, tr.Events(), res.Intervals); err != nil {
+		var chrome bytes.Buffer
+		if err := trace.WriteChrome(&chrome, tr.Events(), res.Intervals, tr.Dropped()); err != nil {
 			t.Fatal(err)
 		}
 		if tr.Len() == 0 || len(res.Intervals) == 0 {
 			t.Fatalf("traced run recorded %d events, %d intervals", tr.Len(), len(res.Intervals))
 		}
-		return res.Cycles, res.Agg().RetiredInstrs, jsonl.Bytes(), chrome.Bytes()
+		return res.Cycles, res.Agg().RetiredInstrs, chrome.Bytes()
 	}
-	c1, i1, j1, ch1 := run()
-	c2, i2, j2, ch2 := run()
+	c1, i1, ch1 := run()
+	c2, i2, ch2 := run()
 	if c1 != c2 || i1 != i2 {
 		t.Fatalf("nondeterministic: (%d,%d) vs (%d,%d)", c1, i1, c2, i2)
-	}
-	if !bytes.Equal(j1, j2) {
-		t.Fatal("two identical runs produced different JSONL traces")
 	}
 	if !bytes.Equal(ch1, ch2) {
 		t.Fatal("two identical runs produced different Chrome traces")

@@ -5,7 +5,6 @@ import (
 	"reflect"
 	"testing"
 
-	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -258,7 +257,7 @@ func TestQuiescenceEquivalenceKernelShape(t *testing.T) {
 		t.Run("watchdog/"+k.app, func(t *testing.T) {
 			run := func(pure bool) (*sim.Result, *sim.DeadlockError) {
 				res, err := build(sim.Config{PureStepping: pure, WatchdogCycles: k.watchdog,
-					Core: cpu.Config{WPlusTimeout: k.watchdog}}).Run()
+					WPlusTimeout: k.watchdog}).Run()
 				var de *sim.DeadlockError
 				if !errors.As(err, &de) {
 					t.Fatalf("pure=%v: want a watchdog stop, got %v", pure, err)

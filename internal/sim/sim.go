@@ -48,8 +48,13 @@ type Config struct {
 	NCores int
 	Design fence.Design
 
-	// Core is the per-core template; ID/NCores/Design are filled in.
-	Core cpu.Config
+	// BSCapacity is each core's Bypass Set size (default
+	// fence.DefaultBSCapacity, Table 2's 32).
+	BSCapacity int
+
+	// WPlusTimeout is the W+ deadlock-suspicion timeout in cycles
+	// (default cpu.DefaultWPlusTimeout).
+	WPlusTimeout int64
 
 	// MaxCycles bounds Run (default 10M).
 	MaxCycles int64
@@ -68,12 +73,11 @@ type Config struct {
 	// misses would otherwise dominate short simulations).
 	WarmRegions []mem.Region
 
-	// Trace receives every component's events (nil, the default,
-	// disables tracing at zero cost; see internal/trace). Whether or
-	// not tracing is on, the machine keeps a flight recorder: New
-	// attaches a trace.Recorder to the tracer (substituting a
-	// recorder-only tracer when Trace is nil), and failure reports
-	// (DeadlockError, ViolationError) carry its tail.
+	// Trace receives every component's events (see internal/trace). It
+	// is the machine's one event buffer, and failure reports
+	// (DeadlockError, ViolationError) carry its Tail. Nil, the default,
+	// gives the machine a flight recorder instead: a tracer of every
+	// class bounded at trace.RecorderDepth events, allocated by New.
 	Trace *trace.Tracer
 
 	// Metrics, when non-nil, receives the run's machine counters under
@@ -160,14 +164,9 @@ func New(cfg Config, programs []*isa.Program, store *mem.Store) (*Machine, error
 	if len(programs) != cfg.NCores {
 		return nil, fmt.Errorf("sim: %d programs for %d cores", len(programs), cfg.NCores)
 	}
-	// The flight recorder is always on: when tracing is off the machine
-	// still runs a recorder-only tracer (empty mask, ring writes only),
-	// so failure reports carry a tail in every configuration.
 	tr := cfg.Trace
 	if tr == nil {
-		tr = trace.NewRecording(trace.NewRecorder())
-	} else if tr.Recorder() == nil {
-		tr.SetRecorder(trace.NewRecorder())
+		tr = trace.New(trace.Options{MaxEvents: trace.RecorderDepth})
 	}
 	w, h := noc.MeshFor(cfg.NCores)
 	mesh := noc.NewMesh[coherence.Msg](w, h)
@@ -191,17 +190,12 @@ func New(cfg Config, programs []*isa.Program, store *mem.Store) (*Machine, error
 		}
 		m.dirs = append(m.dirs, d)
 		m.timerAt[i] = d.NextTimer()
-		cc := cfg.Core
-		cc.ID = i
-		cc.NCores = cfg.NCores
-		cc.Design = cfg.Design
-		cc.Privacy = cfg.Privacy
-		cc.Tracer = tr
-		cc.WBOcc = m.mx.wbHist()
-		cc.Checker = cfg.Checker
-		cc.Faults = cfg.Faults
-		cc.NoIdleSleep = cfg.PureStepping
-		core := cpu.New(cc, programs[i], mesh, store)
+		core := cpu.New(cpu.Config{
+			ID: i, NCores: cfg.NCores, Design: cfg.Design,
+			BSCapacity: cfg.BSCapacity, WPlusTimeout: cfg.WPlusTimeout,
+			Privacy: cfg.Privacy, Tracer: tr, WBOcc: m.mx.wbHist(),
+			Checker: cfg.Checker, Faults: cfg.Faults, NoIdleSleep: cfg.PureStepping,
+		}, programs[i], mesh, store)
 		m.cores = append(m.cores, core)
 		m.coreStats = append(m.coreStats, core.Stats())
 	}
@@ -378,12 +372,12 @@ func (m *Machine) result(finished bool) *Result {
 	return r
 }
 
-// withTail attaches the flight-recorder tail to a violation error that
+// withTail attaches the machine's event tail to a violation error that
 // does not carry one yet.
 func (m *Machine) withTail(err error) error {
 	var v *check.ViolationError
 	if errors.As(err, &v) && v.Tail == nil {
-		v.Tail = m.tr.Recorder().Tail()
+		v.Tail = m.tr.Tail()
 	}
 	return err
 }

@@ -29,11 +29,11 @@ func benchMachine(b *testing.B, tr *trace.Tracer, interval int64) *sim.Machine {
 	return m
 }
 
-// BenchmarkStepTracingDisabled is the baseline cycle rate with the nil
-// tracer every component holds by default. Compare against
-// BenchmarkStepTracingEnabled: the acceptance bar for the trace
-// subsystem is that this benchmark stays within noise (< 2%) of the
-// pre-trace simulator.
+// BenchmarkStepTracingDisabled is the baseline cycle rate of an
+// untraced machine, whose components emit into the flight recorder.
+// Compare against BenchmarkStepTracingEnabled: the acceptance bar for
+// the trace subsystem is that this benchmark stays within noise (< 2%)
+// of the pre-trace simulator.
 func BenchmarkStepTracingDisabled(b *testing.B) {
 	m := benchMachine(b, nil, 0)
 	b.ResetTimer()
@@ -53,12 +53,13 @@ func BenchmarkStepTracingEnabled(b *testing.B) {
 }
 
 // TestQuiescedStepIsAllocationFree documents that the steady-state
-// cycle loop — including every tracing call site on the nil fast path
-// and the nil interval sampler — performs no allocations. (A busy
-// machine allocates only for real machine state, such as packets in
-// flight; a busy core alone allocates nothing, see
-// TestBusyCoreStepIsAllocationFree. The trace package's
-// TestNilTracerIsDisabledAndFree covers the Emit path under load.)
+// cycle loop — including every tracing call site, which writes the
+// flight recorder's preallocated ring, and the nil interval sampler —
+// performs no allocations. (A busy machine allocates only for real
+// machine state, such as packets in flight; a busy core alone
+// allocates nothing, see TestBusyCoreStepIsAllocationFree. The trace
+// package's TestRecordingEmitIsAllocationFree covers the Emit path
+// under load.)
 func TestQuiescedStepIsAllocationFree(t *testing.T) {
 	al := mem.NewAllocator(dataBase)
 	progs, _ := litmus.Bakery(al, 4, 2, []bool{true, true, true, true}, true)

@@ -42,12 +42,12 @@ func (c Config) Validate() error {
 	}
 	d := c
 	d.applyDefaults()
-	wpt := d.Core.WPlusTimeout
+	wpt := d.WPlusTimeout
 	if wpt == 0 {
 		wpt = cpu.DefaultWPlusTimeout
 	}
 	if wpt < 0 {
-		return &ConfigError{Field: "Core.WPlusTimeout", Reason: fmt.Sprintf("must be positive, got %d", wpt)}
+		return &ConfigError{Field: "WPlusTimeout", Reason: fmt.Sprintf("must be positive, got %d", wpt)}
 	}
 	if d.WatchdogCycles < wpt {
 		return &ConfigError{Field: "WatchdogCycles", Reason: fmt.Sprintf(

@@ -94,26 +94,35 @@ func (c *Core) TotalCycles() uint64 {
 	return c.BusyCycles + c.FenceStallCycles + c.OtherStallCycles
 }
 
+// Counter is one of Core's uint64 counters: its name in the
+// simulator's result digest, and the field itself.
+type Counter struct {
+	Name string
+	Val  *uint64
+}
+
+// Counters returns c's uint64 counters in declaration order, each with
+// its digest name. Add, the simulator's result digest and the
+// measurement store's record all walk this one list.
+func (c *Core) Counters() [18]Counter {
+	return [...]Counter{
+		{"busy", &c.BusyCycles}, {"fence", &c.FenceStallCycles},
+		{"other", &c.OtherStallCycles}, {"idle", &c.IdleCycles},
+		{"retired", &c.RetiredInstrs},
+		{"sf", &c.SFences}, {"wf", &c.WFences}, {"demoted", &c.DemotedWFences},
+		{"bw", &c.BouncedWrites}, {"br", &c.BounceRetries}, {"bg", &c.BouncesGiven},
+		{"sq", &c.Squashes}, {"mp", &c.Mispredicts}, {"rec", &c.Recoveries},
+		{"oo", &c.OrderOps}, {"coo", &c.CondOrderOps},
+		{"bss", &c.BSLinesSum}, {"bsn", &c.BSLinesSamples},
+	}
+}
+
 // Add merges other into c (used to aggregate across cores).
 func (c *Core) Add(o *Core) {
-	c.BusyCycles += o.BusyCycles
-	c.FenceStallCycles += o.FenceStallCycles
-	c.OtherStallCycles += o.OtherStallCycles
-	c.IdleCycles += o.IdleCycles
-	c.RetiredInstrs += o.RetiredInstrs
-	c.SFences += o.SFences
-	c.WFences += o.WFences
-	c.DemotedWFences += o.DemotedWFences
-	c.BouncedWrites += o.BouncedWrites
-	c.BounceRetries += o.BounceRetries
-	c.BouncesGiven += o.BouncesGiven
-	c.Squashes += o.Squashes
-	c.Mispredicts += o.Mispredicts
-	c.Recoveries += o.Recoveries
-	c.OrderOps += o.OrderOps
-	c.CondOrderOps += o.CondOrderOps
-	c.BSLinesSum += o.BSLinesSum
-	c.BSLinesSamples += o.BSLinesSamples
+	dst, src := c.Counters(), o.Counters()
+	for i := range dst {
+		*dst[i].Val += *src[i].Val
+	}
 	for k, v := range o.Events {
 		c.Events[k] += v
 	}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 )
@@ -85,5 +86,45 @@ func TestTotalCyclesExcludesIdle(t *testing.T) {
 	c.BusyCycles, c.FenceStallCycles, c.OtherStallCycles, c.IdleCycles = 1, 2, 3, 100
 	if c.TotalCycles() != 6 {
 		t.Fatalf("total = %d", c.TotalCycles())
+	}
+}
+
+// TestCountersListEveryCounter: Counters names every uint64 field of
+// Core once, in declaration order, so Add, the result digest and the
+// store record cannot miss one.
+func TestCountersListEveryCounter(t *testing.T) {
+	c := NewCore()
+	v := reflect.ValueOf(c).Elem()
+	var want []*uint64
+	for i := 0; i < v.NumField(); i++ {
+		if f := v.Field(i); f.Kind() == reflect.Uint64 {
+			want = append(want, f.Addr().Interface().(*uint64))
+		}
+	}
+	got := c.Counters()
+	if len(got) != len(want) {
+		t.Fatalf("Counters lists %d counters, Core has %d", len(got), len(want))
+	}
+	names := map[string]bool{}
+	for i, f := range got {
+		if f.Val != want[i] {
+			t.Errorf("Counters()[%d] (%s) is not the %d-th uint64 field", i, f.Name, i)
+		}
+		if f.Name == "" || names[f.Name] {
+			t.Errorf("Counters()[%d] name %q is empty or repeated", i, f.Name)
+		}
+		names[f.Name] = true
+	}
+	// Add sums every listed counter.
+	o := NewCore()
+	for i, f := range o.Counters() {
+		*f.Val = uint64(i + 1)
+	}
+	c.Add(o)
+	c.Add(o)
+	for i, f := range c.Counters() {
+		if *f.Val != 2*uint64(i+1) {
+			t.Errorf("after two Adds %s = %d, want %d", f.Name, *f.Val, 2*(i+1))
+		}
 	}
 }

@@ -8,83 +8,24 @@ import (
 	"asymfence/internal/buildinfo"
 )
 
-// The exporters write fields in a fixed order with fmt, never by
-// iterating maps, so identical runs produce byte-identical files
-// (a test in internal/sim asserts this end to end).
-
-// kindArgs names the A/B/C arguments of each kind for the JSONL
-// schema; "" means the argument is unused and omitted.
-var kindArgs = [numKinds][3]string{
-	KFenceStrong:   {"pc", "", ""},
-	KFenceWeak:     {"pc", "seq", ""},
-	KFenceDemote:   {"pc", "module", ""},
-	KFenceComplete: {"seq", "bslines", ""},
-	KWBBounce:      {"seq", "", ""},
-	KWBRetry:       {"seq", "order", ""},
-	KRecovery:      {"seq", "resumepc", ""},
-	KSquash:        {"pc", "", ""},
-	KBSBounce:      {"requester", "", ""},
-	KDirGetS:       {"core", "reqid", ""},
-	KDirGetM:       {"core", "reqid", "order"},
-	KDirGrant:      {"core", "msgtype", ""},
-	KDirNack:       {"core", "", "cofail"},
-	KDirWriteback:  {"core", "keepsharer", ""},
-	KGRTDeposit:    {"core", "pslines", ""},
-	KGRTRemove:     {"core", "", ""},
-	KNoCSend:       {"dst", "bytes", "cat"},
-	KNoCDeliver:    {"src", "bytes", "cat"},
-}
-
-// kindHasLine marks kinds whose Line field is meaningful.
-var kindHasLine = [numKinds]bool{
-	KWBBounce: true, KWBRetry: true, KSquash: true, KBSBounce: true,
-	KDirGetS: true, KDirGetM: true, KDirGrant: true, KDirNack: true,
-	KDirWriteback: true,
-}
-
-// WriteJSONL writes the event stream and interval series as JSON Lines:
-// a meta header (including the generating binary's version for
-// provenance), then one object per event ("type":"event") and per
-// interval row ("type":"sample"). See OBSERVABILITY.md for the schema.
-func WriteJSONL(w io.Writer, evs []Event, samples []Sample, dropped uint64) error {
-	bw := bufio.NewWriter(w)
-	bi := buildinfo.Get()
-	fmt.Fprintf(bw, `{"type":"meta","version":1,"generator":"asymsim %s","events":%d,"samples":%d,"dropped":%d}`+"\n",
-		bi.Version, len(evs), len(samples), dropped)
-	for i := range evs {
-		e := &evs[i]
-		fmt.Fprintf(bw, `{"type":"event","cycle":%d,"kind":%q,"node":%d`, e.Cycle, e.Kind.String(), e.Node)
-		if kindHasLine[e.Kind] {
-			fmt.Fprintf(bw, `,"line":"0x%x"`, e.Line)
-		}
-		names := &kindArgs[e.Kind]
-		for j, v := range [3]int64{e.A, e.B, e.C} {
-			if names[j] != "" {
-				fmt.Fprintf(bw, `,%q:%d`, names[j], v)
-			}
-		}
-		bw.WriteString("}\n")
-	}
-	for i := range samples {
-		s := &samples[i]
-		fmt.Fprintf(bw, `{"type":"sample","cycle":%d,"core":%d,"busy":%d,"fencestall":%d,"otherstall":%d,"idle":%d,"retired":%d,"sfences":%d,"wfences":%d,"bounces":%d,"recoveries":%d,"squashes":%d}`+"\n",
-			s.Cycle, s.Core, s.Busy, s.FenceStall, s.OtherStall, s.Idle,
-			s.Retired, s.SFences, s.WFences, s.Bounces, s.Recoveries, s.Squashes)
-	}
-	return bw.Flush()
-}
-
 // WriteChrome writes the stream in the Chrome trace_event JSON object
 // format, loadable in Perfetto (ui.perfetto.dev) and chrome://tracing.
+// It writes fields in a fixed order with fmt, never by iterating maps,
+// so identical runs produce byte-identical files (a test in
+// internal/sim asserts this end to end).
 //
 // Mapping: one simulated cycle is one microsecond of trace time; every
 // mesh node is a "process" (core n / dir n share pid n, on separate
 // "tracks" via tid 0=core, 1=directory, 2=noc); active weak fences are
 // async spans (b/e pairs keyed by the fence's sequence number); all
 // other events are instants; interval samples become counter tracks.
-func WriteChrome(w io.Writer, evs []Event, samples []Sample) error {
+// The top-level otherData object names the generating binary's version
+// and counts the events, the samples and the events a bounded buffer
+// dropped. See OBSERVABILITY.md for the schema.
+func WriteChrome(w io.Writer, evs []Event, samples []Sample, dropped uint64) error {
 	bw := bufio.NewWriter(w)
-	bw.WriteString(`{"displayTimeUnit":"ms","traceEvents":[`)
+	fmt.Fprintf(bw, `{"displayTimeUnit":"ms","otherData":{"generator":"asymsim %s","events":%d,"samples":%d,"dropped":%d},"traceEvents":[`,
+		buildinfo.Get().Version, len(evs), len(samples), dropped)
 	first := true
 	emit := func(format string, args ...any) {
 		if !first {
@@ -119,7 +60,6 @@ func WriteChrome(w io.Writer, evs []Event, samples []Sample) error {
 
 	for i := range evs {
 		e := &evs[i]
-		name := e.Kind.String()
 		switch e.Kind {
 		case KFenceWeak:
 			// Async span begin, ended by the matching KFenceComplete.
@@ -129,28 +69,28 @@ func WriteChrome(w io.Writer, evs []Event, samples []Sample) error {
 			emit(`{"name":"wfence","cat":"fence","ph":"e","id":%d,"ts":%d,"pid":%d,"tid":0,"args":{"bslines":%d}}`,
 				e.A, e.Cycle, e.Node, e.B)
 		default:
+			k := &kinds[e.Kind]
 			tid := 0
-			switch kindClass[e.Kind] {
+			switch k.class {
 			case MaskDir:
 				tid = 1
 			case MaskNoC:
 				tid = 2
 			}
 			args := ""
-			if kindHasLine[e.Kind] {
+			if k.hasLine {
 				args = fmt.Sprintf(`"line":"0x%x"`, e.Line)
 			}
-			names := &kindArgs[e.Kind]
 			for j, v := range [3]int64{e.A, e.B, e.C} {
-				if names[j] != "" {
+				if k.args[j] != "" {
 					if args != "" {
 						args += ","
 					}
-					args += fmt.Sprintf(`%q:%d`, names[j], v)
+					args += fmt.Sprintf(`%q:%d`, k.args[j], v)
 				}
 			}
 			emit(`{"name":%q,"cat":%q,"ph":"i","s":"t","ts":%d,"pid":%d,"tid":%d,"args":{%s}}`,
-				name, className(kindClass[e.Kind]), e.Cycle, e.Node, tid, args)
+				k.name, e.Kind.class(), e.Cycle, e.Node, tid, args)
 		}
 	}
 
@@ -158,26 +98,12 @@ func WriteChrome(w io.Writer, evs []Event, samples []Sample) error {
 		s := &samples[i]
 		emit(`{"name":"cycle breakdown","ph":"C","ts":%d,"pid":%d,"args":{"busy":%d,"fencestall":%d,"otherstall":%d,"idle":%d}}`,
 			s.Cycle, s.Core, s.Busy, s.FenceStall, s.OtherStall, s.Idle)
-		emit(`{"name":"fences","ph":"C","ts":%d,"pid":%d,"args":{"strong":%d,"weak":%d,"bounces":%d,"recoveries":%d}}`,
-			s.Cycle, s.Core, s.SFences, s.WFences, s.Bounces, s.Recoveries)
+		emit(`{"name":"fences","ph":"C","ts":%d,"pid":%d,"args":{"strong":%d,"weak":%d,"bounces":%d,"recoveries":%d,"squashes":%d}}`,
+			s.Cycle, s.Core, s.SFences, s.WFences, s.Bounces, s.Recoveries, s.Squashes)
+		emit(`{"name":"instructions","ph":"C","ts":%d,"pid":%d,"args":{"retired":%d}}`,
+			s.Cycle, s.Core, s.Retired)
 	}
 
 	bw.WriteString("\n]}\n")
 	return bw.Flush()
-}
-
-func className(m Mask) string {
-	switch m {
-	case MaskFence:
-		return "fence"
-	case MaskWB:
-		return "wb"
-	case MaskCPU:
-		return "cpu"
-	case MaskDir:
-		return "dir"
-	case MaskNoC:
-		return "noc"
-	}
-	return "other"
 }

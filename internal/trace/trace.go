@@ -4,23 +4,32 @@
 // interval sampler that turns the end-of-run cycle-breakdown aggregates
 // into a per-core time series.
 //
-// The design constraint is that tracing must cost nothing when it is
-// off: components hold a *Tracer that is nil when tracing is disabled,
-// and Emit on a nil receiver returns immediately without allocating.
-// A benchmark and an AllocsPerRun test in this package and in
-// internal/sim hold that property.
+// Every machine has exactly one event buffer, a Tracer. A traced run
+// gets the caller's; an untraced one gets the flight recorder, a tracer
+// that keeps every class and is bounded at RecorderDepth events.
+// Failure reports (the simulator's DeadlockError, the oracle's
+// ViolationError) carry that buffer's Tail. A bounded tracer allocates
+// its ring when it is built and then overwrites it in place, so Emit
+// never allocates on the cycle loop; a nil *Tracer is a valid, disabled
+// tracer whose Emit returns at once. AllocsPerRun tests in this package
+// and in internal/sim hold both properties.
 //
 // Determinism: the simulator itself is deterministic (see internal/sim),
-// events are appended in emission order, and the exporters write fields
-// in a fixed order — two identical runs produce byte-identical output.
-// OBSERVABILITY.md documents the event schema and the export formats.
+// events are appended in emission order, and the exporter writes fields
+// in a fixed order, so two identical runs produce byte-identical output.
+// OBSERVABILITY.md documents the event schema and the export format.
 package trace
 
-import "strings"
+import (
+	"fmt"
+	"math/bits"
+	"slices"
+	"strings"
+)
 
 // Kind identifies an event type. The per-kind argument meanings are
-// listed next to each constant and mirrored in the kindArgs table the
-// exporters use for field naming.
+// listed next to each constant; the kinds table below names them for
+// the exporter.
 type Kind uint8
 
 const (
@@ -89,34 +98,48 @@ const (
 	numKinds
 )
 
-// kindNames are the stable schema names used by both exporters.
-var kindNames = [numKinds]string{
-	KFenceStrong:   "fence.strong",
-	KFenceWeak:     "fence.weak",
-	KFenceDemote:   "fence.demote",
-	KFenceComplete: "fence.complete",
-	KWBBounce:      "wb.bounce",
-	KWBRetry:       "wb.retry",
-	KRecovery:      "wplus.recovery",
-	KSquash:        "cpu.squash",
-	KBSBounce:      "bs.bounce",
-	KDirGetS:       "dir.gets",
-	KDirGetM:       "dir.getm",
-	KDirGrant:      "dir.grant",
-	KDirNack:       "dir.nack",
-	KDirWriteback:  "dir.writeback",
-	KGRTDeposit:    "grt.deposit",
-	KGRTRemove:     "grt.remove",
-	KNoCSend:       "noc.send",
-	KNoCDeliver:    "noc.deliver",
+// kindInfo describes one Kind for the mask, the exporter and failure
+// tails.
+type kindInfo struct {
+	name    string    // stable schema name
+	class   Mask      // the one class bit that selects it
+	args    [3]string // names of A, B, C; "" = unused, not exported
+	hasLine bool      // whether Line is meaningful
+}
+
+// kinds describes every Kind, once.
+var kinds = [numKinds]kindInfo{
+	KFenceStrong:   {"fence.strong", MaskFence, [3]string{"pc"}, false},
+	KFenceWeak:     {"fence.weak", MaskFence, [3]string{"pc", "seq"}, false},
+	KFenceDemote:   {"fence.demote", MaskFence, [3]string{"pc", "module"}, false},
+	KFenceComplete: {"fence.complete", MaskFence, [3]string{"seq", "bslines"}, false},
+	KWBBounce:      {"wb.bounce", MaskWB, [3]string{"seq"}, true},
+	KWBRetry:       {"wb.retry", MaskWB, [3]string{"seq", "order"}, true},
+	KRecovery:      {"wplus.recovery", MaskFence, [3]string{"seq", "resumepc"}, false},
+	KSquash:        {"cpu.squash", MaskCPU, [3]string{"pc"}, true},
+	KBSBounce:      {"bs.bounce", MaskCPU, [3]string{"requester"}, true},
+	KDirGetS:       {"dir.gets", MaskDir, [3]string{"core", "reqid"}, true},
+	KDirGetM:       {"dir.getm", MaskDir, [3]string{"core", "reqid", "order"}, true},
+	KDirGrant:      {"dir.grant", MaskDir, [3]string{"core", "msgtype"}, true},
+	KDirNack:       {"dir.nack", MaskDir, [3]string{"core", "", "cofail"}, true},
+	KDirWriteback:  {"dir.writeback", MaskDir, [3]string{"core", "keepsharer"}, true},
+	KGRTDeposit:    {"grt.deposit", MaskDir, [3]string{"core", "pslines"}, false},
+	KGRTRemove:     {"grt.remove", MaskDir, [3]string{"core"}, false},
+	KNoCSend:       {"noc.send", MaskNoC, [3]string{"dst", "bytes", "cat"}, false},
+	KNoCDeliver:    {"noc.deliver", MaskNoC, [3]string{"src", "bytes", "cat"}, false},
 }
 
 // String returns the event kind's schema name.
 func (k Kind) String() string {
 	if k < numKinds {
-		return kindNames[k]
+		return kinds[k].name
 	}
 	return "kind(?)"
+}
+
+// class returns the name of k's event class.
+func (k Kind) class() string {
+	return classNames[bits.TrailingZeros32(uint32(kinds[k].class))]
 }
 
 // Mask selects which event classes a tracer records. Emit calls for
@@ -143,16 +166,30 @@ const (
 	MaskAll Mask = MaskFence | MaskWB | MaskCPU | MaskDir | MaskNoC
 )
 
-// kindClass maps each kind to its mask bit.
-var kindClass = [numKinds]Mask{
-	KFenceStrong: MaskFence, KFenceWeak: MaskFence, KFenceDemote: MaskFence,
-	KFenceComplete: MaskFence, KRecovery: MaskFence,
-	KWBBounce: MaskWB, KWBRetry: MaskWB,
-	KSquash: MaskCPU, KBSBounce: MaskCPU,
-	KDirGetS: MaskDir, KDirGetM: MaskDir, KDirGrant: MaskDir,
-	KDirNack: MaskDir, KDirWriteback: MaskDir,
-	KGRTDeposit: MaskDir, KGRTRemove: MaskDir,
-	KNoCSend: MaskNoC, KNoCDeliver: MaskNoC,
+// classNames names the class bits in bit order: ParseMask reads them,
+// and the exporter writes them as each instant's category.
+var classNames = [...]string{"fence", "wb", "cpu", "dir", "noc"}
+
+// ParseMask turns a comma-separated class list ("fence,dir,noc"; "all")
+// into a Mask. Unknown class names, and a list that names no class,
+// report ok=false.
+func ParseMask(s string) (Mask, bool) {
+	if s == "" || s == "all" {
+		return MaskAll, true
+	}
+	var m Mask
+	for _, tok := range strings.Split(s, ",") {
+		tok = strings.TrimSpace(tok)
+		if tok == "" {
+			continue
+		}
+		i := slices.Index(classNames[:], tok)
+		if i < 0 {
+			return 0, false
+		}
+		m |= 1 << i
+	}
+	return m, m != 0
 }
 
 // Event is one recorded occurrence. Node is the mesh node of the
@@ -167,18 +204,26 @@ type Event struct {
 	A, B, C int64
 }
 
+// String renders one event in the fixed-width form failure reports use.
+func (e Event) String() string {
+	return fmt.Sprintf("@%-8d %-14s node=%d line=%#x a=%d b=%d c=%d",
+		e.Cycle, e.Kind, e.Node, e.Line, e.A, e.B, e.C)
+}
+
+// RecorderDepth is the flight recorder's bound, and the most events a
+// Tail holds. 256 recent events is enough to show the failing
+// interaction (a fence lifecycle, a bounce loop, the last few coherence
+// transactions).
+const RecorderDepth = 256
+
 // Options configures a Tracer.
 type Options struct {
 	// Mask selects the recorded event classes (zero means MaskAll).
 	Mask Mask
-	// MaxEvents bounds the buffer; once full the oldest events are
-	// overwritten ring-style and Dropped counts them. Zero is unbounded.
+	// MaxEvents bounds the buffer, which New allocates in full; once
+	// it is full the oldest events are overwritten ring-style and
+	// Dropped counts them. Zero is unbounded.
 	MaxEvents int
-	// Recorder, when non-nil, is a flight recorder that sees every
-	// emitted event regardless of Mask (the ring write happens before
-	// the mask check, so failure tails are complete even under a
-	// narrow trace mask).
-	Recorder *Recorder
 }
 
 // Tracer is a deterministic event buffer. A nil *Tracer is a valid,
@@ -190,7 +235,6 @@ type Tracer struct {
 	evs     []Event
 	start   int // ring head once the buffer has wrapped
 	dropped uint64
-	rec     *Recorder
 }
 
 // New builds a tracer. A zero Options value records every event class
@@ -200,57 +244,21 @@ func New(opts Options) *Tracer {
 	if m == 0 {
 		m = MaskAll
 	}
-	return &Tracer{mask: m, max: opts.MaxEvents, rec: opts.Recorder}
-}
-
-// NewRecording builds a recorder-only tracer: its mask is empty, so it
-// buffers nothing, but every Emit lands in rec's ring. This is what the
-// simulator substitutes when tracing is off, keeping the flight
-// recorder always on at ring-store cost.
-func NewRecording(rec *Recorder) *Tracer {
-	return &Tracer{rec: rec}
-}
-
-// SetRecorder attaches a flight recorder if the tracer exists and does
-// not already have one. It reports whether rec is now (or was already)
-// the tracer's recorder.
-func (t *Tracer) SetRecorder(rec *Recorder) bool {
-	if t == nil {
-		return false
+	t := &Tracer{mask: m, max: opts.MaxEvents}
+	if t.max > 0 {
+		t.evs = make([]Event, 0, t.max)
 	}
-	if t.rec == nil {
-		t.rec = rec
-	}
-	return t.rec == rec
-}
-
-// Recorder returns the attached flight recorder (nil on a nil tracer or
-// when none is attached).
-func (t *Tracer) Recorder() *Recorder {
-	if t == nil {
-		return nil
-	}
-	return t.rec
+	return t
 }
 
 // Emit records one event. It is safe (and free) to call on a nil
-// tracer; this is the fast path every component sits on. The flight
-// recorder (if attached) sees the event before the mask check.
+// tracer, and allocates nothing on a bounded one; this is the fast
+// path every component sits on.
 func (t *Tracer) Emit(cycle int64, k Kind, node int32, line uint64, a, b, c int64) {
-	if t == nil {
+	if t == nil || t.mask&kinds[k].class == 0 {
 		return
 	}
 	e := Event{Cycle: cycle, Kind: k, Node: node, Line: line, A: a, B: b, C: c}
-	if t.rec != nil {
-		t.rec.record(e)
-	}
-	if t.mask&kindClass[k] == 0 {
-		return
-	}
-	t.add(e)
-}
-
-func (t *Tracer) add(e Event) {
 	if t.max > 0 && len(t.evs) == t.max {
 		t.evs[t.start] = e
 		t.start++
@@ -279,41 +287,38 @@ func (t *Tracer) Dropped() uint64 {
 	return t.dropped
 }
 
-// Events returns the buffered events in emission order. The returned
-// slice is freshly allocated (ring order is flattened).
-func (t *Tracer) Events() []Event {
-	if t == nil || len(t.evs) == 0 {
+// Events returns the buffered events in emission order, in a freshly
+// allocated slice (nil when there are none).
+func (t *Tracer) Events() []Event { return t.last(t.Len()) }
+
+// Tail returns the last RecorderDepth buffered events (all of them when
+// there are fewer), oldest first, in a freshly allocated slice: the
+// tail a failure report carries.
+func (t *Tracer) Tail() []Event { return t.last(min(t.Len(), RecorderDepth)) }
+
+// last returns the n most recent events in emission order.
+func (t *Tracer) last(n int) []Event {
+	if n == 0 {
 		return nil
 	}
-	out := make([]Event, 0, len(t.evs))
-	out = append(out, t.evs[t.start:]...)
-	out = append(out, t.evs[:t.start]...)
+	out := make([]Event, 0, n)
+	for i := len(t.evs) - n; i < len(t.evs); i++ {
+		out = append(out, t.evs[(t.start+i)%len(t.evs)])
+	}
 	return out
 }
 
-// ParseMask turns a comma-separated class list ("fence,dir,noc"; "all")
-// into a Mask. Unknown class names report ok=false.
-func ParseMask(s string) (Mask, bool) {
-	if s == "" || s == "all" {
-		return MaskAll, true
+// FormatTail renders a tail as the indented block that DeadlockError
+// and ViolationError embed in their reports. It returns "" for an empty
+// tail.
+func FormatTail(evs []Event) string {
+	if len(evs) == 0 {
+		return ""
 	}
-	var m Mask
-	for _, tok := range strings.Split(s, ",") {
-		switch strings.TrimSpace(tok) {
-		case "fence":
-			m |= MaskFence
-		case "wb":
-			m |= MaskWB
-		case "cpu":
-			m |= MaskCPU
-		case "dir":
-			m |= MaskDir
-		case "noc":
-			m |= MaskNoC
-		case "":
-		default:
-			return 0, false
-		}
+	b := make([]byte, 0, 64*len(evs))
+	b = fmt.Appendf(b, "last %d flight-recorder events before failure:", len(evs))
+	for _, e := range evs {
+		b = fmt.Appendf(b, "\n  %s", e)
 	}
-	return m, true
+	return string(b)
 }

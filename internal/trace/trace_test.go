@@ -70,6 +70,10 @@ func TestParseMask(t *testing.T) {
 		{"fence", MaskFence, true},
 		{"fence,dir", MaskFence | MaskDir, true},
 		{"fence, noc", MaskFence | MaskNoC, true},
+		{"fence,wb,cpu,dir,noc", MaskAll, true},
+		{"wb,", MaskWB, true},
+		{",", 0, false},
+		{" , ", 0, false},
 		{"bogus", 0, false},
 	} {
 		got, ok := ParseMask(tc.in)
@@ -80,12 +84,18 @@ func TestParseMask(t *testing.T) {
 }
 
 func TestEveryKindHasNameAndClass(t *testing.T) {
+	seen := map[string]bool{}
 	for k := Kind(0); k < numKinds; k++ {
-		if kindNames[k] == "" {
-			t.Fatalf("kind %d has no schema name", k)
+		info := kinds[k]
+		if info.name == "" || seen[info.name] {
+			t.Fatalf("kind %d has no schema name or shares %q", k, info.name)
 		}
-		if kindClass[k] == 0 {
-			t.Fatalf("kind %v has no class mask", k)
+		seen[info.name] = true
+		if info.class == 0 || info.class&(info.class-1) != 0 || info.class&^MaskAll != 0 {
+			t.Fatalf("kind %v has class %#x, want exactly one class bit", k, info.class)
+		}
+		if m, ok := ParseMask(k.class()); !ok || m != info.class {
+			t.Fatalf("kind %v: class name %q parses to (%#x, %v), want %#x", k, k.class(), m, ok, info.class)
 		}
 	}
 }
@@ -99,59 +109,35 @@ func sampleFixture() ([]Event, []Sample) {
 		{Cycle: 21, Kind: KNoCSend, Node: 0, A: 1, B: 8, C: 2},
 	}
 	samples := []Sample{
-		{Cycle: 100, Core: 0, Busy: 70, FenceStall: 20, OtherStall: 10, Retired: 150, WFences: 2},
-		{Cycle: 100, Core: 1, Busy: 90, OtherStall: 10, Retired: 200, SFences: 1},
+		{Cycle: 100, Core: 0, Busy: 70, FenceStall: 20, OtherStall: 10, Retired: 150, WFences: 2, Squashes: 4},
+		{Cycle: 100, Core: 1, Busy: 90, OtherStall: 10, Retired: 200, SFences: 1, Bounces: 3},
 	}
 	return evs, samples
-}
-
-func TestJSONLWellFormedAndDeterministic(t *testing.T) {
-	evs, samples := sampleFixture()
-	var a, b bytes.Buffer
-	if err := WriteJSONL(&a, evs, samples, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := WriteJSONL(&b, evs, samples, 7); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Fatal("JSONL export is not byte-identical across calls")
-	}
-	lines := strings.Split(strings.TrimRight(a.String(), "\n"), "\n")
-	if len(lines) != 1+len(evs)+len(samples) {
-		t.Fatalf("got %d lines, want %d", len(lines), 1+len(evs)+len(samples))
-	}
-	for i, ln := range lines {
-		var obj map[string]any
-		if err := json.Unmarshal([]byte(ln), &obj); err != nil {
-			t.Fatalf("line %d is not valid JSON: %v\n%s", i, err, ln)
-		}
-		if obj["type"] == nil {
-			t.Fatalf("line %d has no type: %s", i, ln)
-		}
-	}
-	// Spot-check schema: the fence.weak line must name its args.
-	if !strings.Contains(lines[1], `"kind":"fence.weak"`) || !strings.Contains(lines[1], `"pc":5`) {
-		t.Fatalf("fence.weak line missing named args: %s", lines[1])
-	}
-	if !strings.Contains(lines[2], `"line":"0x1040"`) {
-		t.Fatalf("dir.getm line missing line address: %s", lines[2])
-	}
 }
 
 func TestChromeExportIsValidTraceEventJSON(t *testing.T) {
 	evs, samples := sampleFixture()
 	var buf bytes.Buffer
-	if err := WriteChrome(&buf, evs, samples); err != nil {
+	if err := WriteChrome(&buf, evs, samples, 7); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
+		OtherData   map[string]any   `json:"otherData"`
 		TraceEvents []map[string]any `json:"traceEvents"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("Chrome export is not valid JSON: %v\n%s", err, buf.String())
 	}
-	var haveBegin, haveEnd, haveCounter, haveInstant bool
+	if gen, _ := doc.OtherData["generator"].(string); !strings.HasPrefix(gen, "asymsim ") {
+		t.Errorf("otherData.generator = %q, want the asymsim version", gen)
+	}
+	for key, want := range map[string]float64{"events": 5, "samples": 2, "dropped": 7} {
+		if got := doc.OtherData[key]; got != want {
+			t.Errorf("otherData.%s = %v, want %v", key, got, want)
+		}
+	}
+	var haveBegin, haveEnd, haveInstant bool
+	counters := map[string]bool{}
 	for _, e := range doc.TraceEvents {
 		switch e["ph"] {
 		case "b":
@@ -159,7 +145,9 @@ func TestChromeExportIsValidTraceEventJSON(t *testing.T) {
 		case "e":
 			haveEnd = true
 		case "C":
-			haveCounter = true
+			for name := range e["args"].(map[string]any) {
+				counters[name] = true
+			}
 		case "i":
 			haveInstant = true
 		}
@@ -170,15 +158,29 @@ func TestChromeExportIsValidTraceEventJSON(t *testing.T) {
 	if !haveBegin || !haveEnd {
 		t.Fatal("fence lifecycle did not produce async b/e span events")
 	}
-	if !haveCounter {
-		t.Fatal("interval samples did not produce counter events")
-	}
 	if !haveInstant {
 		t.Fatal("no instant events in export")
 	}
+	// Every field of an interval row is on a counter track.
+	for _, f := range []string{"busy", "fencestall", "otherstall", "idle", "retired",
+		"strong", "weak", "bounces", "recoveries", "squashes"} {
+		if !counters[f] {
+			t.Errorf("no counter track carries the sample field %q", f)
+		}
+	}
+	// Instants name their arguments and render line addresses in hex.
+	for _, want := range []string{
+		`"name":"dir.getm","cat":"dir","ph":"i","s":"t","ts":12,"pid":1,"tid":1,"args":{"line":"0x1040","core":0,"reqid":99,"order":1}`,
+		`"name":"wb.bounce","cat":"wb","ph":"i","s":"t","ts":14,"pid":0,"tid":0,"args":{"line":"0x1040","seq":9}`,
+		`"name":"noc.send","cat":"noc","ph":"i","s":"t","ts":21,"pid":0,"tid":2,"args":{"dst":1,"bytes":8,"cat":2}`,
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("export lacks %s", want)
+		}
+	}
 	// Determinism.
 	var again bytes.Buffer
-	if err := WriteChrome(&again, evs, samples); err != nil {
+	if err := WriteChrome(&again, evs, samples, 7); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), again.Bytes()) {
@@ -229,5 +231,78 @@ func TestNilSamplerIsSafe(t *testing.T) {
 	s.Flush(10, nil)
 	if NewSampler(0, 4) != nil {
 		t.Fatal("NewSampler(0) must return the disabled sampler")
+	}
+}
+
+func TestRecorderTailOrdering(t *testing.T) {
+	tr := New(Options{MaxEvents: RecorderDepth})
+	if tr.Tail() != nil || tr.Len() != 0 {
+		t.Fatal("fresh recorder must be empty")
+	}
+	for i := 0; i < 10; i++ {
+		tr.Emit(int64(i), KWBBounce, 0, 0, int64(i), 0, 0)
+	}
+	tail := tr.Tail()
+	if len(tail) != 10 {
+		t.Fatalf("tail len = %d, want 10", len(tail))
+	}
+	for i, e := range tail {
+		if e.Cycle != int64(i) {
+			t.Fatalf("tail[%d].Cycle = %d, want %d (oldest-first)", i, e.Cycle, i)
+		}
+	}
+}
+
+// TestRecorderWrapsKeepingNewest: a tail is the RecorderDepth newest
+// events, oldest first, whether the buffer is the flight recorder's
+// wrapped ring or a longer trace.
+func TestRecorderWrapsKeepingNewest(t *testing.T) {
+	total := RecorderDepth*2 + 17
+	for _, opts := range []Options{{MaxEvents: RecorderDepth}, {}, {MaxEvents: 300}} {
+		tr := New(opts)
+		for i := 0; i < total; i++ {
+			tr.Emit(int64(i), KSquash, 1, 0x40, 0, 0, 0)
+		}
+		if got := uint64(tr.Len()) + tr.Dropped(); got != uint64(total) {
+			t.Fatalf("%+v: kept+dropped = %d, want %d", opts, got, total)
+		}
+		tail := tr.Tail()
+		if len(tail) != RecorderDepth {
+			t.Fatalf("%+v: tail len = %d, want %d", opts, len(tail), RecorderDepth)
+		}
+		for i, e := range tail {
+			if want := int64(total - RecorderDepth + i); e.Cycle != want {
+				t.Fatalf("%+v: tail[%d].Cycle = %d, want %d", opts, i, e.Cycle, want)
+			}
+		}
+	}
+}
+
+// TestRecordingEmitIsAllocationFree holds the flight recorder's
+// contract: New allocates a bounded tracer's whole ring, so no Emit
+// allocates, from a fresh tracer's first event through its wrap.
+func TestRecordingEmitIsAllocationFree(t *testing.T) {
+	fresh := []*Tracer{New(Options{MaxEvents: RecorderDepth}), New(Options{MaxEvents: RecorderDepth})}
+	allocs := testing.AllocsPerRun(1, func() {
+		tr := fresh[0]
+		fresh = fresh[1:]
+		for c := int64(0); c < 3*RecorderDepth; c++ {
+			tr.Emit(c, KWBBounce, 2, 0x80, c, 0, 0)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("%d Emits into a fresh recorder allocated %v times, want 0", 3*RecorderDepth, allocs)
+	}
+}
+
+func TestFormatTail(t *testing.T) {
+	if FormatTail(nil) != "" {
+		t.Error("empty tail must render empty")
+	}
+	got := FormatTail([]Event{{Cycle: 7, Kind: KWBBounce, Node: 3, Line: 0x40, A: 9}})
+	for _, want := range []string{"last 1 flight-recorder events", "@7", "wb.bounce", "node=3", "line=0x40", "a=9"} {
+		if !strings.Contains(got, want) {
+			t.Errorf("FormatTail missing %q in:\n%s", want, got)
+		}
 	}
 }

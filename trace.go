@@ -34,8 +34,8 @@ type TraceOptions = experiments.TraceOptions
 // TraceResult is a traced workload execution: the run's measurement
 // (Meas), the recorded event stream in emission order, the per-core
 // interval series and the count of ring-overwritten events. Its
-// exporters write the deterministic JSONL and Chrome trace_event
-// formats documented in OBSERVABILITY.md.
+// WriteChrome exports the deterministic Chrome trace_event format
+// documented in OBSERVABILITY.md.
 type TraceResult = experiments.TraceRun
 
 // ParseDesign parses a fence-design name ("S+", "WS+", "SW+", "W+",
