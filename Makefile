@@ -134,9 +134,11 @@ check-invariants:
 # Short per-subsystem microbenchmarks (NoC, cache, directory, cycle
 # kernel, machine build, TSO enumerator, outcome keys, hardware litmus
 # sweep, store open and measurement load). Quick enough for the inner
-# loop; see PERFORMANCE.md for how to read and extend them.
+# loop; see PERFORMANCE.md for how to read and extend them. -benchmem
+# prints allocations per op beside every time, so a regression in
+# either shows.
 bench:
-	$(GO) test -run XX -bench . -benchtime 200ms \
+	$(GO) test -run XX -bench . -benchtime 200ms -benchmem \
 		./internal/noc/ ./internal/cache/ ./internal/coherence/ ./internal/sim/ \
 		./internal/tso/ ./internal/workloads/litmus/ ./runtime/litmusrun/ \
 		./internal/store/ ./internal/experiments/

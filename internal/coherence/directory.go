@@ -61,12 +61,27 @@ type txn struct {
 	keepSharers uint64 // responders the directory must keep as sharers
 }
 
+// dirLine is one line's directory entry. Its open transaction lives in
+// it: busy says whether txn holds one, and txn is overwritten only by the
+// next transaction started after finish clears busy, so a controller
+// needs no heap object per request (gem5's Ruby keeps its TBEs in a fixed
+// table for the same reason).
 type dirLine struct {
 	sharers uint64 // bitmask of cores the directory will invalidate on writes
 	owner   int    // core holding the line E/M; -1 if none
-	busy    *txn
+	busy    bool
+	txn     txn
 	queue   []Msg // requests deferred while the line is busy
 }
+
+// Slab chunks: a bank's first chunk holds slabFirst lines and each later
+// one as many as the bank holds already, up to slabMax, so a small
+// machine's banks allocate a few hundred bytes and a big one's one chunk
+// per slabMax new lines.
+const (
+	slabFirst = 4
+	slabMax   = 256
+)
 
 // timerKind names the deferred action a timer fires. Timers used to be
 // closures, but a closure costs two heap allocations (func value +
@@ -85,9 +100,8 @@ const (
 
 type timer struct {
 	kind timerKind
-	dl   *dirLine
-	txn  *txn // tGetMData
-	msg  Msg  // tGetSData: the original request
+	dl   *dirLine // tGetMData: completes dl.txn
+	msg  Msg      // tGetSData: the original request
 }
 
 // DirStats counts directory-side protocol events.
@@ -156,6 +170,7 @@ type Directory struct {
 	l2Lat, memLat int64
 
 	lines  map[mem.Line]*dirLine
+	slab   []dirLine // unused entries of the newest slab chunk
 	timers noc.Queue[timer]
 
 	tr  *trace.Tracer
@@ -198,7 +213,13 @@ func (d *Directory) SetLatencyFault(f func(bank int) int64) { d.latFault = f }
 func (d *Directory) entry(l mem.Line) *dirLine {
 	dl, ok := d.lines[l]
 	if !ok {
-		dl = &dirLine{owner: -1}
+		if len(d.slab) == 0 {
+			// Each chunk is as large as all earlier ones together.
+			d.slab = make([]dirLine, min(max(len(d.lines), slabFirst), slabMax))
+		}
+		dl = &d.slab[0]
+		d.slab = d.slab[1:]
+		dl.owner = -1
 		d.lines[l] = dl
 	}
 	return dl
@@ -219,7 +240,7 @@ func (d *Directory) Step(now int64) {
 		case tGetSData:
 			d.fireGetSData(now, t.dl, t.msg)
 		case tGetMData:
-			d.completeGetM(now, t.dl, t.txn)
+			d.completeGetM(now, t.dl)
 		}
 	}
 }
@@ -228,14 +249,15 @@ func (d *Directory) Step(now int64) {
 // math.MaxInt64 when none is armed (quiescence-aware stepping bound).
 func (d *Directory) NextTimer() int64 { return d.timers.Next() }
 
-// Pending reports whether the module has in-flight work (used by the
-// simulator's quiesce detection).
+// Pending reports whether the module has in-flight work: an armed timer,
+// an open transaction or a queued request. Deadlock reports call it to
+// choose which modules to dump; it walks every line the bank has seen.
 func (d *Directory) Pending() bool {
 	if d.timers.Len() > 0 {
 		return true
 	}
 	for _, dl := range d.lines {
-		if dl.busy != nil || len(dl.queue) > 0 {
+		if dl.busy || len(dl.queue) > 0 {
 			return true
 		}
 	}
@@ -275,7 +297,7 @@ func (d *Directory) Handle(now int64, m Msg) {
 
 func (d *Directory) handleRequest(now int64, m Msg) {
 	dl := d.entry(m.Line)
-	if dl.busy != nil {
+	if dl.busy {
 		dl.queue = append(dl.queue, m)
 		return
 	}
@@ -320,16 +342,15 @@ func (d *Directory) storageLatency(l mem.Line) int64 {
 func (d *Directory) startGetS(now int64, dl *dirLine, m Msg) {
 	d.Stats.GetSReqs++
 	d.tr.Emit(now, trace.KDirGetS, int32(d.bank), uint64(m.Line), int64(m.Core), int64(m.ReqID), 0)
+	dl.busy = true
+	dl.txn = txn{kind: txnGetS, req: m.Core, reqID: m.ReqID, line: m.Line}
 	if dl.owner >= 0 && dl.owner != m.Core {
-		t := &txn{kind: txnGetS, req: m.Core, reqID: m.ReqID, line: m.Line, pendingAcks: 1}
-		dl.busy = t
+		dl.txn.pendingAcks = 1
 		d.send(now, dl.owner, Msg{Type: DowngradeReq, Line: m.Line, Core: m.Core, ReqID: m.ReqID}, noc.CatProtocol)
 		return
 	}
 	// Data comes from this bank (or memory). Exclusive grant when nobody
 	// else has the line.
-	t := &txn{kind: txnGetS, req: m.Core, reqID: m.ReqID, line: m.Line}
-	dl.busy = t
 	lat := d.storageLatency(m.Line)
 	d.timers.Push(now+lat, timer{kind: tGetSData, dl: dl, msg: m})
 }
@@ -360,26 +381,25 @@ func (d *Directory) startGetM(now int64, dl *dirLine, m Msg) {
 		order = 1
 	}
 	d.tr.Emit(now, trace.KDirGetM, int32(d.bank), uint64(m.Line), int64(m.Core), int64(m.ReqID), order)
-	t := &txn{
+	dl.busy = true
+	dl.txn = txn{
 		kind: txnGetM, req: m.Core, reqID: m.ReqID, line: m.Line,
 		order: m.Order, wordMask: m.WordMask,
 	}
+	t := &dl.txn
 	inv := Msg{Type: InvReq, Line: m.Line, Core: m.Core, ReqID: m.ReqID, Order: m.Order, WordMask: m.WordMask}
 
 	switch {
 	case dl.owner == m.Core:
 		// Defensive: requester already owns the line (e.g. a retry racing
 		// a silent upgrade). Grant immediately.
-		dl.busy = t
 		d.tr.Emit(now, trace.KDirGrant, int32(d.bank), uint64(m.Line), int64(m.Core), int64(GrantM), 0)
 		d.send(now, m.Core, Msg{Type: GrantM, Line: m.Line, Core: m.Core, ReqID: m.ReqID}, noc.CatProtocol)
 		d.finish(now, dl)
 	case dl.owner >= 0:
-		dl.busy = t
 		t.pendingAcks = 1
 		d.send(now, dl.owner, inv, noc.CatProtocol)
 	case dl.sharers&^(1<<uint(m.Core)) != 0:
-		dl.busy = t
 		others := dl.sharers &^ (1 << uint(m.Core))
 		for c := 0; others != 0; c++ {
 			if others&(1<<uint(c)) != 0 {
@@ -391,19 +411,18 @@ func (d *Directory) startGetM(now int64, dl *dirLine, m Msg) {
 	default:
 		// Requester is the only sharer, or nobody has it: fetch data if
 		// the requester doesn't already hold it, then grant M.
-		dl.busy = t
 		var lat int64 = 1
 		if dl.sharers&(1<<uint(m.Core)) == 0 {
 			lat = d.storageLatency(m.Line)
 		}
-		d.timers.Push(now+lat, timer{kind: tGetMData, dl: dl, txn: t})
+		d.timers.Push(now+lat, timer{kind: tGetMData, dl: dl})
 	}
 }
 
 func (d *Directory) handleInvResp(now int64, m Msg) {
 	dl := d.entry(m.Line)
-	t := dl.busy
-	if t == nil || t.reqID != m.ReqID {
+	t := &dl.txn
+	if !dl.busy || t.reqID != m.ReqID {
 		// Stale response from an older transaction; drop.
 		return
 	}
@@ -441,11 +460,13 @@ func (d *Directory) handleInvResp(now int64, m Msg) {
 		d.chk.MarkLine(m.Line)
 	}
 	if t.pendingAcks == 0 {
-		d.completeGetM(now, dl, t)
+		d.completeGetM(now, dl)
 	}
 }
 
-func (d *Directory) completeGetM(now int64, dl *dirLine, t *txn) {
+// completeGetM ends the GetM transaction open in dl.
+func (d *Directory) completeGetM(now int64, dl *dirLine) {
+	t := &dl.txn
 	req := t.req
 	switch {
 	case t.nacked:
@@ -491,8 +512,8 @@ func (d *Directory) completeGetM(now int64, dl *dirLine, t *txn) {
 
 func (d *Directory) handleDowngradeAck(now int64, m Msg) {
 	dl := d.entry(m.Line)
-	t := dl.busy
-	if t == nil || t.reqID != m.ReqID {
+	t := &dl.txn
+	if !dl.busy || t.reqID != m.ReqID {
 		return
 	}
 	// Owner downgraded to Shared; its data (if dirty) is home now.
@@ -515,7 +536,7 @@ func (d *Directory) handleDowngradeAck(now int64, m Msg) {
 
 func (d *Directory) handlePutM(now int64, m Msg) {
 	dl := d.entry(m.Line)
-	if dl.busy != nil {
+	if dl.busy {
 		dl.queue = append(dl.queue, m)
 		return
 	}
@@ -548,14 +569,16 @@ func (d *Directory) handleWeeDeposit(now int64, m Msg) {
 }
 
 // finish retires the busy transaction and admits the next queued request
-// for the line.
+// for the line, which may reuse dl.txn at once: nothing reads the old
+// transaction after its finish. The queue shifts in place so its array is
+// reused by later deferrals.
 func (d *Directory) finish(now int64, dl *dirLine) {
-	dl.busy = nil
+	dl.busy = false
 	if len(dl.queue) == 0 {
 		return
 	}
 	next := dl.queue[0]
-	dl.queue = dl.queue[1:]
+	dl.queue = dl.queue[:copy(dl.queue, dl.queue[1:])]
 	switch next.Type {
 	case GetS:
 		d.startGetS(now, dl, next)
@@ -590,7 +613,7 @@ func (d *Directory) SharersOf(l mem.Line) (sharers uint64, owner int) {
 // armed timers.
 func (d *Directory) PendingCounts() (busy, queued, timers int) {
 	for _, dl := range d.lines {
-		if dl.busy != nil {
+		if dl.busy {
 			busy++
 		}
 		queued += len(dl.queue)
@@ -609,10 +632,10 @@ func (d *Directory) DebugState() string {
 	}
 	var rows []row
 	for l, dl := range d.lines {
-		if dl.busy == nil && len(dl.queue) == 0 {
+		if !dl.busy && len(dl.queue) == 0 {
 			continue
 		}
-		rows = append(rows, row{line: l, busy: dl.busy != nil, queued: len(dl.queue)})
+		rows = append(rows, row{line: l, busy: dl.busy, queued: len(dl.queue)})
 	}
 	sort.Slice(rows, func(i, j int) bool { return rows[i].line < rows[j].line })
 	var b strings.Builder

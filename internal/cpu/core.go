@@ -44,6 +44,10 @@ const (
 	wbEntries    = 64        // write buffer entries
 )
 
+// undoPrune is the undo-log length at which pruneUndoLog drops the
+// records no squash or rollback can read.
+const undoPrune = 256
+
 // Config holds one core's microarchitectural parameters. Zero values are
 // replaced by the paper's Table 2 defaults.
 type Config struct {
@@ -223,8 +227,11 @@ type statRec struct {
 	id  int32
 }
 
-// loadMiss tracks an outstanding GetS and the loads waiting on it.
+// loadMiss is one MSHR: while busy, an outstanding GetS and the loads
+// waiting on it. A core's mshrs records are a fixed array searched
+// linearly, and each keeps its waiters' array across requests.
 type loadMiss struct {
+	busy    bool
 	line    mem.Line
 	reqID   uint64
 	waiters []*robEntry
@@ -301,10 +308,12 @@ type Core struct {
 	atomRetryAt  int64
 	atomEntry    *robEntry
 
-	loadMisses map[mem.Line]*loadMiss
+	loadMisses [mshrs]loadMiss
 	reqIDc     uint64
 
-	fences []*activeFence // active (retired, incomplete) weak fences
+	// fences holds the active (retired, incomplete) weak fences, oldest
+	// first; completing the oldest shifts the rest down in place.
+	fences []activeFence
 
 	// Wee per-fence handshake state for the fence at the ROB head.
 	weeDepositSent bool
@@ -345,10 +354,6 @@ type Core struct {
 	// reuse cannot alias live dataflow state. The robCap entries are
 	// allocated as one array on the core's first fetch.
 	pool []*robEntry
-
-	// lmPool recycles loadMiss records (the only reference is the
-	// loadMisses map entry deleted at grant time).
-	lmPool []*loadMiss
 }
 
 // stallCat is the memoized per-cycle stats category charged while the
@@ -370,22 +375,21 @@ func New(cfg Config, prog *isa.Program, mesh *coherence.Fabric, store *mem.Store
 		wbCap = min(wbCap, robCap) // a loop-free program buffers each store at most once
 	}
 	c := &Core{
-		cfg:        cfg,
-		prog:       prog,
-		mesh:       mesh,
-		store:      store,
-		st:         stats.NewCore(),
-		tr:         cfg.Tracer,
-		chk:        cfg.Checker,
-		flt:        cfg.Faults,
-		l1:         cache.New(l1Bytes, l1Assoc),
-		bs:         fence.NewBypassSet(cfg.BSCapacity),
-		robCap:     robCap,
-		robBuf:     make([]*robEntry, 2*robCap),
-		sqBuf:      make([]*robEntry, 2*robCap),
-		wbBuf:      make([]wbEntry, 2*wbCap),
-		loadMisses: make(map[mem.Line]*loadMiss),
-		issueWake:  math.MaxInt64,
+		cfg:       cfg,
+		prog:      prog,
+		mesh:      mesh,
+		store:     store,
+		st:        stats.NewCore(),
+		tr:        cfg.Tracer,
+		chk:       cfg.Checker,
+		flt:       cfg.Faults,
+		l1:        cache.New(l1Bytes, l1Assoc),
+		bs:        fence.NewBypassSet(cfg.BSCapacity),
+		robCap:    robCap,
+		robBuf:    make([]*robEntry, 2*robCap),
+		sqBuf:     make([]*robEntry, 2*robCap),
+		wbBuf:     make([]wbEntry, 2*wbCap),
+		issueWake: math.MaxInt64,
 	}
 	// Architectural registers start as known zeros.
 	for i := range c.regs {
@@ -516,16 +520,6 @@ func (c *Core) robIndex(e *robEntry) int {
 		return i
 	}
 	return -1
-}
-
-// newLoadMiss takes a record from the pool or allocates one.
-func (c *Core) newLoadMiss() *loadMiss {
-	if n := len(c.lmPool); n > 0 {
-		lm := c.lmPool[n-1]
-		c.lmPool = c.lmPool[:n-1]
-		return lm
-	}
-	return &loadMiss{}
 }
 
 // readReg captures the current fetch-side state of register r as an

@@ -65,24 +65,29 @@ func (c *Core) issueLoad(now int64, e *robEntry) bool {
 		return true
 	}
 	// Miss: merge into an outstanding request for the line or send a
-	// new GetS, subject to the MSHR limit.
-	if lm, ok := c.loadMisses[line]; ok {
-		e.issued = true
-		c.acted = true
-		lm.waiters = append(lm.waiters, e)
-		return true
+	// new GetS from a free MSHR, if one is left.
+	var free *loadMiss
+	for i := range c.loadMisses {
+		lm := &c.loadMisses[i]
+		if !lm.busy {
+			if free == nil {
+				free = lm
+			}
+		} else if lm.line == line {
+			e.issued = true
+			c.acted = true
+			lm.waiters = append(lm.waiters, e)
+			return true
+		}
 	}
-	if len(c.loadMisses) >= mshrs {
+	if free == nil {
 		return false
 	}
 	e.issued = true
-	lm := c.newLoadMiss()
-	lm.line = line
-	lm.reqID = c.nextReqID()
-	lm.waiters = append(lm.waiters, e)
-	c.loadMisses[line] = lm
+	free.busy, free.line, free.reqID = true, line, c.nextReqID()
+	free.waiters = append(free.waiters, e)
 	c.send(now, c.home(line), coherence.Msg{
-		Type: coherence.GetS, Line: line, Core: c.cfg.ID, ReqID: lm.reqID,
+		Type: coherence.GetS, Line: line, Core: c.cfg.ID, ReqID: free.reqID,
 	}, noc.CatProtocol)
 	return true
 }
@@ -139,13 +144,19 @@ func (c *Core) performLoadValue(when int64, e *robEntry, v uint32) {
 	c.wakeDependents(when, e)
 }
 
-// handleLoadGrant completes an outstanding load miss.
+// handleLoadGrant completes an outstanding load miss and frees its MSHR.
 func (c *Core) handleLoadGrant(now int64, m coherence.Msg) {
-	lm, ok := c.loadMisses[m.Line]
-	if !ok || lm.reqID != m.ReqID {
+	var lm *loadMiss
+	for i := range c.loadMisses {
+		if c.loadMisses[i].busy && c.loadMisses[i].line == m.Line {
+			lm = &c.loadMisses[i]
+			break
+		}
+	}
+	if lm == nil || lm.reqID != m.ReqID {
 		return // stale response for a squashed transaction
 	}
-	delete(c.loadMisses, m.Line)
+	lm.busy = false
 	st := cache.Shared
 	if m.Type == coherence.GrantE {
 		st = cache.Exclusive
@@ -154,9 +165,7 @@ func (c *Core) handleLoadGrant(now int64, m coherence.Msg) {
 	for _, e := range lm.waiters {
 		c.performLoad(now, e)
 	}
-	// The map entry above was the only live reference; recycle.
 	lm.waiters = lm.waiters[:0]
-	c.lmPool = append(c.lmPool, lm)
 }
 
 // installL1 places a line in the L1, handling the eviction of the victim.
@@ -200,7 +209,8 @@ func (c *Core) squashFrom(idx int) {
 		unlinkSquashed(e.s2.prod, cut)
 		c.pool = append(c.pool, e)
 	}
-	for _, lm := range c.loadMisses {
+	for i := range c.loadMisses {
+		lm := &c.loadMisses[i]
 		kept := lm.waiters[:0]
 		for _, w := range lm.waiters {
 			if w.seq < cut {

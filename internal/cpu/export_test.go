@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"slices"
 
+	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 )
 
@@ -16,7 +17,8 @@ func RobBound(prog *isa.Program, robSize int) int { return robBound(prog, robSiz
 // checkQueues verifies the load and store queues against the ROB (lq
 // must hold exactly the ROB's unissued loads and sq exactly its St and
 // Xchg entries, both in ROB order), then the producer references and
-// wakeup lists (see checkProducers).
+// wakeup lists (see checkProducers), then the undo log's length (see
+// checkUndoLog).
 func (c *Core) checkQueues() error {
 	var lq, sq []*robEntry
 	for _, e := range c.rob {
@@ -33,7 +35,33 @@ func (c *Core) checkQueues() error {
 	if !slices.Equal(c.sq, sq) {
 		return fmt.Errorf("core %d: sq holds seqs %v, the ROB's stores are %v", c.cfg.ID, seqs(c.sq), seqs(sq))
 	}
-	return c.checkProducers()
+	if err := c.checkProducers(); err != nil {
+		return err
+	}
+	return c.checkUndoLog()
+}
+
+// checkUndoLog verifies the bound that pruning every cycle keeps: the
+// undo log holds at most undoPrune records plus one per ROB entry, and
+// under W+ also the records retired since its oldest active fence,
+// which a rollback reads.
+func (c *Core) checkUndoLog() error {
+	bound := undoPrune + len(c.rob)
+	if c.cfg.Design == fence.WPlus && len(c.fences) > 0 {
+		head := c.seq + 1
+		if len(c.rob) > 0 {
+			head = c.rob[0].seq
+		}
+		for _, u := range c.undoLog {
+			if u.seq > c.fences[0].seq && u.seq < head {
+				bound++
+			}
+		}
+	}
+	if len(c.undoLog) > bound {
+		return fmt.Errorf("core %d: the undo log holds %d records, want at most %d", c.cfg.ID, len(c.undoLog), bound)
+	}
+	return nil
 }
 
 // checkProducers verifies the invariant that lets ROB entries be

@@ -2,6 +2,7 @@ package cpu
 
 import (
 	"math"
+	"sort"
 
 	"asymfence/internal/cache"
 	"asymfence/internal/coherence"
@@ -71,8 +72,8 @@ func (c *Core) drainWB(now int64) {
 // coveringWF reports whether an active weak fence follows the store in
 // program order (i.e. the store is a pre-fence access of an executed wf).
 func (c *Core) coveringWF(storeSeq uint64) bool {
-	for _, f := range c.fences {
-		if f.seq > storeSeq {
+	for i := range c.fences {
+		if c.fences[i].seq > storeSeq {
 			return true
 		}
 	}
@@ -272,35 +273,35 @@ func (c *Core) completeFences(now int64) {
 				Type: coherence.WeeRemove, Core: c.cfg.ID, ReqID: f.weeID,
 			}, noc.CatFence)
 		}
-		c.fences = c.fences[1:]
+		c.fences = c.fences[:copy(c.fences, c.fences[1:])]
 	}
 	if len(c.fences) == 0 {
 		c.bouncedExternal = false
 		c.timeoutArmed = false
 		c.statLog = c.statLog[:0]
-		c.pruneUndoLog()
 	}
 }
 
-// pruneUndoLog drops undo records that no squash or checkpoint can need:
-// older than both the oldest ROB entry and the oldest active fence.
+// pruneUndoLog drops, once the log holds undoPrune records, every record
+// that no squash or rollback can read. squashFrom never undoes past the
+// ROB head, so the records older than it can go; only recoverWPlus
+// undoes further, to just after its oldest active fence, so W+ keeps the
+// records since that fence too. Step prunes after every retire, so the
+// log holds at most undoPrune records plus one per ROB entry, and under
+// W+ those retired since the oldest active fence.
 func (c *Core) pruneUndoLog() {
-	if len(c.undoLog) < 1024 {
+	if len(c.undoLog) < undoPrune {
 		return
 	}
 	cut := c.seq + 1
 	if len(c.rob) > 0 {
 		cut = c.rob[0].seq
 	}
-	if len(c.fences) > 0 && c.fences[0].seq+1 < cut {
-		cut = c.fences[0].seq + 1
+	if c.cfg.Design == fence.WPlus && len(c.fences) > 0 {
+		cut = min(cut, c.fences[0].seq+1)
 	}
-	i := 0
-	for i < len(c.undoLog) && c.undoLog[i].seq < cut {
-		i++
-	}
-	if i > 0 {
-		c.undoLog = append(c.undoLog[:0], c.undoLog[i:]...)
+	if i := sort.Search(len(c.undoLog), func(i int) bool { return c.undoLog[i].seq >= cut }); i > 0 {
+		c.undoLog = c.undoLog[:copy(c.undoLog, c.undoLog[i:])]
 		c.undoBase += i
 	}
 }
@@ -359,8 +360,8 @@ func (c *Core) recoverWPlus(now int64) {
 	c.pool = append(c.pool, c.rob...)
 	c.rob, c.lq, c.sq = c.rob[:0], c.lq[:0], c.sq[:0]
 	c.robSlots = 0
-	for _, lm := range c.loadMisses {
-		lm.waiters = lm.waiters[:0]
+	for i := range c.loadMisses {
+		c.loadMisses[i].waiters = c.loadMisses[i].waiters[:0]
 	}
 	c.atomEntry = nil
 	c.mispredicted = nil
@@ -410,6 +411,7 @@ func (c *Core) Step(now int64) {
 	c.completeFences(now)
 	c.issueLoads(now)
 	retired, reason, blockPC := c.retire(now)
+	c.pruneUndoLog()
 	c.fetch(now)
 	c.checkWPlusTimeout(now)
 
@@ -571,5 +573,13 @@ func (c *Core) WakeAt(now int64) int64 {
 // Pending reports whether the core still has in-flight machine state
 // (quiesce detection for the simulator).
 func (c *Core) Pending() bool {
-	return !c.finished || len(c.wb) > 0 || c.wbInFlight || c.atomInFlight || len(c.loadMisses) > 0
+	if !c.finished || len(c.wb) > 0 || c.wbInFlight || c.atomInFlight {
+		return true
+	}
+	for i := range c.loadMisses {
+		if c.loadMisses[i].busy {
+			return true
+		}
+	}
+	return false
 }

@@ -1,6 +1,8 @@
 package cpu
 
 import (
+	"slices"
+
 	"asymfence/internal/cache"
 	"asymfence/internal/coherence"
 	"asymfence/internal/fence"
@@ -153,7 +155,8 @@ func (c *Core) retireLoad(now int64, e *robEntry) (bool, blockReason) {
 		return true, rNone
 	}
 	line := e.line()
-	for _, f := range c.fences {
+	for i := range c.fences {
+		f := &c.fences[i]
 		if !f.wee {
 			continue
 		}
@@ -278,8 +281,7 @@ func (c *Core) retireWeakFence(now int64, e *robEntry) (bool, blockReason) {
 	// now retire and complete early, guarded by the Bypass Set.
 	c.st.WFences++
 	c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
-	f := &activeFence{seq: e.seq, pcAfter: e.pc + 1}
-	c.fences = append(c.fences, f)
+	c.fences = append(c.fences, activeFence{seq: e.seq, pcAfter: e.pc + 1})
 	if c.chk != nil {
 		c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
 	}
@@ -295,15 +297,15 @@ func (c *Core) retireWeakFence(now int64, e *robEntry) (bool, blockReason) {
 func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 	if !e.weeChecked {
 		e.weeChecked = true
-		lines := map[mem.Line]bool{}
+		// The write buffer holds at most wbEntries stores, so a scan of
+		// the set dedupes it without a map.
 		var ps []mem.Line
 		for _, w := range c.wb {
 			l := mem.LineOf(w.addr)
 			if c.cfg.Privacy != nil && !c.cfg.Privacy.Shared(l) {
 				continue
 			}
-			if !lines[l] {
-				lines[l] = true
+			if !slices.Contains(ps, l) {
 				ps = append(ps, l)
 			}
 		}
@@ -357,12 +359,11 @@ func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 	}
 	c.st.WFences++
 	c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
-	f := &activeFence{
+	c.fences = append(c.fences, activeFence{
 		seq: e.seq, pcAfter: e.pc + 1,
 		module: c.weeModule, remotePS: c.weeRemote, wee: true,
 		weeID: c.weeReqID,
-	}
-	c.fences = append(c.fences, f)
+	})
 	c.weeDepositSent = false
 	c.weeDepositAck = false
 	c.weeRemote = nil

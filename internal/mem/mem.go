@@ -9,7 +9,10 @@
 // TSO-visible behaviors the paper studies.
 package mem
 
-import "fmt"
+import (
+	"fmt"
+	"math/bits"
+)
 
 // Addr is a byte address in the simulated physical address space.
 type Addr uint32
@@ -53,19 +56,93 @@ func HomeBank(l Line, nbanks int) int {
 
 // Store is the authoritative word-value state of the simulated machine.
 // It is purely functional: it has no timing of its own.
+//
+// Words live in pages of pageWords words, each allocated on the first
+// store to one of its words. The address space is cut into regions of
+// regionPages pages, and regions holds the page tables of a window of
+// consecutive regions, the first of them region lo. A region's table is
+// grown on demand to its highest stored page, and the window to the
+// lowest and highest stored regions, so a lone store at 0xFFFFFFFC
+// allocates one page and one table of its region's pages (about 10 KiB),
+// never a table spanning the address space below it. The allocator
+// hands out addresses upward from a base, so a workload's words fill few
+// regions densely.
 type Store struct {
-	words map[Addr]uint32
+	lo      uint32    // region number of regions[0]
+	regions [][]*page // per region, its pages in address order; nil if unstored
+}
+
+// Page geometry: 1 KiB pages of 256 words, 1,024 pages (1 MiB) per region.
+const (
+	pageShift   = 10
+	regionShift = 20
+	pageWords   = 1 << (pageShift - 2)
+	regionPages = 1 << (regionShift - pageShift)
+)
+
+// page holds pageWords consecutive words and marks which of them were
+// ever stored to, so ForEach visits exactly the written words, zeros
+// included.
+type page struct {
+	words   [pageWords]uint32
+	written [pageWords / 64]uint64
 }
 
 // NewStore returns an empty Store. Unwritten words read as zero.
-func NewStore() *Store { return &Store{words: make(map[Addr]uint32)} }
+func NewStore() *Store { return &Store{} }
+
+// pageOf returns the page holding a, or nil if no word of it was stored.
+func (s *Store) pageOf(a Addr) *page {
+	r := uint32(a)>>regionShift - s.lo // a region below lo wraps past the window
+	if r >= uint32(len(s.regions)) {
+		return nil
+	}
+	t := s.regions[r]
+	if i := uint32(a) >> pageShift % regionPages; i < uint32(len(t)) {
+		return t[i]
+	}
+	return nil
+}
+
+// newPage allocates the page holding a, first widening the region window
+// and growing the region's table to reach it.
+func (s *Store) newPage(a Addr) *page {
+	r := uint32(a) >> regionShift
+	switch {
+	case len(s.regions) == 0:
+		s.lo, s.regions = r, make([][]*page, 1)
+	case r < s.lo:
+		grown := make([][]*page, int(s.lo-r)+len(s.regions))
+		copy(grown[s.lo-r:], s.regions)
+		s.lo, s.regions = r, grown
+	case int(r-s.lo) >= len(s.regions):
+		s.regions = append(s.regions, make([][]*page, int(r-s.lo)+1-len(s.regions))...)
+	}
+	t := &s.regions[r-s.lo]
+	i := int(uint32(a) >> pageShift % regionPages)
+	if i >= cap(*t) {
+		// Double as append would, but never past a whole region.
+		grown := make([]*page, len(*t), min(max(i+1, 2*cap(*t)), regionPages))
+		copy(grown, *t)
+		*t = grown
+	}
+	if i >= len(*t) {
+		*t = (*t)[:i+1] // the entries past len were never set: nil
+	}
+	p := new(page)
+	(*t)[i] = p
+	return p
+}
 
 // Load returns the current value of the word at a. a must be word aligned.
 func (s *Store) Load(a Addr) uint32 {
 	if a%WordSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned load at %#x", uint32(a)))
 	}
-	return s.words[a]
+	if p := s.pageOf(a); p != nil {
+		return p.words[uint32(a)/WordSize%pageWords]
+	}
+	return 0
 }
 
 // StoreWord sets the value of the word at a. a must be word aligned.
@@ -73,15 +150,35 @@ func (s *Store) StoreWord(a Addr, v uint32) {
 	if a%WordSize != 0 {
 		panic(fmt.Sprintf("mem: unaligned store at %#x", uint32(a)))
 	}
-	s.words[a] = v
+	p := s.pageOf(a)
+	if p == nil {
+		p = s.newPage(a)
+	}
+	w := uint32(a) / WordSize % pageWords
+	p.words[w] = v
+	p.written[w/64] |= 1 << (w % 64)
 }
 
-// ForEach calls f for every word that has ever been written, in
-// unspecified order. The invariant oracle uses it to seed its shadow
-// memory from a workload's pre-initialized state.
+// ForEach calls f for every word that has ever been written, zeros
+// included, in address order. It walks the allocated pages and, in each,
+// the words marked written. The invariant oracle uses it to seed its
+// shadow memory from a workload's pre-initialized state, and litmus
+// outcome extraction to list the words written outside the shared
+// region.
 func (s *Store) ForEach(f func(a Addr, v uint32)) {
-	for a, v := range s.words {
-		f(a, v)
+	for r, t := range s.regions {
+		for i, p := range t {
+			if p == nil {
+				continue
+			}
+			base := (s.lo+uint32(r))<<regionShift | uint32(i)<<pageShift
+			for j, set := range p.written {
+				for ; set != 0; set &= set - 1 {
+					w := j*64 + bits.TrailingZeros64(set)
+					f(Addr(base+uint32(w)*WordSize), p.words[w])
+				}
+			}
+		}
 	}
 }
 

@@ -1,6 +1,10 @@
 package mem
 
 import (
+	"math/rand"
+	"runtime"
+	"runtime/debug"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -90,6 +94,76 @@ func TestStoreLoadRoundtrip(t *testing.T) {
 	s.StoreWord(0x104, 99)
 	if s.Load(0x100) != 42 || s.Load(0x104) != 99 {
 		t.Fatal("roundtrip failed")
+	}
+}
+
+// TestStoreMatchesMapModel drives the paged store with random aligned
+// loads and stores over the whole 32-bit space, mixed with stores near a
+// few hot addresses (the lowest and highest words, and a dense workload
+// region), and compares every call with a map model. ForEach must visit
+// exactly the model's written words, zeros included, in address order.
+func TestStoreMatchesMapModel(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s, model := NewStore(), map[Addr]uint32{}
+		hot := []uint32{0, 0xFFFFFFFC, 0x1000, 0x7FFFF000}
+		addr := func() Addr {
+			if rng.Intn(2) == 0 {
+				return Addr(rng.Uint32() &^ 3)
+			}
+			return Addr(hot[rng.Intn(len(hot))] + uint32(rng.Intn(8192)-4096)&^3)
+		}
+		for i := 0; i < 20_000; i++ {
+			a := addr()
+			if rng.Intn(3) == 0 {
+				v := rng.Uint32()
+				if rng.Intn(4) == 0 {
+					v = 0
+				}
+				s.StoreWord(a, v)
+				model[a] = v
+				continue
+			}
+			if got, want := s.Load(a), model[a]; got != want {
+				t.Fatalf("seed %d, op %d: Load(%#x) = %d, want %d", seed, i, uint32(a), got, want)
+			}
+		}
+		var want []Addr
+		for a := range model {
+			want = append(want, a)
+		}
+		slices.Sort(want)
+		var got []Addr
+		s.ForEach(func(a Addr, v uint32) {
+			if v != model[a] {
+				t.Fatalf("seed %d: ForEach gives %#x = %d, want %d", seed, uint32(a), v, model[a])
+			}
+			got = append(got, a)
+		})
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: ForEach visited %d words, want the model's %d in address order", seed, len(got), len(want))
+		}
+	}
+}
+
+// TestStoreTopWordIsSmall: a lone store to the highest word allocates
+// one page and a page table for its region, not a table spanning the
+// address space below it.
+func TestStoreTopWordIsSmall(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	s := NewStore()
+	s.StoreWord(0xFFFFFFFC, 7)
+	runtime.ReadMemStats(&after)
+	if s.Load(0xFFFFFFFC) != 7 {
+		t.Fatal("top word lost")
+	}
+	n := after.TotalAlloc - before.TotalAlloc
+	t.Logf("a store to 0xFFFFFFFC allocated %d bytes", n)
+	if n >= 16<<10 {
+		t.Fatalf("a store to 0xFFFFFFFC allocated %d bytes, want under 16 KiB", n)
 	}
 }
 

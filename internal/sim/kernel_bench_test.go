@@ -33,15 +33,15 @@ func kernelMachine(b *testing.B, d fence.Design, ncores int) *sim.Machine {
 
 // listMachine builds the 64-core ustm:List machine a kernel-busy row
 // runs (seed 1), with no iteration limit.
-func listMachine(b *testing.B, d fence.Design) *sim.Machine {
-	b.Helper()
+func listMachine(tb testing.TB, d fence.Design) *sim.Machine {
+	tb.Helper()
 	p, _ := stm.USTMByName("List")
 	p.Iterations = 0
 	al, store, pv := mem.NewAllocator(dataBase), mem.NewStore(), mem.NewPrivacy()
 	wl := stm.Build(p, 64, stm.AssignmentFor(d), 1, al, store, pv)
 	m, err := sim.New(sim.Config{NCores: 64, Design: d, Privacy: pv, WarmRegions: wl.WarmRegions}, wl.Progs, store)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	return m
 }

@@ -55,11 +55,11 @@ func BenchmarkStepTracingEnabled(b *testing.B) {
 // TestQuiescedStepIsAllocationFree documents that the steady-state
 // cycle loop — including every tracing call site, which writes the
 // flight recorder's preallocated ring, and the nil interval sampler —
-// performs no allocations. (A busy machine allocates only for real
-// machine state, such as packets in flight; a busy core alone
-// allocates nothing, see TestBusyCoreStepIsAllocationFree. The trace
-// package's TestRecordingEmitIsAllocationFree covers the Emit path
-// under load.)
+// performs no allocations. (A busy machine allocates only for lines
+// and pages it touches for the first time, see TestBusyRowStepAllocs; a
+// busy core alone allocates nothing, see
+// TestBusyCoreStepIsAllocationFree. The trace package's
+// TestRecordingEmitIsAllocationFree covers the Emit path under load.)
 func TestQuiescedStepIsAllocationFree(t *testing.T) {
 	al := mem.NewAllocator(dataBase)
 	progs, _ := litmus.Bakery(al, 4, 2, []bool{true, true, true, true}, true)
@@ -120,6 +120,41 @@ func TestBusyCoreStepIsAllocationFree(t *testing.T) {
 		}
 		if m.Finished() || m.Core(0).Stats().RetiredInstrs < 10_000 {
 			t.Fatalf("%v: the loop did not keep the core busy", d)
+		}
+	}
+}
+
+// TestBusyRowStepAllocs: a kernel-busy ustm:List row (64 cores, seed 1)
+// allocates almost nothing per cycle once past its first 2,000 cycles.
+// A directory transaction lives in its line, new lines come from a
+// per-bank slab, a core's MSHRs are a fixed array, its fences are held
+// by value and its undo log is pruned every cycle. What remains is lines
+// and pages touched for the first time, and under Wee the GRT's fresh
+// remote set for every deposit. Counted as in
+// TestBusyCoreStepIsAllocationFree.
+func TestBusyRowStepAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	const warm, counted = 2_000, 8_000
+	for _, d := range fence.AllDesigns {
+		limit := 0.5
+		if d == fence.Wee {
+			limit = 3
+		}
+		m := listMachine(t, d)
+		for i := 0; i < warm; i++ {
+			m.Step()
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < counted; i++ {
+			m.Step()
+		}
+		runtime.ReadMemStats(&after)
+		perCycle := float64(after.Mallocs-before.Mallocs) / counted
+		t.Logf("%v: %.2f mallocs (%.0f bytes) per cycle", d, perCycle, float64(after.TotalAlloc-before.TotalAlloc)/counted)
+		if perCycle >= limit {
+			t.Errorf("%v: %.2f mallocs per busy 64-core cycle, want under %g", d, perCycle, limit)
 		}
 	}
 }

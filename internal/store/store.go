@@ -154,7 +154,7 @@ func newStoreMetrics(s *metrics.Scope) storeMetrics {
 // use. A nil *Store is valid and behaves as an always-miss, drop-writes
 // store, so callers can thread an optional store without nil checks.
 type Store struct {
-	dir       string
+	objects   string // the records' directory, <dir>/objects
 	kind      string
 	writeFile func(path string, data []byte) error
 	mx        storeMetrics
@@ -187,19 +187,20 @@ func Open(dir string, o Options) (*Store, error) {
 			os.Remove(filepath.Join(tmp, f.Name()))
 		}
 	}
-	return &Store{dir: dir, kind: o.Kind, writeFile: o.WriteFile, mx: newStoreMetrics(o.Metrics)}, nil
+	return &Store{objects: filepath.Join(dir, "objects"), kind: o.Kind, writeFile: o.WriteFile, mx: newStoreMetrics(o.Metrics)}, nil
 }
 
-// keyHash returns the content address of a key.
-func keyHash(key string) string {
-	h := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(h[:])
-}
-
-// objectPath returns the record file path for a key.
+// objectPath returns the record file path for a key,
+// <dir>/objects/<xx>/<hash>.rec, where hash is the key's SHA-256 in hex
+// and xx its first two digits. The digits are encoded into an array on
+// the stack and the path concatenated in one expression, so building it
+// allocates only the key's bytes to hash and the path string.
 func (s *Store) objectPath(key string) string {
-	hash := keyHash(key)
-	return filepath.Join(s.dir, "objects", hash[:2], hash+".rec")
+	sum := sha256.Sum256([]byte(key))
+	var hash [2 * sha256.Size]byte
+	hex.Encode(hash[:], sum[:])
+	const sep = string(filepath.Separator)
+	return s.objects + sep + string(hash[:2]) + sep + string(hash[:]) + ".rec"
 }
 
 // readBufs hold the buffers Get reads records into. A measurement
