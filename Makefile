@@ -52,24 +52,28 @@ check-flaky:
 	$(GO) test -race -count=10 -cpu 1,2,4 -shuffle=on -timeout 45m ./...
 
 # Each simulation is still a single deterministic cycle loop; the only
-# goroutines live in the experiment runner's worker pool. The race
+# goroutines live in the experiment engine's worker pool. The race
 # target keeps the whole tree race-clean under that fan-out.
 race:
 	$(GO) test -race ./...
 
 # The engine's concurrency contract under the race detector: the
 # sequential-vs-parallel equivalence, cache accounting and cancellation
-# tests, plus the runner package's own suite.
+# tests, plus the worker pool's own suite (fake simulations: positional
+# results, in-batch repeats, the memo, profiler labels, error selection,
+# cancellation, the store tier, metrics and whole progress lines).
+ENGINE_TESTS = TestRunPositionalResults|TestInBatchDedup|TestCrossRunMemoization|TestSimulatedJobsCarryProfilerLabels|TestErrorSelectionPrefersLowestIndex|TestCanceledContext|TestSpecKeyCanonical|TestTierReadThroughAndWriteBehind|TestEtaString|TestEngineMetrics|TestJobLatencyBounds|TestProgressNoMidLineInterleave
+
 race-runner:
 	$(GO) test -race -run 'Equivalence|CacheHit|Cancellation' -count=1 .
-	$(GO) test -race -count=1 ./internal/experiments/runner/
+	$(GO) test -race -count=1 -run '^($(ENGINE_TESTS))$$' ./internal/experiments/
 
 # The persistence layer under the race detector: the content-addressed
 # store's crash-safety, record-layout and write-fault suite, measurement
 # records damaged every way a disk can (each bit flipped, each
 # truncation, a byte appended) or re-checksummed with a payload that is
 # missing, short, long or edited (all read as corrupt misses), the
-# record-shape round trip and the pinned payload encoding, the runner's
+# record-shape round trip and the pinned payload encoding, the engine's
 # read-through tier contract, the warm-vs-cold byte-equivalence tests,
 # and the CLI end to end (`asymsim -store D run` cold then warm, trace
 # reproducibility, usage and output errors). Every test runs in its own
@@ -80,9 +84,8 @@ race-runner:
 # the 15 s, so it is capped.
 check-store:
 	$(GO) test -race -count=1 ./internal/store/
-	$(GO) test -race -count=1 -run 'TestLoadBadPayload|TestDamagedRecord|TestMeasurement|FuzzLoad' ./internal/experiments/
+	$(GO) test -race -count=1 -run 'TestLoadBadPayload|TestDamagedRecord|TestMeasurement|FuzzLoad|Tier' ./internal/experiments/
 	$(GO) test -race -count=1 -run 'WriteFaults' ./internal/faults/
-	$(GO) test -race -count=1 -run 'Tier|StoreMetrics' ./internal/experiments/runner/
 	$(GO) test -race -count=1 -run 'TestStore|TestRunBatchStore' .
 	$(GO) test -race -count=1 -run 'TestCLI' ./cmd/asymsim/
 	$(GO) test -run '^$$' -fuzz '^FuzzLoad$$' -fuzztime 15s -fuzzminimizetime 10x ./internal/experiments/

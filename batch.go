@@ -3,7 +3,7 @@ package asymfence
 import (
 	"context"
 
-	"asymfence/internal/experiments/runner"
+	"asymfence/internal/experiments"
 )
 
 // SimJob identifies one simulation: a single (workload, design, machine
@@ -12,7 +12,27 @@ import (
 // Horizon, in cycles, the throughput group (ustm). Jobs with equal
 // canonical content (the unused sizing field is ignored) share one
 // cached measurement.
-type SimJob = runner.Spec
+type SimJob = experiments.Spec
+
+// RunConfig is the execution environment of the entry points that run
+// simulation jobs: Options (experiments) embeds it and RunBatch takes
+// it, so the worker pool (Jobs), progress lines (Progress), job
+// accounting (Stats), metrics collection (Metrics) and the persistent
+// measurement store (Store) are spelled the same way for both, and both
+// reach the simulator through the one job path. Entry points that run
+// one instrumented or unmemoized simulation at a time (TraceWorkload,
+// RunConform) declare only the fields they read in their own options.
+//
+// Every field uses "unset means default" semantics: the zero value is a
+// valid configuration (default pool, no progress lines, no accounting,
+// no metrics, no persistence). Stats is filled when the run returns,
+// also on error.
+type RunConfig = experiments.RunConfig
+
+// RunStats summarizes the engine's job accounting for one run: the jobs
+// submitted, and how many of them were cache hits, store hits or
+// simulated.
+type RunStats = experiments.RunStats
 
 // RunBatch executes a flat batch of simulation jobs. Every simulation
 // in the harness — experiments, RunBatch and TraceWorkload — runs
@@ -24,8 +44,8 @@ type SimJob = runner.Spec
 // deterministically. Cancel ctx to abort; the error then wraps
 // context.Canceled.
 func RunBatch(ctx context.Context, jobs []SimJob, cfg RunConfig) ([]*WorkloadMeasurement, error) {
-	eng := cfg.engine()
+	eng := experiments.NewEngine(cfg)
 	ms, err := eng.RunSpecs(ctx, jobs)
-	cfg.report(eng)
+	eng.Report()
 	return ms, err
 }

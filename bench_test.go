@@ -25,7 +25,7 @@ import (
 // eng runs the artifacts on a default engine: GOMAXPROCS workers and
 // the shared measurement cache.
 var (
-	eng = experiments.NewEngine(experiments.EngineOptions{})
+	eng = experiments.NewEngine(experiments.RunConfig{})
 	ctx = context.Background()
 )
 

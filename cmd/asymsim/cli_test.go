@@ -113,19 +113,31 @@ func TestCLISubcommands(t *testing.T) {
 			t.Errorf("asymsim %v: exit %d, stdout %q; want exit 2 and no output", args, code, stdout)
 		}
 	})
-	// An output given "-" owns stdout: it is the only thing there.
+	// An output given "-" owns stdout: it is the only thing there. The
+	// snapshot holds each subcommand's own metrics; conform's include
+	// the fence runtime's, whose hardware sweep runs heavy fences.
 	t.Run("metrics to stdout is the only stdout output", func(t *testing.T) {
 		for _, tc := range []struct {
 			args  []string
-			prose string // the command's own output, moved to stderr
+			prose string   // the command's own output, moved to stderr
+			keys  []string // metrics the snapshot must hold
 		}{
-			{[]string{"-q", "-cores", "4", "-scale", "0.05", "-metrics", "-", "run", "cilk:fib"}, "cilk:fib under each design"},
-			{[]string{"conform", "-quick", "-q", "-seeds", "2", "-metrics", "-"}, "no conformance violations"},
+			{[]string{"-q", "-cores", "4", "-scale", "0.05", "-metrics", "-", "run", "cilk:fib"}, "cilk:fib under each design",
+				[]string{"engine.jobs", "machine.runs"}},
+			{[]string{"conform", "-quick", "-q", "-seeds", "2", "-metrics", "-"}, "no conformance violations",
+				[]string{"runtime.heavy.fallback", "runtime.supported"}},
 		} {
 			stdout, stderr, code := asymsim(t, tc.args...)
-			var doc map[string]any
+			var doc struct {
+				Metrics map[string]any `json:"metrics"`
+			}
 			if err := json.Unmarshal([]byte(stdout), &doc); code != 0 || err != nil {
 				t.Errorf("asymsim %v: exit %d; stdout is not one JSON document (%v):\n%s", tc.args, code, err, stdout)
+			}
+			for _, k := range tc.keys {
+				if _, ok := doc.Metrics[k]; !ok {
+					t.Errorf("asymsim %v: snapshot lacks %s:\n%s", tc.args, k, stdout)
+				}
 			}
 			if !strings.Contains(stderr, tc.prose) {
 				t.Errorf("asymsim %v: stderr lacks %q:\n%s", tc.args, tc.prose, stderr)

@@ -167,6 +167,9 @@ func conformCmd(ctx context.Context, args []string) int {
 		}
 		return 1
 	}
+	// The fence runtime's counters are process-wide and describe this
+	// host, and the process runs one campaign: export them once, here.
+	asymruntime.Export(reg)
 	if err := writeOutput(*metricsOut, reg.WriteJSON); err != nil {
 		fmt.Fprintln(os.Stderr, "asymsim conform:", err)
 		return 1

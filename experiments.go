@@ -58,9 +58,9 @@ func (e Experiment) Run(ctx context.Context, opts Options) ([]*ExperimentTable, 
 	if e.run == nil {
 		return nil, fmt.Errorf("asymfence: zero Experiment value (obtain entries from Experiments or LookupExperiment)")
 	}
-	eng := opts.engine()
+	eng := experiments.NewEngine(opts.RunConfig)
 	tables, err := e.run(ctx, eng, opts)
-	opts.report(eng)
+	eng.Report()
 	if err != nil {
 		return nil, fmt.Errorf("asymfence: %s: %w", e.ID, err)
 	}

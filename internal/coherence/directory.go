@@ -9,6 +9,7 @@ import (
 	"asymfence/internal/check"
 	"asymfence/internal/mem"
 	"asymfence/internal/noc"
+	"asymfence/internal/stats"
 	"asymfence/internal/trace"
 )
 
@@ -112,6 +113,28 @@ type DirStats struct {
 	CondOrderFails, CondOrderOks   uint64 // Conditional Order outcomes
 	MemFetches, L2Hits             uint64
 	GRTDeposits, GRTRemovals       uint64
+}
+
+// Counters returns d's counters in declaration order, each with its
+// digest name. Add, the simulator's result digest and the measurement
+// store's record all walk this one list.
+func (d *DirStats) Counters() [11]stats.Counter {
+	return [...]stats.Counter{
+		{Name: "gets", Val: &d.GetSReqs}, {Name: "getm", Val: &d.GetMReqs},
+		{Name: "wb", Val: &d.Writebacks}, {Name: "bounced", Val: &d.BouncedWrites},
+		{Name: "order", Val: &d.OrderOps},
+		{Name: "cof", Val: &d.CondOrderFails}, {Name: "coo", Val: &d.CondOrderOks},
+		{Name: "mem", Val: &d.MemFetches}, {Name: "l2", Val: &d.L2Hits},
+		{Name: "grtd", Val: &d.GRTDeposits}, {Name: "grtr", Val: &d.GRTRemovals},
+	}
+}
+
+// Add merges o into d (used to sum a machine's banks).
+func (d *DirStats) Add(o *DirStats) {
+	dst, src := d.Counters(), o.Counters()
+	for i := range dst {
+		*dst[i].Val += *src[i].Val
+	}
 }
 
 // GRT is the Global Reorder Table: the per-core pending sets of the

@@ -12,7 +12,6 @@ import (
 	"strings"
 
 	"asymfence/internal/coherence"
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -116,7 +115,7 @@ type runObs struct {
 // the label its figures print, its applications, and how one of them
 // becomes a simulated machine.
 type group struct {
-	// name is the runner.Spec.Group value: "cilk", "ustm" or "stamp".
+	// name is the Spec.Group value: "cilk", "ustm" or "stamp".
 	name string
 	// label is Measurement.Group and the group's row label in figures.
 	label string
@@ -128,7 +127,7 @@ type group struct {
 	throughput bool
 	// build resolves s.App and builds its workload for s; ok is false
 	// for an unknown app.
-	build func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) (progs []*isa.Program, warm []mem.Region, ok bool)
+	build func(s Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) (progs []*isa.Program, warm []mem.Region, ok bool)
 }
 
 // groups is the one group→apps table: spec resolution, Apps, the figure
@@ -137,7 +136,7 @@ type group struct {
 var groups = []group{
 	{
 		name: "cilk", label: "CilkApps", apps: names(cilk.Apps, func(p cilk.Profile) string { return p.Name }),
-		build: func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
+		build: func(s Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
 			p, ok := cilk.AppByName(s.App)
 			if !ok {
 				return nil, nil, false
@@ -150,7 +149,7 @@ var groups = []group{
 	{
 		name: "ustm", label: "ustm", apps: names(stm.USTM, func(p stm.Profile) string { return p.Name }),
 		throughput: true,
-		build: func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
+		build: func(s Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
 			p, ok := stm.USTMByName(s.App)
 			if !ok {
 				return nil, nil, false
@@ -162,7 +161,7 @@ var groups = []group{
 	},
 	{
 		name: "stamp", label: "STAMP", apps: names(stamp.Apps, func(p stm.Profile) string { return p.Name }),
-		build: func(s runner.Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
+		build: func(s Spec, al *mem.Allocator, st *mem.Store, pv *mem.Privacy) ([]*isa.Program, []mem.Region, bool) {
 			p, ok := stamp.ByName(s.App)
 			if !ok {
 				return nil, nil, false
@@ -210,7 +209,7 @@ func Apps(group string) []string {
 // run executes one simulation job, the only way a workload reaches the
 // simulator: it resolves the spec's app, builds its workload, runs the
 // machine with obs attached and reduces the result.
-func run(ctx context.Context, s runner.Spec, obs runObs) (*Measurement, *sim.Result, error) {
+func run(ctx context.Context, s Spec, obs runObs) (*Measurement, *sim.Result, error) {
 	g, err := lookupGroup(s.Group)
 	if err != nil {
 		return nil, nil, err

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+
 	"asymfence/internal/stats"
 	"asymfence/internal/store"
 )
@@ -19,3 +21,25 @@ func EncodeMeasurement(m *Measurement) []byte {
 	m.fields(&w)
 	return w.Bytes()
 }
+
+// NewEngineWithExec returns an engine with the execution environment c
+// whose jobs run exec in place of the simulator.
+func NewEngineWithExec(c RunConfig, exec func(context.Context, Spec) (*Measurement, error)) *Engine {
+	e := NewEngine(c)
+	e.exec = exec
+	return e
+}
+
+// MemoLen returns the number of measurements in the process-wide memo.
+func MemoLen() int {
+	memo.Lock()
+	defer memo.Unlock()
+	return len(memo.m)
+}
+
+// The progress line's time estimate and the job-latency histogram's
+// bounds.
+var (
+	EtaString        = etaString
+	JobLatencyBounds = jobLatencyBounds
+)

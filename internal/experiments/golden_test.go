@@ -10,7 +10,6 @@ import (
 	"sort"
 	"testing"
 
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 )
 
@@ -30,7 +29,7 @@ const goldenPath = "testdata/golden_digests.json"
 // and WeeFence deposits.
 func goldenRun(t *testing.T, group, app string, d fence.Design) string {
 	t.Helper()
-	s := runner.Spec{Group: group, App: app, Design: d, Cores: 8, Scale: 0.05, Horizon: 25_000}
+	s := Spec{Group: group, App: app, Design: d, Cores: 8, Scale: 0.05, Horizon: 25_000}
 	if group == "stamp" {
 		s.Scale = 0.1
 	}

@@ -18,16 +18,16 @@ const MeasurementKind = "measurement/v2"
 type MeasurementStoreOptions struct {
 	// Metrics, when non-nil, receives the store's counters under the
 	// "store" scope (hits, misses, writes, bytes, write_errors,
-	// corrupt). Nil disables them; Stats is always available.
+	// corrupt). Nil disables them.
 	Metrics *metrics.Registry
 }
 
 // MeasurementStore is the persistent measurement tier: a content-
 // addressed on-disk store (internal/store) holding one checksummed
-// binary record per canonical simulation key, shared across processes. It
-// implements runner.Tier[*Measurement], so an Engine wired with one
-// serves warm configurations without simulating — in any process, not
-// just the one that first measured them.
+// binary record per canonical simulation key, shared across processes.
+// An Engine configured with one (RunConfig.Store) serves warm
+// configurations without simulating — in any process, not just the one
+// that first measured them.
 //
 // Simulations are deterministic, so a record loaded from the store is
 // byte-equivalent (after table rendering) to a fresh simulation; the
@@ -48,7 +48,7 @@ func OpenMeasurementStore(dir string, o MeasurementStoreOptions) (*MeasurementSt
 
 // Load returns the measurement stored under the canonical spec key, or
 // ok=false on a miss (absent, corrupt or from an incompatible payload
-// version). It implements runner.Tier.
+// version). A nil store always misses.
 func (ms *MeasurementStore) Load(key string) (*Measurement, bool) {
 	if ms == nil {
 		return nil, false
@@ -62,21 +62,13 @@ func (ms *MeasurementStore) Load(key string) (*Measurement, bool) {
 
 // Store persists a measurement under its canonical spec key, returning
 // once the record is on disk or the write has failed. A measurement
-// without Agg, which no simulation makes, is not stored. It implements
-// runner.Tier.
+// without Agg, which no simulation makes, is not stored, and a nil
+// store stores nothing.
 func (ms *MeasurementStore) Store(key string, m *Measurement) {
 	if ms == nil || m == nil || m.Agg == nil {
 		return
 	}
 	ms.s.Put(key, m.fields)
-}
-
-// Stats returns the underlying store's traffic snapshot.
-func (ms *MeasurementStore) Stats() store.Stats {
-	if ms == nil {
-		return store.Stats{}
-	}
-	return ms.s.Stats()
 }
 
 // Close releases the store. Every record is on disk once Store
@@ -87,11 +79,11 @@ func (ms *MeasurementStore) Close() error { return nil }
 // read: Store runs it with a store.Writer and Load with a store.Reader,
 // so the two directions cannot disagree, and nothing else fixes the
 // layout. A field added to Measurement, stats.Core, coherence.DirStats
-// or noc.Stats must be listed here, or for a stats.Core counter in
-// stats.Core.Counters (TestMeasurementRoundTrip fails until it is), and
-// MeasurementKind bumped.
+// or noc.Stats must be listed here, or for a stats.Core or DirStats
+// counter in its Counters (TestMeasurementRoundTrip fails until it is),
+// and MeasurementKind bumped.
 func (m *Measurement) fields(c store.Codec) {
-	a, d, n := m.Agg, &m.Dir, &m.NoC
+	a, n := m.Agg, &m.NoC
 	c.Str(&m.Group)
 	c.Str(&m.App)
 	c.Byte((*uint8)(&m.Design))
@@ -104,14 +96,11 @@ func (m *Measurement) fields(c store.Codec) {
 	for _, f := range a.Counters() {
 		c.Uint(f.Val)
 	}
-	for _, v := range []*uint64{
-		&d.GetSReqs, &d.GetMReqs, &d.Writebacks, &d.BouncedWrites,
-		&d.OrderOps, &d.CondOrderFails, &d.CondOrderOks, &d.MemFetches,
-		&d.L2Hits, &d.GRTDeposits, &d.GRTRemovals,
-		&n.Packets, &n.Bytes,
-	} {
-		c.Uint(v)
+	for _, f := range m.Dir.Counters() {
+		c.Uint(f.Val)
 	}
+	c.Uint(&n.Packets)
+	c.Uint(&n.Bytes)
 	for i := range n.BytesByCat {
 		c.Uint(&n.BytesByCat[i])
 	}

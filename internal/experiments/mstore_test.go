@@ -15,8 +15,8 @@ import (
 
 	"asymfence/internal/coherence"
 	"asymfence/internal/experiments"
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
+	"asymfence/internal/metrics"
 	"asymfence/internal/noc"
 	"asymfence/internal/stats"
 )
@@ -25,29 +25,23 @@ import (
 // a real record body of about 1 KB.
 func measurement(tb testing.TB) *experiments.Measurement {
 	tb.Helper()
-	ms, err := eng.RunSpecs(ctx, []runner.Spec{{Group: "ustm", App: "Counter", Design: fence.SPlus, Cores: 4, Horizon: 3000}})
+	ms, err := eng.RunSpecs(ctx, []experiments.Spec{{Group: "ustm", App: "Counter", Design: fence.SPlus, Cores: 4, Horizon: 3000}})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	return ms[0]
 }
 
-// openStore opens a measurement store in a fresh directory.
-func openStore(tb testing.TB) (*experiments.MeasurementStore, string) {
+// record stores m under key in a fresh measurement store, counting
+// into reg (nil: uncounted), and returns the store, the record file's
+// path and its bytes.
+func record(tb testing.TB, key string, m *experiments.Measurement, reg *metrics.Registry) (*experiments.MeasurementStore, string, []byte) {
 	tb.Helper()
 	dir := tb.TempDir()
-	st, err := experiments.OpenMeasurementStore(dir, experiments.MeasurementStoreOptions{})
+	st, err := experiments.OpenMeasurementStore(dir, experiments.MeasurementStoreOptions{Metrics: reg})
 	if err != nil {
 		tb.Fatal(err)
 	}
-	return st, dir
-}
-
-// record stores m under key in a fresh measurement store and returns
-// the store, the record file's path and its bytes.
-func record(tb testing.TB, key string, m *experiments.Measurement) (*experiments.MeasurementStore, string, []byte) {
-	tb.Helper()
-	st, dir := openStore(tb)
 	st.Store(key, m)
 	files, err := filepath.Glob(filepath.Join(dir, "objects", "*", "*.rec"))
 	if err != nil || len(files) != 1 {
@@ -129,18 +123,24 @@ func badPayloads(tb testing.TB, m *experiments.Measurement) []struct {
 	}
 }
 
+// storeCount reads one of the store's counters from reg.
+func storeCount(reg *metrics.Registry, name string) int64 {
+	return reg.Scope("store").Counter(name).Value()
+}
+
 // TestLoadBadPayloadIsCorrupt rewrites a stored record into one whose
 // payload is missing, short of fields, longer than Store writes, or
 // edited in ways Store never writes, with the header kept byte for byte
 // and the checksum recomputed, so the payload is the only fault. Each
-// must read as corrupt: a miss, counted in Corrupt and not in Hits, with
-// the file deleted, so the job re-simulates and the store's hits agree
-// with the engine's.
+// must read as corrupt: a miss, counted in store.corrupt and not in
+// store.hits, with the file deleted, so the job re-simulates and the
+// store's hits agree with the engine's.
 func TestLoadBadPayloadIsCorrupt(t *testing.T) {
 	m := measurement(t)
 	for _, tc := range badPayloads(t, m) {
 		t.Run(tc.name, func(t *testing.T) {
-			st, path, rec := record(t, "k", m)
+			reg := metrics.NewRegistry()
+			st, path, rec := record(t, "k", m, reg)
 			if _, ok := st.Load("k"); !ok {
 				t.Fatal("intact record missed")
 			}
@@ -151,8 +151,8 @@ func TestLoadBadPayloadIsCorrupt(t *testing.T) {
 			if got, ok := st.Load("k"); ok {
 				t.Fatalf("payload % x served as a hit: %+v", tc.payload, got)
 			}
-			if s := st.Stats(); s.Hits != 1 || s.Corrupt != 1 || s.Misses != 1 {
-				t.Fatalf("stats %+v; want the intact hit only, 1 corrupt, 1 miss", s)
+			if h, c, m := storeCount(reg, "hits"), storeCount(reg, "corrupt"), storeCount(reg, "misses"); h != 1 || c != 1 || m != 1 {
+				t.Fatalf("%d hits, %d corrupt, %d misses; want the intact hit only, 1 corrupt, 1 miss", h, c, m)
 			}
 			if _, err := os.Stat(path); !os.IsNotExist(err) {
 				t.Fatalf("corrupt record not deleted: %v", err)
@@ -166,7 +166,8 @@ func TestLoadBadPayloadIsCorrupt(t *testing.T) {
 // Every damaged copy must read as a corrupt miss, counted, with its
 // file removed: the checksum turns each into one, and none is served.
 func TestDamagedRecordIsCorrupt(t *testing.T) {
-	st, path, rec := record(t, "k", measurement(t))
+	reg := metrics.NewRegistry()
+	st, path, rec := record(t, "k", measurement(t), reg)
 	damaged := 0
 	load := func(b []byte) {
 		t.Helper()
@@ -177,8 +178,8 @@ func TestDamagedRecordIsCorrupt(t *testing.T) {
 		if got, ok := st.Load("k"); ok {
 			t.Fatalf("damaged copy %d (%d bytes) served as a hit: %+v", damaged, len(b), got)
 		}
-		if s := st.Stats(); s.Corrupt != int64(damaged) {
-			t.Fatalf("damaged copy %d: stats %+v; want it counted corrupt", damaged, s)
+		if c := storeCount(reg, "corrupt"); c != int64(damaged) {
+			t.Fatalf("damaged copy %d: %d corrupt; want it counted corrupt", damaged, c)
 		}
 		if _, err := os.Stat(path); !os.IsNotExist(err) {
 			t.Fatalf("damaged copy %d not removed: %v", damaged, err)
@@ -196,8 +197,8 @@ func TestDamagedRecordIsCorrupt(t *testing.T) {
 		load(rec[:n])
 	}
 	load(append(b, 0))
-	if want := 9*len(rec) + 1; damaged != want || st.Stats().Hits != 0 {
-		t.Fatalf("%d damaged copies, stats %+v; want %d, no hit", damaged, st.Stats(), want)
+	if want, hits := 9*len(rec)+1, storeCount(reg, "hits"); damaged != want || hits != 0 {
+		t.Fatalf("%d damaged copies, %d hits; want %d, no hit", damaged, hits, want)
 	}
 	t.Logf("%d damaged copies of a %d-byte record, every one a corrupt miss", damaged, len(rec))
 }
@@ -275,7 +276,7 @@ func TestMeasurementRoundTrip(t *testing.T) {
 	for _, size := range []int{0, 3} {
 		m := filled(t, size)
 		key := "ustm:<List>&\u2028@S+"
-		st, _, _ := record(t, key, m)
+		st, _, _ := record(t, key, m, nil)
 		got, ok := st.Load(key)
 		if !ok || !reflect.DeepEqual(got, m) {
 			t.Fatalf("maps of %d: Load = %+v, %v; want %+v", size, got, ok, m)
@@ -342,7 +343,7 @@ func TestMeasurementEncodingPinned(t *testing.T) {
 // without their checksum.
 func FuzzLoad(f *testing.F) {
 	m := measurement(f)
-	st, path, rec := record(f, "k", m)
+	st, path, rec := record(f, "k", m, nil)
 	header := rec[:len(rec)-4-len(experiments.EncodeMeasurement(m))]
 	f.Add(rec[:len(rec)-4])
 	for _, tc := range badPayloads(f, m) {
@@ -376,7 +377,7 @@ func FuzzLoad(f *testing.F) {
 // buffer are allocated per record, made it 18, and hex-encoding the hash
 // into a string and joining the path with filepath.Join 14.
 func TestLoadAllocs(t *testing.T) {
-	st, _, _ := record(t, "k", measurement(t))
+	st, _, _ := record(t, "k", measurement(t), nil)
 	allocs := testing.AllocsPerRun(200, func() {
 		if _, ok := st.Load("k"); !ok {
 			t.Fatal("miss")
@@ -392,7 +393,7 @@ func TestLoadAllocs(t *testing.T) {
 // of about 700 bytes (open, read, check and decode the file). B/op and allocs/op are one
 // load's.
 func BenchmarkLoad(b *testing.B) {
-	st, _, _ := record(b, "k", measurement(b))
+	st, _, _ := record(b, "k", measurement(b), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -407,7 +408,7 @@ func BenchmarkLoad(b *testing.B) {
 // file. The difference between the two is the file's open, read and
 // close.
 func BenchmarkDecode(b *testing.B) {
-	_, _, rec := record(b, "k", measurement(b))
+	_, _, rec := record(b, "k", measurement(b), nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/metrics"
 	"asymfence/internal/trace"
@@ -70,7 +69,7 @@ func (t *TraceRun) WriteChrome(w io.Writer) error {
 func RunTraced(ctx context.Context, group, app string, d fence.Design, opts TraceOptions) (*TraceRun, error) {
 	opts.defaults()
 	tr := trace.New(trace.Options{Mask: opts.Mask, MaxEvents: opts.MaxEvents})
-	s := runner.Spec{Group: group, App: app, Design: d, Cores: opts.Cores, Scale: opts.Scale, Horizon: opts.Horizon}
+	s := Spec{Group: group, App: app, Design: d, Cores: opts.Cores, Scale: opts.Scale, Horizon: opts.Horizon}
 	meas, res, err := run(ctx, canonSpec(s), runObs{tr: tr, interval: opts.SampleInterval, metrics: opts.Metrics})
 	if err != nil {
 		return nil, err

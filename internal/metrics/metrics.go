@@ -57,8 +57,8 @@ func NewRegistry() *Registry {
 }
 
 // SetMeta records a constant key/value pair emitted with every snapshot
-// (provenance: version, revision, command line). Meta values do not
-// participate in Merge.
+// (provenance: version, revision, command line), in its "meta" section,
+// apart from the metrics.
 func (r *Registry) SetMeta(key, value string) {
 	if r == nil {
 		return
@@ -207,7 +207,7 @@ func (g *Gauge) Set(v int64) {
 }
 
 // SetMax raises the gauge to v if v exceeds the current value
-// (high-water-mark semantics; Merge combines gauges the same way).
+// (high-water-mark semantics).
 func (g *Gauge) SetMax(v int64) {
 	if g == nil {
 		return

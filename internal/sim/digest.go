@@ -40,11 +40,11 @@ func (r *Result) canonical() string {
 	n := r.NoC
 	fmt.Fprintf(&b, "noc packets=%d bytes=%d bycat=%v pbycat=%v\n",
 		n.Packets, n.Bytes, n.BytesByCat, n.PacketsByCat)
-	d := r.Dir
-	fmt.Fprintf(&b, "dir gets=%d getm=%d wb=%d bounced=%d order=%d cof=%d coo=%d mem=%d l2=%d grtd=%d grtr=%d\n",
-		d.GetSReqs, d.GetMReqs, d.Writebacks, d.BouncedWrites, d.OrderOps,
-		d.CondOrderFails, d.CondOrderOks, d.MemFetches, d.L2Hits,
-		d.GRTDeposits, d.GRTRemovals)
+	b.WriteString("dir")
+	for _, f := range r.Dir.Counters() {
+		fmt.Fprintf(&b, " %s=%d", f.Name, *f.Val)
+	}
+	b.WriteByte('\n')
 	return b.String()
 }
 

@@ -1,9 +1,6 @@
 package sim
 
-import (
-	"asymfence/internal/metrics"
-	"asymfence/internal/stats"
-)
+import "asymfence/internal/metrics"
 
 // wbOccBounds are the write-buffer occupancy histogram buckets: powers
 // of two up to the Table 2 default WB size (64 entries).
@@ -83,11 +80,11 @@ func (sm *simMetrics) wbHist() *metrics.Histogram {
 	return sm.wbOcc
 }
 
-// export folds the machine's totals-so-far into the registry. Counter
-// updates commute, so batches running machines on concurrent workers
-// against one shared registry still produce scheduling-independent
-// totals.
-func (sm *simMetrics) export(m *Machine, agg *stats.Core) {
+// export folds the machine's totals-so-far, r, into the registry.
+// Counter updates commute, so batches running machines on concurrent
+// workers against one shared registry still produce
+// scheduling-independent totals.
+func (sm *simMetrics) export(m *Machine, r *Result) {
 	if sm == nil {
 		return
 	}
@@ -96,8 +93,9 @@ func (sm *simMetrics) export(m *Machine, agg *stats.Core) {
 		*last = cur
 	}
 	l := &sm.last
-	sm.cycles.Add(m.cycle - l.cycles)
-	l.cycles = m.cycle
+	agg := r.Agg()
+	sm.cycles.Add(r.Cycles - l.cycles)
+	l.cycles = r.Cycles
 	addU(sm.fenceStrong, agg.SFences, &l.strong)
 	addU(sm.fenceWeak, agg.WFences, &l.weak)
 	addU(sm.fenceDemoted, agg.DemotedWFences, &l.demoted)
@@ -106,18 +104,11 @@ func (sm *simMetrics) export(m *Machine, agg *stats.Core) {
 	addU(sm.recoveries, agg.Recoveries, &l.recoveries)
 	addU(sm.wbBounced, agg.BouncedWrites, &l.wbBounced)
 	addU(sm.wbRetries, agg.BounceRetries, &l.wbRetries)
-	var dirBounces, dirGetS, dirGetM uint64
-	for _, d := range m.dirs {
-		dirBounces += d.Stats.BouncedWrites
-		dirGetS += d.Stats.GetSReqs
-		dirGetM += d.Stats.GetMReqs
-	}
-	addU(sm.dirBounces, dirBounces, &l.dirBounces)
-	addU(sm.dirGetS, dirGetS, &l.dirGetS)
-	addU(sm.dirGetM, dirGetM, &l.dirGetM)
-	ns := m.mesh.Stats()
-	addU(sm.nocPackets, ns.Packets, &l.nocPackets)
-	addU(sm.nocBytes, ns.Bytes, &l.nocBytes)
+	addU(sm.dirBounces, r.Dir.BouncedWrites, &l.dirBounces)
+	addU(sm.dirGetS, r.Dir.GetSReqs, &l.dirGetS)
+	addU(sm.dirGetM, r.Dir.GetMReqs, &l.dirGetM)
+	addU(sm.nocPackets, r.NoC.Packets, &l.nocPackets)
+	addU(sm.nocBytes, r.NoC.Bytes, &l.nocBytes)
 	sm.nocPeak.SetMax(int64(m.mesh.PeakInFlight()))
 }
 

@@ -349,23 +349,12 @@ func (m *Machine) result(finished bool) *Result {
 	}
 	r.NoC = m.mesh.Stats()
 	for _, d := range m.dirs {
-		s := d.Stats
-		r.Dir.GetSReqs += s.GetSReqs
-		r.Dir.GetMReqs += s.GetMReqs
-		r.Dir.Writebacks += s.Writebacks
-		r.Dir.BouncedWrites += s.BouncedWrites
-		r.Dir.OrderOps += s.OrderOps
-		r.Dir.CondOrderFails += s.CondOrderFails
-		r.Dir.CondOrderOks += s.CondOrderOks
-		r.Dir.MemFetches += s.MemFetches
-		r.Dir.L2Hits += s.L2Hits
-		r.Dir.GRTDeposits += s.GRTDeposits
-		r.Dir.GRTRemovals += s.GRTRemovals
+		r.Dir.Add(&d.Stats)
 	}
 	m.sampler.Flush(m.cycle, m.coreStats)
 	r.Intervals = m.sampler.Samples()
 	if m.mx != nil {
-		m.mx.export(m, r.Agg())
+		m.mx.export(m, r)
 		m.mx.exportRun()
 		r.Metrics = m.cfg.Metrics
 	}

@@ -94,8 +94,9 @@ func (c *Core) TotalCycles() uint64 {
 	return c.BusyCycles + c.FenceStallCycles + c.OtherStallCycles
 }
 
-// Counter is one of Core's uint64 counters: its name in the
-// simulator's result digest, and the field itself.
+// Counter is one uint64 counter of a stats block (Core, or the
+// directory's DirStats): its name in the simulator's result digest, and
+// the field itself.
 type Counter struct {
 	Name string
 	Val  *uint64

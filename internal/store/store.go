@@ -1,6 +1,6 @@
 // Package store is a crash-safe, on-disk content-addressed record
 // store: the persistent tier behind the experiment engine's in-memory
-// measurement cache, shared by every process that opens the same
+// measurement memo, shared by every process that opens the same
 // directory.
 //
 // Records are addressed by an opaque content key (the canonical
@@ -60,7 +60,6 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -81,8 +80,7 @@ type Options struct {
 	Kind string
 	// Metrics, when non-nil, receives the store's counters (hits,
 	// misses, writes, bytes written, write errors, corrupt records)
-	// under the given scope. Nil disables them at zero cost; Stats is
-	// always counted.
+	// under the given scope. Nil disables them at zero cost.
 	Metrics *metrics.Scope
 	// WriteFile, when non-nil, replaces WriteFileAtomic as the record
 	// persistence primitive. It is the seam tests use to inject disk
@@ -122,19 +120,11 @@ func WriteFileAtomic(path string, data []byte) error {
 	return err
 }
 
-// Stats is a point-in-time traffic snapshot of one handle.
-type Stats struct {
-	// Hits/Misses count Get outcomes; Writes counts records persisted;
-	// WriteErrors counts Puts whose write failed; Corrupt counts records
-	// a Get dropped because they failed to decode, payload included.
-	Hits        int64 `json:"hits"`
-	Misses      int64 `json:"misses"`
-	Writes      int64 `json:"writes"`
-	WriteErrors int64 `json:"write_errors"`
-	Corrupt     int64 `json:"corrupt"`
-}
-
-// storeMetrics are the optional registry handles; all nil-safe.
+// storeMetrics are the store's counters, registry handles that are all
+// nil-safe: hits and misses count Get outcomes, writes and bytes the
+// records persisted, writeErrors the Puts whose write failed, and
+// corrupt the records a Get dropped because they failed to decode,
+// payload included.
 type storeMetrics struct {
 	hits, misses, writes, bytes, writeErrors, corrupt *metrics.Counter
 }
@@ -158,8 +148,6 @@ type Store struct {
 	kind      string
 	writeFile func(path string, data []byte) error
 	mx        storeMetrics
-
-	hits, misses, writes, writeErrors, corrupt atomic.Int64
 }
 
 // Open opens (creating if necessary) the store rooted at dir and
@@ -259,26 +247,22 @@ func (s *Store) Get(key string, fields func(Codec)) bool {
 	b, err := readFile(path, (*buf)[:0])
 	*buf = b
 	if err != nil {
-		s.misses.Add(1)
 		s.mx.misses.Inc()
 		return false
 	}
 	if !Decode(b, key, s.kind, fields) {
 		os.Remove(path)
-		s.corrupt.Add(1)
 		s.mx.corrupt.Inc()
-		s.misses.Add(1)
 		s.mx.misses.Inc()
 		return false
 	}
-	s.hits.Add(1)
 	s.mx.hits.Inc()
 	return true
 }
 
 // Put stores the payload fields writes under key and returns once the
 // record is on disk or the write has failed. A failed write is counted
-// in WriteErrors and leaves the key a miss; the store is a cache, so
+// as a write error and leaves the key a miss; the store is a cache, so
 // nothing else is lost.
 func (s *Store) Put(key string, fields func(Codec)) {
 	if s == nil {
@@ -291,25 +275,9 @@ func (s *Store) Put(key string, fields func(Codec)) {
 		err = s.writeFile(path, b)
 	}
 	if err != nil {
-		s.writeErrors.Add(1)
 		s.mx.writeErrors.Inc()
 		return
 	}
-	s.writes.Add(1)
 	s.mx.writes.Inc()
 	s.mx.bytes.Add(int64(len(b)))
-}
-
-// Stats returns the handle's traffic counters.
-func (s *Store) Stats() Stats {
-	if s == nil {
-		return Stats{}
-	}
-	return Stats{
-		Hits:        s.hits.Load(),
-		Misses:      s.misses.Load(),
-		Writes:      s.writes.Load(),
-		WriteErrors: s.writeErrors.Load(),
-		Corrupt:     s.corrupt.Load(),
-	}
 }

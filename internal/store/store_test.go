@@ -18,17 +18,37 @@ import (
 	"asymfence/internal/metrics"
 )
 
-// open opens a test store with the test payload kind unless overridden.
+// open opens a test store with the test payload kind, and counters in
+// a registry of its own, unless overridden.
 func open(t *testing.T, dir string, o Options) *Store {
 	t.Helper()
 	if o.Kind == "" {
 		o.Kind = "test/v1"
+	}
+	if o.Metrics == nil {
+		o.Metrics = metrics.NewRegistry().Scope("store")
 	}
 	s, err := Open(dir, o)
 	if err != nil {
 		t.Fatalf("Open(%s): %v", dir, err)
 	}
 	return s
+}
+
+// tally is a handle's traffic as its registry counts it.
+type tally struct {
+	Hits, Misses, Writes, WriteErrors, Corrupt int64
+}
+
+// tallyOf reads s's counters from the registry open gave it.
+func tallyOf(s *Store) tally {
+	return tally{
+		Hits:        s.mx.hits.Value(),
+		Misses:      s.mx.misses.Value(),
+		Writes:      s.mx.writes.Value(),
+		WriteErrors: s.mx.writeErrors.Value(),
+		Corrupt:     s.mx.corrupt.Value(),
+	}
 }
 
 // object returns the on-disk path of key's record.
@@ -83,7 +103,7 @@ func TestPutGetRoundtrip(t *testing.T) {
 	if !ok || got != 12345 {
 		t.Fatalf("Get after Put = %d, %v; want payload hit", got, ok)
 	}
-	st := s.Stats()
+	st := tallyOf(s)
 	if st.Writes != 1 || st.Hits != 1 || st.Misses != 1 || st.WriteErrors != 0 {
 		t.Fatalf("stats = %+v, want 1 write, 1 hit, 1 miss", st)
 	}
@@ -160,7 +180,7 @@ func TestCorruptAndTruncatedRecordsRecover(t *testing.T) {
 	if got, ok := get(s, "good"); !ok || got != 1 {
 		t.Fatalf("intact record lost: %d, %v", got, ok)
 	}
-	if st := s.Stats(); st.Corrupt != 2 {
+	if st := tallyOf(s); st.Corrupt != 2 {
 		t.Fatalf("stats after damage = %+v, want 2 corrupt", st)
 	}
 	if n := records(t, dir); n != 1 {
@@ -234,8 +254,8 @@ func TestRecordNotAsWrittenIsCorrupt(t *testing.T) {
 			if got, ok := get(s, "k"); ok {
 				t.Fatalf("rewritten record served as a hit: %d", got)
 			}
-			if _, err := os.Stat(path); s.Stats().Corrupt != 1 || !os.IsNotExist(err) {
-				t.Fatalf("stats %+v, file %v; want 1 corrupt and the file removed", s.Stats(), err)
+			if _, err := os.Stat(path); tallyOf(s).Corrupt != 1 || !os.IsNotExist(err) {
+				t.Fatalf("stats %+v, file %v; want 1 corrupt and the file removed", tallyOf(s), err)
 			}
 		})
 	}
@@ -289,13 +309,13 @@ func TestEditedLengthsAndKeysAreCorrupt(t *testing.T) {
 			if err := os.WriteFile(path, tc.rec, 0o666); err != nil {
 				t.Fatal(err)
 			}
-			corrupt := s.Stats().Corrupt
+			corrupt := tallyOf(s).Corrupt
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
 			hit := s.Get("k", counts(&out))
 			runtime.ReadMemStats(&after)
-			if hit || s.Stats().Corrupt != corrupt+1 {
-				t.Fatalf("edited record: hit %v (%v), stats %+v; want a corrupt miss", hit, out, s.Stats())
+			if hit || tallyOf(s).Corrupt != corrupt+1 {
+				t.Fatalf("edited record: hit %v (%v), stats %+v; want a corrupt miss", hit, out, tallyOf(s))
 			}
 			if n := after.TotalAlloc - before.TotalAlloc; n > 64<<10 {
 				t.Fatalf("Get of a %d-byte record allocated %d bytes", len(tc.rec), n)
@@ -336,7 +356,7 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 		t.Fatalf("fresh temp file did not survive Open: %v", err)
 	}
 	// Open reads no record: the damaged one stays until a Get finds it.
-	if st, n := r.Stats(), records(t, dir); st.Corrupt != 0 || n != 2 {
+	if st, n := tallyOf(r), records(t, dir); st.Corrupt != 0 || n != 2 {
 		t.Fatalf("after open: stats %+v, %d record files; want 0 corrupt, 2 files", st, n)
 	}
 	if got, ok := get(r, "keep"); !ok || got != 1 {
@@ -345,7 +365,7 @@ func TestOpenCleansDamageAndTempFiles(t *testing.T) {
 	if _, ok := get(r, "broken"); ok {
 		t.Fatal("truncated record served as a hit")
 	}
-	if st, n := r.Stats(), records(t, dir); st.Corrupt != 1 || n != 1 {
+	if st, n := tallyOf(r), records(t, dir); st.Corrupt != 1 || n != 1 {
 		t.Fatalf("after Get: stats %+v, %d record files; want 1 corrupt, 1 file", st, n)
 	}
 }
@@ -378,7 +398,7 @@ func TestPutsRacingOpensAllLand(t *testing.T) {
 	}
 	close(stop)
 	n := <-opened
-	if st := s.Stats(); st.WriteErrors != 0 || st.Writes != puts {
+	if st := tallyOf(s); st.WriteErrors != 0 || st.Writes != puts {
 		t.Fatalf("%d Puts racing %d Opens: stats %+v; want every Put written", puts, n, st)
 	}
 	if n := records(t, dir); n != puts {
@@ -429,7 +449,7 @@ func TestDirectoryAtRecordPathIsMiss(t *testing.T) {
 	if got, ok := get(s, "k"); ok {
 		t.Fatalf("directory served as a hit: %d", got)
 	}
-	if st := s.Stats(); st.Misses != 1 || st.Corrupt != 0 {
+	if st := tallyOf(s); st.Misses != 1 || st.Corrupt != 0 {
 		t.Fatalf("stats %+v; want 1 miss, 0 corrupt", st)
 	}
 	if info, err := os.Stat(path); err != nil || !info.IsDir() {
@@ -469,7 +489,7 @@ func TestKindMismatchIsMiss(t *testing.T) {
 	if _, ok := get(r, "k"); ok {
 		t.Fatal("record of a different kind served as a hit")
 	}
-	if st, n := r.Stats(), records(t, dir); st.Corrupt != 1 || n != 0 {
+	if st, n := tallyOf(r), records(t, dir); st.Corrupt != 1 || n != 0 {
 		t.Fatalf("stats %+v, %d record files; want the old-kind record dropped", st, n)
 	}
 }
@@ -516,9 +536,6 @@ func TestNilStoreIsInert(t *testing.T) {
 	if _, ok := get(s, "k"); ok {
 		t.Fatal("nil store reported a hit")
 	}
-	if st := s.Stats(); st != (Stats{}) {
-		t.Fatalf("nil store stats = %+v", st)
-	}
 }
 
 func TestMetricsAccounting(t *testing.T) {
@@ -557,7 +574,7 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 		want[key] = int64(i)
 		put(s, key, int64(i))
 	}
-	if st := s.Stats(); st.WriteErrors == 0 || st.Writes+st.WriteErrors != 64 {
+	if st := tallyOf(s); st.WriteErrors == 0 || st.Writes+st.WriteErrors != 64 {
 		t.Fatalf("stats after 64 faulted puts = %+v; want some write errors, every put counted once", st)
 	}
 	onlyRecords(t, dir)
@@ -589,5 +606,5 @@ func TestWriteFaultsDegradeToMisses(t *testing.T) {
 		t.Fatal("no records survived the fault schedule; expected some clean writes")
 	}
 	t.Logf("64 faulted puts: %d live hits, %d after reopen, %d corrupt dropped",
-		hits, rehits, s.Stats().Corrupt+r.Stats().Corrupt)
+		hits, rehits, tallyOf(s).Corrupt+tallyOf(r).Corrupt)
 }

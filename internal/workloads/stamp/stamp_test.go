@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"asymfence/internal/experiments"
-	"asymfence/internal/experiments/runner"
 	"asymfence/internal/fence"
 	"asymfence/internal/stats"
 	"asymfence/internal/workloads/stamp"
@@ -33,11 +32,11 @@ func TestRegistry(t *testing.T) {
 // through the experiment engine's job path.
 func runSTAMP(t *testing.T, app string, cores int, scale float64, designs ...fence.Design) []*experiments.Measurement {
 	t.Helper()
-	specs := make([]runner.Spec, len(designs))
+	specs := make([]experiments.Spec, len(designs))
 	for i, d := range designs {
-		specs[i] = runner.Spec{Group: "stamp", App: app, Design: d, Cores: cores, Scale: scale}
+		specs[i] = experiments.Spec{Group: "stamp", App: app, Design: d, Cores: cores, Scale: scale}
 	}
-	ms, err := experiments.NewEngine(experiments.EngineOptions{}).RunSpecs(context.Background(), specs)
+	ms, err := experiments.NewEngine(experiments.RunConfig{}).RunSpecs(context.Background(), specs)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,9 +1,6 @@
 package asymfence
 
-import (
-	"asymfence/internal/experiments"
-	"asymfence/internal/store"
-)
+import "asymfence/internal/experiments"
 
 // MeasurementStore is a persistent, content-addressed measurement
 // store: one crash-safe on-disk record per canonical simulation
@@ -22,9 +19,6 @@ type MeasurementStore = experiments.MeasurementStore
 
 // StoreOptions configure OpenStore.
 type StoreOptions = experiments.MeasurementStoreOptions
-
-// StoreStats is a store traffic snapshot; see MeasurementStore.Stats.
-type StoreStats = store.Stats
 
 // OpenStore opens (creating if necessary) the persistent measurement
 // store rooted at dir. Opening reads no record; it only removes the
