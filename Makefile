@@ -100,9 +100,10 @@ check-runtime:
 	$(GO) test -race -count=1 ./runtime/...
 	ASYMFENCE_MODE=fallback $(GO) test -race -count=1 ./runtime/...
 
-# Cross-domain litmus conformance (ROBUSTNESS.md §8): the TSO
-# reference enumerator, the real-goroutine litmus runner and the
-# conformance campaign suites under the race detector, the fence
+# Cross-domain litmus conformance (ROBUSTNESS.md §8): the ISA
+# evaluator that all three executors compute local instructions
+# through, the TSO reference enumerator, the real-goroutine litmus
+# runner and the conformance campaign suites under the race detector, the fence
 # runtime's fault-injection/degradation suite, the mid-run
 # mode-degradation torture tests for the deque and the TLRW read-lock,
 # and the quick CLI campaign (50 seeds x 5 designs x both fence modes)
@@ -111,7 +112,7 @@ check-runtime:
 # across goroutines for a whole Run, and ten passes (about 2 s) give
 # the race detector more interleavings of that handoff.
 check-conform:
-	$(GO) test -race -count=1 ./internal/tso/
+	$(GO) test -race -count=1 ./internal/isa/ ./internal/tso/
 	$(GO) test -race -count=10 ./runtime/litmusrun/
 	$(GO) test -race -count=1 -run 'TestFault|TestHeavyFence|TestConcurrentDegradation|TestStatsSnapshot' ./runtime/
 	$(GO) test -race -count=1 -run 'TestTorture' ./runtime/thedeque/ ./runtime/tlrw/

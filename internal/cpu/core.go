@@ -344,7 +344,7 @@ type Core struct {
 	wakeAt    int64
 	synced    int64    // last cycle stepped or charged by Sync
 	acted     bool     // something changed this Step; do not sleep
-	stallKind stallCat // category charged for skipped cycles
+	stallKind stallCat // category of the last stepped cycle
 	stallPC   int      // fence-site attribution for stallFence
 	issueWake int64    // earliest future addr-ready of an unissued load
 
@@ -356,13 +356,13 @@ type Core struct {
 	pool []*robEntry
 }
 
-// stallCat is the memoized per-cycle stats category charged while the
-// core sleeps; it mirrors the switch at the end of Step exactly.
+// stallCat is the stats category of the cycle Step last stepped, which
+// charge adds cycles to: that cycle's and those a sleeping core skips.
 type stallCat uint8
 
 const (
 	stallOther stallCat = iota // rMem/rExec/rEmpty: OtherStallCycles
-	stallBusy                  // rWork: modeled compute, BusyCycles
+	stallBusy                  // retiring, halting or rWork: BusyCycles
 	stallFence                 // rFence: FenceStallCycles + site profile
 	stallDrain                 // post-rollback drain: FenceStallCycles
 )

@@ -286,8 +286,8 @@ type goldenState struct {
 	mem  map[mem.Addr]uint32
 }
 
-// genProgram emits a random straight-line-with-loops program and
-// interprets it sequentially.
+// genProgram emits a random program of every ALU op, loads, stores and
+// forward skips over every branch kind, and interprets it sequentially.
 func genProgram(rng *rand.Rand) (*isa.Program, *goldenState) {
 	g := &goldenState{mem: map[mem.Addr]uint32{}}
 	b := isa.NewBuilder("random")
@@ -299,38 +299,78 @@ func genProgram(rng *rand.Rand) (*isa.Program, *goldenState) {
 		dst := isa.Reg(2 + rng.Intn(8))
 		s1 := isa.Reg(2 + rng.Intn(8))
 		s2 := isa.Reg(2 + rng.Intn(8))
-		switch rng.Intn(8) {
+		a, c := g.regs[s1], g.regs[s2]
+		imm := int32(rng.Intn(1000) - 500)
+		sh := int32(rng.Intn(64)) // shifts use the low 5 bits
+		switch rng.Intn(17) {
 		case 0:
-			v := int32(rng.Intn(1000) - 500)
-			b.Li(dst, v)
-			g.regs[dst] = uint32(v)
+			b.Li(dst, imm)
+			g.regs[dst] = uint32(imm)
 		case 1:
-			b.Add(dst, s1, s2)
-			g.regs[dst] = g.regs[s1] + g.regs[s2]
+			b.Mov(dst, s1)
+			g.regs[dst] = a
 		case 2:
-			b.Sub(dst, s1, s2)
-			g.regs[dst] = g.regs[s1] - g.regs[s2]
+			b.Add(dst, s1, s2)
+			g.regs[dst] = a + c
 		case 3:
-			b.Mul(dst, s1, s2)
-			g.regs[dst] = g.regs[s1] * g.regs[s2]
+			b.Sub(dst, s1, s2)
+			g.regs[dst] = a - c
 		case 4:
-			b.Xor(dst, s1, s2)
-			g.regs[dst] = g.regs[s1] ^ g.regs[s2]
+			b.Mul(dst, s1, s2)
+			g.regs[dst] = a * c
 		case 5:
+			b.And(dst, s1, s2)
+			g.regs[dst] = a & c
+		case 6:
+			b.Or(dst, s1, s2)
+			g.regs[dst] = a | c
+		case 7:
+			b.Xor(dst, s1, s2)
+			g.regs[dst] = a ^ c
+		case 8:
+			b.AddI(dst, s1, imm)
+			g.regs[dst] = a + uint32(imm)
+		case 9:
+			b.AndI(dst, s1, imm)
+			g.regs[dst] = a & uint32(imm)
+		case 10:
+			b.ShlI(dst, s1, sh)
+			g.regs[dst] = a << (sh % 32)
+		case 11:
+			b.ShrI(dst, s1, sh)
+			g.regs[dst] = a >> (sh % 32)
+		case 12:
 			off := int32(rng.Intn(16) * 4)
 			b.St(s1, 1, off)
-			g.mem[mem.Addr(base)+mem.Addr(off)] = g.regs[s1]
-		case 6:
+			g.mem[mem.Addr(base)+mem.Addr(off)] = a
+		case 13:
 			off := int32(rng.Intn(16) * 4)
 			b.Ld(dst, 1, off)
 			g.regs[dst] = g.mem[mem.Addr(base)+mem.Addr(off)]
-		case 7:
+		default:
 			// A short forward skip whose outcome depends on live values.
 			l := b.NewLabel("skip")
-			b.Beq(s1, s2, l)
+			var taken bool
+			switch rng.Intn(5) {
+			case 0:
+				b.Beq(s1, s2, l)
+				taken = a == c
+			case 1:
+				b.Bne(s1, s2, l)
+				taken = a != c
+			case 2:
+				b.Blt(s1, s2, l)
+				taken = int32(a) < int32(c)
+			case 3:
+				b.Bge(s1, s2, l)
+				taken = int32(a) >= int32(c)
+			case 4:
+				b.Jmp(l)
+				taken = true
+			}
 			v := int32(rng.Intn(100))
 			b.AddI(dst, dst, v)
-			if g.regs[s1] != g.regs[s2] {
+			if !taken {
 				g.regs[dst] += uint32(v)
 			}
 			b.Label(l)

@@ -3,6 +3,7 @@ package cpu_test
 import (
 	"testing"
 
+	"asymfence/internal/cpu"
 	"asymfence/internal/fence"
 	"asymfence/internal/isa"
 	"asymfence/internal/mem"
@@ -47,6 +48,39 @@ func TestWeakFenceRetiresImmediately(t *testing.T) {
 	}
 	if st.FenceStallCycles > 20 {
 		t.Fatalf("weak fence stalled %d cycles", st.FenceStallCycles)
+	}
+}
+
+// TestBrokenFenceBreaksOnlySFence: DebugBrokenFence lets an SFence
+// retire over two pending cold stores, while the fences that only behave
+// strongly, a WFence under S+ and a WeeFence demoted because its pending
+// set spans two directory modules, still stall until the stores drain.
+func TestBrokenFenceBreaksOnlySFence(t *testing.T) {
+	cpu.DebugBrokenFence = true
+	defer func() { cpu.DebugBrokenFence = false }()
+	idle := isa.NewBuilder("idle").Halt().MustBuild()
+	for _, c := range []struct {
+		name   string
+		design fence.Design
+		weak   bool
+		drains bool
+	}{
+		{"sfence", fence.SPlus, false, false},
+		{"wfence under S+", fence.SPlus, true, true},
+		{"demoted WeeFence", fence.Wee, true, true},
+	} {
+		b := isa.NewBuilder("broken")
+		b.Li(1, 0x9000) // two cold lines, homed in modules 0 and 1
+		b.Li(2, 1)
+		b.St(2, 1, 0)
+		b.St(2, 1, mem.LineSize)
+		b.Fence(c.weak)
+		b.Halt()
+		st := runPair(t, c.design, b.MustBuild(), idle, nil).Core(0).Stats()
+		if drained := st.FenceStallCycles >= 100; drained != c.drains {
+			t.Errorf("%s: fence stalled %d cycles over two cold stores; drains = %v, want %v",
+				c.name, st.FenceStallCycles, drained, c.drains)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ func (c *Core) fetchBranch(now int64, in isa.Instr) {
 	e := c.newEntry()
 	e.in, e.pc, e.seq, e.s1, e.s2 = in, c.pc, c.seq, s1, s2
 	if in.Op == isa.Jmp || (s1.known && s2.known) {
-		taken := evalBranch(in, s1.val, s2.val)
+		taken := in.Taken(s1.val, s2.val)
 		e.resolved = true
 		e.ready = maxi64(now, maxi64(s1.ready, s2.ready)) + 1
 		c.pushROB(e)
@@ -68,22 +68,6 @@ func (c *Core) advancePC(in isa.Instr, taken bool) {
 	} else {
 		c.pc++
 	}
-}
-
-func evalBranch(in isa.Instr, a, b uint32) bool {
-	switch in.Op {
-	case isa.Jmp:
-		return true
-	case isa.Beq:
-		return a == b
-	case isa.Bne:
-		return a != b
-	case isa.Blt:
-		return int32(a) < int32(b)
-	case isa.Bge:
-		return int32(a) >= int32(b)
-	}
-	return false
 }
 
 // fetchOne decodes, captures operands, performs the fetch-side functional
@@ -152,18 +136,14 @@ func (c *Core) fetchOne(now int64, in isa.Instr) bool {
 
 	case isa.Li:
 		e.resolved = true
-		e.val = uint32(in.Imm)
+		e.val = in.Eval(0, 0)
 		e.ready = now + 1
 		c.writeReg(e, in.Dst, regVal{known: true, val: e.val, ready: e.ready})
 
 	case isa.Mov, isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor,
 		isa.AddI, isa.AndI, isa.ShlI, isa.ShrI:
 		e.s1 = c.readReg(in.Src1)
-		if needsSrc2(in.Op) {
-			e.s2 = c.readReg(in.Src2)
-		} else {
-			e.s2 = operand{regVal: regVal{known: true}}
-		}
+		e.s2 = c.readReg(in.Src2)
 		c.resolveALU(now, e)
 		if e.resolved {
 			c.writeReg(e, in.Dst, regVal{known: true, val: e.val, ready: e.ready})
@@ -227,14 +207,6 @@ func workSlots(n int64, robSize int) int {
 	return int(n)
 }
 
-func needsSrc2(op isa.Op) bool {
-	switch op {
-	case isa.Add, isa.Sub, isa.Mul, isa.And, isa.Or, isa.Xor:
-		return true
-	}
-	return false
-}
-
 // link enters operand o of entry e at the head of its producer's wakeup
 // list, if it waits on one.
 func (o *operand) link(e *robEntry) {
@@ -251,34 +223,7 @@ func (c *Core) resolveALU(now int64, e *robEntry) {
 	if !e.s1.known || !e.s2.known {
 		return
 	}
-	a, b := e.s1.val, e.s2.val
-	imm := uint32(e.in.Imm)
-	var v uint32
-	switch e.in.Op {
-	case isa.Mov:
-		v = a
-	case isa.Add:
-		v = a + b
-	case isa.Sub:
-		v = a - b
-	case isa.Mul:
-		v = a * b
-	case isa.And:
-		v = a & b
-	case isa.Or:
-		v = a | b
-	case isa.Xor:
-		v = a ^ b
-	case isa.AddI:
-		v = a + imm
-	case isa.AndI:
-		v = a & imm
-	case isa.ShlI:
-		v = a << (imm & 31)
-	case isa.ShrI:
-		v = a >> (imm & 31)
-	}
-	e.val = v
+	e.val = e.in.Eval(e.s1.val, e.s2.val)
 	e.ready = maxi64(now, maxi64(e.s1.ready, e.s2.ready)) + 1
 	e.resolved = true
 }
@@ -314,7 +259,7 @@ func (c *Core) operandReady(now int64, e *robEntry) {
 		if !e.resolved && e.s1.known && e.s2.known {
 			e.resolved = true
 			e.ready = maxi64(now, maxi64(e.s1.ready, e.s2.ready)) + 1
-			taken := evalBranch(e.in, e.s1.val, e.s2.val)
+			taken := e.in.Taken(e.s1.val, e.s2.val)
 			if e.predicted && taken != e.predTaken {
 				e.actualTaken = taken
 				if c.mispredicted == nil || e.seq < c.mispredicted.seq {

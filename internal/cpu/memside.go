@@ -265,13 +265,7 @@ func (c *Core) completeFences(now int64) {
 		}
 		c.bs.CompleteFence(f.seq)
 		if f.wee {
-			dst := f.module
-			if dst < 0 {
-				dst = c.cfg.ID
-			}
-			c.send(now, dst, coherence.Msg{
-				Type: coherence.WeeRemove, Core: c.cfg.ID, ReqID: f.weeID,
-			}, noc.CatFence)
+			c.sendGRT(now, f.module, coherence.Msg{Type: coherence.WeeRemove, ReqID: f.weeID})
 		}
 		c.fences = c.fences[:copy(c.fences, c.fences[1:])]
 	}
@@ -388,12 +382,12 @@ func (c *Core) recoverWPlus(now int64) {
 // again only once a message arrives or its wake time comes, and Step
 // first charges the cycles since the core last stepped (see Sync).
 func (c *Core) Step(now int64) {
-	c.Sync(now - 1)
-	c.synced = now
 	if c.finished {
-		c.st.IdleCycles++
+		c.Sync(now)
 		return
 	}
+	c.Sync(now - 1)
+	c.synced = now
 	c.acted = false
 	c.redirectMispredict()
 	if c.draining {
@@ -401,8 +395,8 @@ func (c *Core) Step(now int64) {
 		if len(c.wb) == 0 && !c.wbInFlight {
 			c.draining = false
 		} else {
-			c.st.FenceStallCycles++
 			c.stallKind = stallDrain
+			c.charge(1)
 			c.maybeSleep(now)
 			return
 		}
@@ -415,53 +409,31 @@ func (c *Core) Step(now int64) {
 	c.fetch(now)
 	c.checkWPlusTimeout(now)
 
+	// The halting cycle itself counts as busy.
 	switch {
-	case c.finished:
-		// The halting cycle itself counts as busy.
-		c.st.BusyCycles++
-	case retired > 0:
-		c.st.BusyCycles++
-	case reason == rWork:
-		c.st.BusyCycles++
+	case c.finished || retired > 0 || reason == rWork:
+		c.stallKind = stallBusy
 	case reason == rFence:
-		c.st.FenceStallCycles++
-		if blockPC >= 0 {
-			c.st.FenceSiteStall[blockPC]++
-		}
+		c.stallKind, c.stallPC = stallFence, blockPC
 	default:
-		c.st.OtherStallCycles++
+		c.stallKind = stallOther
 	}
+	c.charge(1)
 	if c.finished || retired > 0 {
 		c.wakeAt = 0
 		return
 	}
-	c.setStall(reason, blockPC)
 	c.maybeSleep(now)
-}
-
-// setStall records the stats category that skipped cycles must charge,
-// mirroring the retirement-block switch above.
-func (c *Core) setStall(reason blockReason, blockPC int) {
-	switch reason {
-	case rWork:
-		c.stallKind = stallBusy
-	case rFence:
-		c.stallKind = stallFence
-		c.stallPC = blockPC
-	default:
-		c.stallKind = stallOther
-	}
 }
 
 // Sync charges every cycle after the last one the core was stepped or
 // charged for, through now, to what stepping it would have charged: idle
-// once finished, otherwise the stall category latched when it went to
-// sleep. Only Step changes the category or finishes the core, and the
-// machine steps a sleeping core again in the cycle a message arrives for
-// it or at its wake time, whichever is first, so the category holds for
-// every cycle in between: computeWake accounts for every time-gated
-// transition. The machine calls Sync before anything reads the core's
-// counters.
+// once finished, otherwise the category its last Step charged. Only Step
+// changes the category or finishes the core, and the machine steps a
+// sleeping core again in the cycle a message arrives for it or at its
+// wake time, whichever is first, so the category holds for every cycle
+// in between: computeWake accounts for every time-gated transition. The
+// machine calls Sync before anything reads the core's counters.
 func (c *Core) Sync(now int64) {
 	n := now - c.synced
 	if n <= 0 {
@@ -472,18 +444,26 @@ func (c *Core) Sync(now int64) {
 		c.st.IdleCycles += uint64(n)
 		return
 	}
-	switch u := uint64(n); c.stallKind {
+	c.charge(uint64(n))
+}
+
+// charge adds n cycles to the counters of the category stallKind, and a
+// fence stall to its fence's site as well. Step charges the cycle it
+// steps through it and Sync the cycles a sleeping core skipped, so a
+// skipped cycle counts exactly as stepping it would have.
+func (c *Core) charge(n uint64) {
+	switch c.stallKind {
 	case stallBusy:
-		c.st.BusyCycles += u
+		c.st.BusyCycles += n
 	case stallFence:
-		c.st.FenceStallCycles += u
+		c.st.FenceStallCycles += n
 		if c.stallPC >= 0 {
-			c.st.FenceSiteStall[c.stallPC] += u
+			c.st.FenceSiteStall[c.stallPC] += n
 		}
 	case stallDrain:
-		c.st.FenceStallCycles += u
+		c.st.FenceStallCycles += n
 	default:
-		c.st.OtherStallCycles += u
+		c.st.OtherStallCycles += n
 	}
 }
 

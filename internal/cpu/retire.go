@@ -13,9 +13,10 @@ import (
 )
 
 // DebugBrokenFence, when true, deliberately breaks SFence: it retires
-// without waiting for the write buffer to drain. Test-only — it exists
-// to prove the TSO checker catches a fence implementation that skips its
-// drain condition (see internal/sim's broken-design regression test).
+// without waiting for the write buffer to drain (a WFence under S+ and a
+// demoted WeeFence still wait). Test-only — it exists to prove the TSO
+// checker catches a fence implementation that skips its drain condition
+// (see internal/sim's broken-design regression test).
 var DebugBrokenFence bool
 
 // blockReason classifies why retirement is blocked this cycle, for the
@@ -122,15 +123,7 @@ func (c *Core) tryRetire(now int64, e *robEntry) (bool, blockReason) {
 		return c.retireAtomic(now, e)
 
 	case isa.SFence:
-		if len(c.wb) != 0 && !DebugBrokenFence {
-			return false, rFence
-		}
-		c.st.SFences++
-		c.tr.Emit(now, trace.KFenceStrong, int32(c.cfg.ID), 0, int64(e.pc), 0, 0)
-		if c.chk != nil {
-			c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, true)
-		}
-		return true, rNone
+		return c.retireStrongFence(now, e)
 
 	case isa.WFence:
 		return c.retireWeakFence(now, e)
@@ -243,21 +236,31 @@ func (c *Core) performAtomic(when int64, e *robEntry) {
 	c.wakeDependents(when, e)
 }
 
+// retireStrongFence retires a fence that behaves conventionally (an
+// SFence, a WFence under S+ or a demoted WeeFence) once the write buffer
+// has drained. DebugBrokenFence skips the drain for an SFence alone.
+func (c *Core) retireStrongFence(now int64, e *robEntry) (bool, blockReason) {
+	if len(c.wb) != 0 && !(DebugBrokenFence && e.in.Op == isa.SFence) {
+		return false, rFence
+	}
+	c.st.SFences++
+	if e.weeDemoted {
+		c.st.DemotedWFences++
+	}
+	c.tr.Emit(now, trace.KFenceStrong, int32(c.cfg.ID), 0, int64(e.pc), 0, 0)
+	if c.chk != nil {
+		c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, true)
+	}
+	return true, rNone
+}
+
 // retireWeakFence implements the design-dependent behavior of a WFence at
 // the ROB head.
 func (c *Core) retireWeakFence(now int64, e *robEntry) (bool, blockReason) {
 	design := c.cfg.Design
 	if design == fence.SPlus {
 		// S+: every fence is conventional.
-		if len(c.wb) != 0 {
-			return false, rFence
-		}
-		c.st.SFences++
-		c.tr.Emit(now, trace.KFenceStrong, int32(c.cfg.ID), 0, int64(e.pc), 0, 0)
-		if c.chk != nil {
-			c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, true)
-		}
-		return true, rNone
+		return c.retireStrongFence(now, e)
 	}
 	if len(c.wb) == 0 {
 		// All pre-fence accesses already complete: the fence is trivially
@@ -266,7 +269,7 @@ func (c *Core) retireWeakFence(now int64, e *robEntry) (bool, blockReason) {
 		c.tr.Emit(now, trace.KFenceWeak, int32(c.cfg.ID), 0, int64(e.pc), int64(e.seq), 0)
 		c.tr.Emit(now, trace.KFenceComplete, int32(c.cfg.ID), 0, int64(e.seq), int64(c.bs.Len()), 0)
 		if c.weeDepositSent {
-			c.resetWeeHandshake(now, true)
+			c.resetWeeHandshake(now)
 		}
 		if c.chk != nil {
 			c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, false)
@@ -327,32 +330,16 @@ func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 		}
 		if !e.weeDemoted {
 			c.weeModule = module
-			dst := module
-			if dst < 0 {
-				dst = c.cfg.ID
-			}
 			c.weeReqID = c.nextReqID()
 			c.weeDepositSent = true
 			c.weeDepositAck = false
-			c.send(now, dst, coherence.Msg{
-				Type: coherence.WeeDeposit, Core: c.cfg.ID, ReqID: c.weeReqID,
-				PS: ps,
-			}, noc.CatFence)
+			c.sendGRT(now, module, coherence.Msg{Type: coherence.WeeDeposit, ReqID: c.weeReqID, PS: ps})
 		}
 	}
 	if e.weeDemoted {
 		// Conventional-fence behavior (paper §2.3: a WeeFence whose state
 		// cannot be confined to one directory module turns into a fence).
-		if len(c.wb) != 0 {
-			return false, rFence
-		}
-		c.st.SFences++
-		c.st.DemotedWFences++
-		c.tr.Emit(now, trace.KFenceStrong, int32(c.cfg.ID), 0, int64(e.pc), 0, 0)
-		if c.chk != nil {
-			c.chk.OnFenceRetire(now, c.cfg.ID, e.seq, true)
-		}
-		return true, rNone
+		return c.retireStrongFence(now, e)
 	}
 	if !c.weeDepositAck {
 		return false, rFence // waiting for the GRT round trip
@@ -375,17 +362,20 @@ func (c *Core) retireWeeFence(now int64, e *robEntry) (bool, blockReason) {
 
 // resetWeeHandshake clears a deposit that became unnecessary (the write
 // buffer drained while waiting), removing the GRT entry.
-func (c *Core) resetWeeHandshake(now int64, removeGRT bool) {
-	if removeGRT {
-		dst := c.weeModule
-		if dst < 0 {
-			dst = c.cfg.ID
-		}
-		c.send(now, dst, coherence.Msg{
-			Type: coherence.WeeRemove, Core: c.cfg.ID, ReqID: c.weeReqID,
-		}, noc.CatFence)
-	}
+func (c *Core) resetWeeHandshake(now int64) {
+	c.sendGRT(now, c.weeModule, coherence.Msg{Type: coherence.WeeRemove, ReqID: c.weeReqID})
 	c.weeDepositSent = false
 	c.weeDepositAck = false
 	c.weeRemote = nil
+}
+
+// sendGRT sends m from this core to the GRT through the directory module
+// holding a WeeFence's pending set, or through this core's own module
+// when the set is empty (module < 0).
+func (c *Core) sendGRT(now int64, module int, m coherence.Msg) {
+	if module < 0 {
+		module = c.cfg.ID
+	}
+	m.Core = c.cfg.ID
+	c.send(now, module, m, noc.CatFence)
 }

@@ -81,14 +81,20 @@ func SplitMix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// draw hashes one decision and reports (fires, magnitude in [1, max]).
-func (in *Injector) draw(kind uint64, ctr uint64, prob uint64, max int64) (bool, int64) {
-	if prob == 0 || max <= 0 {
+// draw hashes one fault decision, a pure function of (seed, kind, ctr):
+// it fires one time in prob (never when prob is 0), with a magnitude in
+// [1, max], or 0 when max <= 0. The simulator's timing faults and the
+// store's write faults both draw through it.
+func draw(seed, kind, ctr, prob uint64, max int64) (bool, int64) {
+	if prob == 0 {
 		return false, 0
 	}
-	h := SplitMix64(in.seed ^ kind ^ SplitMix64(ctr^kind))
+	h := SplitMix64(seed ^ kind ^ SplitMix64(ctr^kind))
 	if h%prob != 0 {
 		return false, 0
+	}
+	if max <= 0 {
+		return true, 0
 	}
 	return true, 1 + int64((h>>32)%uint64(max))
 }
@@ -101,10 +107,7 @@ func (in *Injector) NoCDelay(src, dst, size int) int64 {
 	}
 	in.nocCtr++
 	_, _ = src, dst
-	fires, d := in.draw(kindNoC, in.nocCtr, in.cfg.NoCJitterProb, in.cfg.NoCJitterMax)
-	if !fires {
-		return 0
-	}
+	_, d := draw(in.seed, kindNoC, in.nocCtr, in.cfg.NoCJitterProb, in.cfg.NoCJitterMax)
 	return d
 }
 
@@ -116,10 +119,7 @@ func (in *Injector) DirDelay(bank int) int64 {
 	}
 	in.dirCtr++
 	_ = bank
-	fires, d := in.draw(kindDir, in.dirCtr, in.cfg.DirStretchProb, in.cfg.DirStretchMax)
-	if !fires {
-		return 0
-	}
+	_, d := draw(in.seed, kindDir, in.dirCtr, in.cfg.DirStretchProb, in.cfg.DirStretchMax)
 	return d
 }
 
@@ -132,9 +132,6 @@ func (in *Injector) WBDelay(core int) int64 {
 	}
 	in.wbCtr++
 	_ = core
-	fires, d := in.draw(kindWB, in.wbCtr, in.cfg.WBStallProb, in.cfg.WBStallMax)
-	if !fires {
-		return 0
-	}
+	_, d := draw(in.seed, kindWB, in.wbCtr, in.cfg.WBStallProb, in.cfg.WBStallMax)
 	return d
 }

@@ -61,22 +61,6 @@ func NewWriteFaults(seed uint64, cfg FSConfig) *WriteFaults {
 	return &WriteFaults{cfg: cfg, seed: seed}
 }
 
-// drawAtomic hashes one decision off an atomic counter (the concurrent
-// analogue of Injector.draw).
-func drawAtomic(seed, kind, ctr, prob uint64, max int64) (bool, int64) {
-	if prob == 0 {
-		return false, 0
-	}
-	h := SplitMix64(seed ^ kind ^ SplitMix64(ctr^kind))
-	if h%prob != 0 {
-		return false, 0
-	}
-	if max <= 0 {
-		return true, 0
-	}
-	return true, 1 + int64((h>>32)%uint64(max))
-}
-
 // Wrap returns a write function that behaves like next except when a
 // fault fires: the write errors, reports ENOSPC, or tears (a prefix of
 // data lands at path non-atomically and the call still succeeds).
@@ -87,13 +71,13 @@ func (w *WriteFaults) Wrap(next func(path string, data []byte) error) func(path 
 	}
 	return func(path string, data []byte) error {
 		ctr := w.ctr.Add(1)
-		if fires, _ := drawAtomic(w.seed, kindFSNoSpc, ctr, w.cfg.ENOSPCProb, 0); fires {
+		if fires, _ := draw(w.seed, kindFSNoSpc, ctr, w.cfg.ENOSPCProb, 0); fires {
 			return fmt.Errorf("faults: injected write of %s: %w", path, syscall.ENOSPC)
 		}
-		if fires, _ := drawAtomic(w.seed, kindFSWrite, ctr, w.cfg.WriteErrProb, 0); fires {
+		if fires, _ := draw(w.seed, kindFSWrite, ctr, w.cfg.WriteErrProb, 0); fires {
 			return fmt.Errorf("faults: injected write error on %s", path)
 		}
-		if fires, cut := drawAtomic(w.seed, kindFSTorn, ctr, w.cfg.TornProb, int64(len(data))); fires && len(data) > 0 {
+		if fires, cut := draw(w.seed, kindFSTorn, ctr, w.cfg.TornProb, int64(len(data))); fires && len(data) > 0 {
 			// Torn write: a prefix lands at the final path with no rename
 			// barrier, and the caller is told it worked — the lie a crash
 			// mid-write tells. Readers must treat the result as corrupt.

@@ -77,7 +77,8 @@ func (o Op) String() string {
 	return fmt.Sprintf("op(%d)", uint8(o))
 }
 
-// Instr is one decoded instruction.
+// Instr is one decoded instruction. A register field the opcode does not
+// read is R0, as the Builder leaves it.
 type Instr struct {
 	Op     Op
 	Dst    Reg
@@ -91,6 +92,66 @@ type Instr struct {
 func (in Instr) IsBranch() bool {
 	switch in.Op {
 	case Beq, Bne, Blt, Bge, Jmp:
+		return true
+	}
+	return false
+}
+
+// IsALU reports whether the instruction computes Dst from its register
+// operands and immediate alone (Li through ShrI): Eval gives the value.
+func (in Instr) IsALU() bool { return in.Op >= Li && in.Op <= ShrI }
+
+// Eval returns the value an ALU instruction (IsALU) writes to Dst, given
+// Src1's value a and Src2's value b; it returns 0 for any other op.
+// Results wrap modulo 2^32, and a shift amount is the immediate's low 5
+// bits. Eval and Taken are the ISA's one definition of local
+// instructions: the cycle simulator's cores, the reference TSO machine
+// and the real-goroutine litmus runner all compute through them.
+func (in Instr) Eval(a, b uint32) uint32 {
+	imm := uint32(in.Imm)
+	switch in.Op {
+	case Li:
+		return imm
+	case Mov:
+		return a
+	case Add:
+		return a + b
+	case Sub:
+		return a - b
+	case Mul:
+		return a * b
+	case And:
+		return a & b
+	case Or:
+		return a | b
+	case Xor:
+		return a ^ b
+	case AddI:
+		return a + imm
+	case AndI:
+		return a & imm
+	case ShlI:
+		return a << (imm & 31)
+	case ShrI:
+		return a >> (imm & 31)
+	}
+	return 0
+}
+
+// Taken reports whether a branch (IsBranch) goes to Target, given Src1's
+// value a and Src2's value b; it is false for any other op. Blt and Bge
+// compare signed.
+func (in Instr) Taken(a, b uint32) bool {
+	switch in.Op {
+	case Beq:
+		return a == b
+	case Bne:
+		return a != b
+	case Blt:
+		return int32(a) < int32(b)
+	case Bge:
+		return int32(a) >= int32(b)
+	case Jmp:
 		return true
 	}
 	return false

@@ -134,3 +134,92 @@ func TestWorkLoopHelpers(t *testing.T) {
 		t.Fatalf("expected one loop-body Work, found %d", chunks)
 	}
 }
+
+// TestEval checks every ALU op's value against hand-written results:
+// wrapping arithmetic, negative immediates, shift amounts masked to
+// their low 5 bits, and a logical right shift.
+func TestEval(t *testing.T) {
+	cases := []struct {
+		in   Instr
+		a, b uint32
+		want uint32
+	}{
+		{Instr{Op: Li, Imm: -7}, 1, 2, 0xfffffff9},
+		{Instr{Op: Li, Imm: 42}, 0, 0, 42},
+		{Instr{Op: Mov}, 0xdeadbeef, 5, 0xdeadbeef},
+		{Instr{Op: Add}, 3, 4, 7},
+		{Instr{Op: Add}, 0xffffffff, 2, 1},
+		{Instr{Op: Sub}, 10, 3, 7},
+		{Instr{Op: Sub}, 0, 1, 0xffffffff},
+		{Instr{Op: Mul}, 6, 7, 42},
+		{Instr{Op: Mul}, 0x10000, 0x10000, 0},
+		{Instr{Op: Mul}, 0xffffffff, 3, 0xfffffffd},
+		{Instr{Op: And}, 0b1100, 0b1010, 0b1000},
+		{Instr{Op: Or}, 0b1100, 0b1010, 0b1110},
+		{Instr{Op: Xor}, 0b1100, 0b1010, 0b0110},
+		{Instr{Op: AddI, Imm: 5}, 10, 99, 15},
+		{Instr{Op: AddI, Imm: -1}, 0, 99, 0xffffffff},
+		{Instr{Op: AddI, Imm: -3}, 10, 0, 7},
+		{Instr{Op: AndI, Imm: 0xff}, 0x1234, 0, 0x34},
+		{Instr{Op: AndI, Imm: -4}, 0x1237, 0, 0x1234},
+		{Instr{Op: ShlI, Imm: 0}, 0x81, 0, 0x81},
+		{Instr{Op: ShlI, Imm: 4}, 0x81, 0, 0x810},
+		{Instr{Op: ShlI, Imm: 31}, 3, 0, 0x80000000},
+		{Instr{Op: ShlI, Imm: 32}, 3, 0, 3},
+		{Instr{Op: ShlI, Imm: 33}, 3, 0, 6},
+		{Instr{Op: ShlI, Imm: 63}, 3, 0, 0x80000000},
+		{Instr{Op: ShrI, Imm: 0}, 0x80000000, 0, 0x80000000},
+		{Instr{Op: ShrI, Imm: 1}, 0x80000000, 0, 0x40000000},
+		{Instr{Op: ShrI, Imm: 31}, 0x80000000, 0, 1},
+		{Instr{Op: ShrI, Imm: 32}, 0xf0, 0, 0xf0},
+		{Instr{Op: ShrI, Imm: 36}, 0xf0, 0, 0x0f},
+		{Instr{Op: ShrI, Imm: 63}, 0x80000000, 0, 1},
+		{Instr{Op: Ld}, 1, 2, 0},
+		{Instr{Op: Beq}, 1, 1, 0},
+	}
+	for _, c := range cases {
+		if got := c.in.Eval(c.a, c.b); got != c.want {
+			t.Errorf("%v with a=%#x b=%#x: Eval = %#x, want %#x", c.in, c.a, c.b, got, c.want)
+		}
+	}
+	for op := Nop; op <= Halt; op++ {
+		if want := op >= Li && op <= ShrI; (Instr{Op: op}).IsALU() != want {
+			t.Errorf("%v: IsALU = %v, want %v", op, !want, want)
+		}
+	}
+}
+
+// TestTaken checks every branch kind's outcome against hand-written
+// results, with Blt and Bge comparing signed across 0x7fffffff and
+// 0x80000000.
+func TestTaken(t *testing.T) {
+	cases := []struct {
+		op   Op
+		a, b uint32
+		want bool
+	}{
+		{Beq, 5, 5, true},
+		{Beq, 5, 6, false},
+		{Bne, 5, 6, true},
+		{Bne, 5, 5, false},
+		{Blt, 1, 2, true},
+		{Blt, 2, 2, false},
+		{Blt, 3, 2, false},
+		{Blt, 0x80000000, 0x7fffffff, true},
+		{Blt, 0x7fffffff, 0x80000000, false},
+		{Blt, 0xffffffff, 0, true},
+		{Bge, 2, 2, true},
+		{Bge, 1, 2, false},
+		{Bge, 0x7fffffff, 0x80000000, true},
+		{Bge, 0x80000000, 0x7fffffff, false},
+		{Bge, 0, 0xffffffff, true},
+		{Jmp, 0, 1, true},
+		{Add, 1, 1, false},
+		{Halt, 0, 0, false},
+	}
+	for _, c := range cases {
+		if got := (Instr{Op: c.op}).Taken(c.a, c.b); got != c.want {
+			t.Errorf("%v with a=%#x b=%#x: Taken = %v, want %v", c.op, c.a, c.b, got, c.want)
+		}
+	}
+}

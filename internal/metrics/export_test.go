@@ -61,10 +61,10 @@ func TestJSONGolden(t *testing.T) {
 	if _, ok := doc.Metrics["machine.wb.occupancy"]; !ok {
 		t.Errorf("metrics section missing histogram: %v", doc.Metrics)
 	}
-	if _, ok := doc.Timing["engine.timing.singleflight_waits"]; !ok {
-		t.Errorf("timing section missing wait counter: %v", doc.Timing)
+	if _, ok := doc.Timing["engine.timing.worker_busy_ns"]; !ok {
+		t.Errorf("timing section missing busy counter: %v", doc.Timing)
 	}
-	if _, ok := doc.Metrics["engine.timing.singleflight_waits"]; ok {
+	if _, ok := doc.Metrics["engine.timing.worker_busy_ns"]; ok {
 		t.Error("timing metric leaked into the deterministic section")
 	}
 }

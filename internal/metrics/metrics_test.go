@@ -110,7 +110,7 @@ func populate() *Registry {
 	m.Scope("noc").Gauge("inflight_peak").SetMax(42)
 	e := r.Scope("engine")
 	e.Counter("jobs").Add(16)
-	e.Timing().Counter("singleflight_waits").Add(3)
+	e.Timing().Counter("worker_busy_ns").Add(3)
 	e.Timing().Histogram("job_latency_ns", 1_000_000, 1_000_000_000).Observe(5_000_000)
 	return r
 }

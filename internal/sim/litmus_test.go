@@ -15,10 +15,8 @@ import (
 
 const dataBase = 0x1000
 
-// runMachine builds an n-core machine under the given design, running the
-// provided programs on the first cores and idling the rest.
-func runMachine(t *testing.T, design fence.Design, ncores int, progs []*isa.Program) (*sim.Machine, *sim.Result) {
-	t.Helper()
+// padIdle returns ncores programs: progs, then idle ones.
+func padIdle(progs []*isa.Program, ncores int) []*isa.Program {
 	all := make([]*isa.Program, ncores)
 	for i := range all {
 		if i < len(progs) {
@@ -27,7 +25,14 @@ func runMachine(t *testing.T, design fence.Design, ncores int, progs []*isa.Prog
 			all[i] = litmus.Idle()
 		}
 	}
-	m, err := sim.New(sim.Config{NCores: ncores, Design: design}, all, mem.NewStore())
+	return all
+}
+
+// runMachine builds an n-core machine under the given design, running the
+// provided programs on the first cores and idling the rest.
+func runMachine(t *testing.T, design fence.Design, ncores int, progs []*isa.Program) (*sim.Machine, *sim.Result) {
+	t.Helper()
+	m, err := sim.New(sim.Config{NCores: ncores, Design: design}, padIdle(progs, ncores), mem.NewStore())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -325,11 +325,6 @@ type Result struct {
 	// Intervals is the per-core cycle-breakdown time series when
 	// Config.SampleInterval was set (nil otherwise).
 	Intervals []trace.Sample
-
-	// Metrics is the registry the run exported its machine counters
-	// into — Config.Metrics, handed back for convenience (nil when
-	// metrics were off).
-	Metrics *metrics.Registry
 }
 
 // Agg returns the per-core stats merged into one block.
@@ -353,11 +348,7 @@ func (m *Machine) result(finished bool) *Result {
 	}
 	m.sampler.Flush(m.cycle, m.coreStats)
 	r.Intervals = m.sampler.Samples()
-	if m.mx != nil {
-		m.mx.export(m, r)
-		m.mx.exportRun()
-		r.Metrics = m.cfg.Metrics
-	}
+	m.mx.export(m, r)
 	return r
 }
 
@@ -371,7 +362,7 @@ func (m *Machine) withTail(err error) error {
 	return err
 }
 
-// cancelPollMask sets how often the cycle loops poll for cancellation:
+// cancelPollMask sets how often the cycle loop polls for cancellation:
 // every cancelPollMask+1 cycles. Polling is skipped entirely for
 // contexts that can never be canceled (Done() == nil), so Run and
 // RunFor cost nothing extra.
@@ -391,18 +382,26 @@ func (m *Machine) Run() (*Result, error) { return m.RunCtx(context.Background())
 // every few thousand cycles and, once it is canceled, returns the
 // partial result with an error wrapping context.Canceled.
 func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
+	return m.run(ctx, m.cfg.MaxCycles, true)
+}
+
+// run is the cycle loop of Run and RunFor: it steps the machine until
+// cycle end, returning early on an oracle violation or cancellation.
+// toCompletion makes it Run's loop: it also returns once the machine
+// finishes, runs the watchdog, and reports reaching end as ErrHorizon.
+func (m *Machine) run(ctx context.Context, end int64, toCompletion bool) (*Result, error) {
 	if err := m.cfg.Validate(); err != nil {
 		return nil, err
 	}
 	done := ctx.Done()
 	lastProgress := m.cycle
 	lastRetired := m.retired
-	for m.cycle < m.cfg.MaxCycles {
+	for m.cycle < end {
 		m.Step()
 		if err := m.violation(); err != nil {
 			return m.result(false), m.withTail(err)
 		}
-		if m.Finished() {
+		if toCompletion && m.Finished() {
 			return m.result(true), nil
 		}
 		if done != nil && m.cycle&cancelPollMask == 0 {
@@ -412,23 +411,26 @@ func (m *Machine) RunCtx(ctx context.Context) (*Result, error) {
 			default:
 			}
 		}
-		if m.retired != lastRetired {
-			lastRetired = m.retired
-			lastProgress = m.cycle
-		} else if m.cycle-lastProgress > m.cfg.WatchdogCycles {
-			return m.result(false), m.deadlockError()
-		}
-		if !m.cfg.PureStepping {
+		limit := end
+		if toCompletion {
+			if m.retired != lastRetired {
+				lastRetired = m.retired
+				lastProgress = m.cycle
+			} else if m.cycle-lastProgress > m.cfg.WatchdogCycles {
+				return m.result(false), m.deadlockError()
+			}
 			// The watchdog must still observe the cycle at which it would
 			// have fired, so the jump may not overshoot its deadline.
-			limit := lastProgress + m.cfg.WatchdogCycles + 1
-			if m.cfg.MaxCycles < limit {
-				limit = m.cfg.MaxCycles
-			}
+			limit = min(limit, lastProgress+m.cfg.WatchdogCycles+1)
+		}
+		if !m.cfg.PureStepping {
 			m.fastForward(limit)
 		}
 	}
-	return m.result(false), ErrHorizon
+	if toCompletion {
+		return m.result(false), ErrHorizon
+	}
+	return m.result(m.Finished()), nil
 }
 
 // fastForward advances the clock past cycles in which provably nothing
@@ -478,26 +480,5 @@ func (m *Machine) RunFor(n int64) *Result {
 
 // RunForCtx is RunFor with cooperative cancellation; see RunCtx.
 func (m *Machine) RunForCtx(ctx context.Context, n int64) (*Result, error) {
-	if err := m.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	done := ctx.Done()
-	end := m.cycle + n
-	for m.cycle < end {
-		m.Step()
-		if err := m.violation(); err != nil {
-			return m.result(false), m.withTail(err)
-		}
-		if done != nil && m.cycle&cancelPollMask == 0 {
-			select {
-			case <-done:
-				return m.result(false), m.canceled(ctx)
-			default:
-			}
-		}
-		if !m.cfg.PureStepping {
-			m.fastForward(end)
-		}
-	}
-	return m.result(m.Finished()), nil
+	return m.run(ctx, m.cycle+n, false)
 }

@@ -16,6 +16,10 @@
 // search decodes each popped key into one reused state and encodes each
 // successor into one reused buffer: a new state costs one string.
 //
+// Local instructions compute through internal/isa (Instr.Eval and
+// Instr.Taken), as the cycle simulator's cores and runtime/litmusrun
+// do, so the three executors share one ISA.
+//
 // The conformance harness (ROBUSTNESS.md §8) uses this set as the
 // ground truth both directions: every cycle-simulator final state must
 // be inside the relaxed closure, and every real-hardware final state —
@@ -81,58 +85,19 @@ func (r *Regs) Set(x isa.Reg, v uint32) {
 // Local executes one thread-local instruction (ALU, immediate moves,
 // branches, modeled work, stat markers) and returns the next pc.
 // handled is false for memory accesses, fences and halt — the ops whose
-// semantics differ per execution domain. Shared by the enumerator and
-// by runtime/litmusrun so both domains agree byte-for-byte on the
-// functional semantics of local code.
+// semantics differ per execution domain. Values and branch outcomes
+// come from isa.Instr's Eval and Taken. The enumerator and
+// runtime/litmusrun both run local code through Local.
 func Local(in isa.Instr, pc int, r *Regs) (next int, handled bool) {
-	a := r.Get(in.Src1)
-	b := r.Get(in.Src2)
-	imm := uint32(in.Imm)
-	switch in.Op {
-	case isa.Nop, isa.Work, isa.Stat:
-		return pc + 1, true
-	case isa.Li:
-		r.Set(in.Dst, imm)
-	case isa.Mov:
-		r.Set(in.Dst, a)
-	case isa.Add:
-		r.Set(in.Dst, a+b)
-	case isa.Sub:
-		r.Set(in.Dst, a-b)
-	case isa.Mul:
-		r.Set(in.Dst, a*b)
-	case isa.And:
-		r.Set(in.Dst, a&b)
-	case isa.Or:
-		r.Set(in.Dst, a|b)
-	case isa.Xor:
-		r.Set(in.Dst, a^b)
-	case isa.AddI:
-		r.Set(in.Dst, a+imm)
-	case isa.AndI:
-		r.Set(in.Dst, a&imm)
-	case isa.ShlI:
-		r.Set(in.Dst, a<<(imm&31))
-	case isa.ShrI:
-		r.Set(in.Dst, a>>(imm&31))
-	case isa.Jmp:
-		return in.Target, true
-	case isa.Beq:
-		if a == b {
+	a, b := r.Get(in.Src1), r.Get(in.Src2)
+	switch {
+	case in.IsALU():
+		r.Set(in.Dst, in.Eval(a, b))
+	case in.IsBranch():
+		if in.Taken(a, b) {
 			return in.Target, true
 		}
-	case isa.Bne:
-		if a != b {
-			return in.Target, true
-		}
-	case isa.Blt:
-		if int32(a) < int32(b) {
-			return in.Target, true
-		}
-	case isa.Bge:
-		if int32(a) >= int32(b) {
-			return in.Target, true
-		}
+	case in.Op == isa.Nop, in.Op == isa.Work, in.Op == isa.Stat:
 	default:
 		return pc, false
 	}

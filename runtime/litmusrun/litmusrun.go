@@ -12,9 +12,9 @@
 // done channel. Run returns only after every worker has exited. wfence
 // becomes asymruntime.LightFence and sfence asymruntime.HeavyFence, so
 // the generated Dekker-style handshakes exercise the exact light/heavy
-// pairing the runtime ships. Thread-local instruction semantics are
-// shared with the reference TSO machine (tso.Local), so the two domains
-// cannot drift on functional behavior.
+// pairing the runtime ships. Thread-local instructions run through
+// tso.Local, which computes them with internal/isa's Instr.Eval and
+// Instr.Taken, the evaluator the cycle simulator's cores use too.
 //
 // After each iteration the caller appends the final state raw to a
 // reused buffer (observed registers, shared words, extra cells). Only a
